@@ -1,0 +1,6 @@
+"""Put the benchmark modules and the checkout's wignerlab sources on sys.path."""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
