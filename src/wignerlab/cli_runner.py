@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -50,6 +49,7 @@ from .spectral_measures import (
     semicircle_moment,
 )
 from .stieltjes import invert_on_grid, semicircle_stieltjes, stieltjes_atomic
+from .streams import parallel_map
 from .walk_combinatorics import (
     ORACLE_MAX_K,
     ORACLE_MAX_N,
@@ -436,16 +436,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             writer.writerow([_fmt(x) for x in row])
 
 
-def _parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Order-preserving map; results do not depend on the thread count."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int) -> list[np.ndarray]:
-    return _parallel_map(
+    return parallel_map(
         lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads
     )
 
@@ -462,7 +454,7 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
             dist = esd(eigenvalues_desc(sample_trial(spec, trial)))
             return levy_distance(dist, sc), kolmogorov_distance(dist, sc)
 
-        for trial, (lv, kv) in enumerate(_parallel_map(one, range(config.trials), config.threads)):
+        for trial, (lv, kv) in enumerate(parallel_map(one, range(config.trials), config.threads)):
             rows.append((n, trial, lv, kv))
     path = out / "simulate.csv"
     _write_csv(path, ("n", "trial", "levy_to_sc", "kolmogorov_to_sc"), rows)
@@ -480,7 +472,7 @@ def _cmd_moments(config: ExperimentConfig, out: Path) -> list[Path]:
             catalan = semicircle_moment(k)
             rows.append((n, k, config.trials, empirical, catalan, abs(empirical - catalan)))
             if config.exact_oracle:
-                exact = walk_sum_moment(spec.law, spec.profile, n, k)
+                exact = walk_sum_moment(spec.law, spec.profile, n, k, spec.effective_diagonal_law)
                 oracle_rows.append((n, k, exact, empirical, abs(empirical - exact)))
     path = out / "moments.csv"
     _write_csv(path, ("n", "k", "trials", "empirical", "catalan", "abs_err"), rows)
@@ -637,7 +629,7 @@ def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:
                 float(coeffs.max()),
             )
 
-        for trial, vals in enumerate(_parallel_map(one, range(config.trials), config.threads)):
+        for trial, vals in enumerate(parallel_map(one, range(config.trials), config.threads)):
             rows.append((n, trial) + vals)
     path = out / "reduce.csv"
     _write_csv(

@@ -16,7 +16,7 @@ import numpy as np
 from .ensembles import EnsembleSpec, sample_trial
 from .hermitian_core import eigenvalues_desc
 from .spectral_measures import RampFunction
-from .streams import DOMAIN_BERNOULLI, derive_rng
+from .streams import DOMAIN_BERNOULLI, derive_rng, parallel_map
 
 __all__ = [
     "TailEstimate",
@@ -122,13 +122,7 @@ def empirical_tail(
         lam = eigenvalues_desc(sample_trial(spec, trial))
         return float(np.mean(ramp.value(lam)))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = np.array(list(pool.map(one, range(trials))))
-    else:
-        stats = np.array([one(trial) for trial in range(trials)])
+    stats = np.array(parallel_map(one, range(trials), threads))
     center = float(np.mean(stats))
     dev = np.abs(stats - center)
     name = f"ramp({ramp.p:g},{ramp.q:g})"

@@ -25,6 +25,7 @@ __all__ = [
     "EntryLaw",
     "VarianceProfile",
     "EnsembleSpec",
+    "diagonal_law_for",
     "GaussConditions",
     "ConditionReport",
     "sample",
@@ -355,6 +356,14 @@ class VarianceProfile:
         return vals, counts.astype(np.int64)
 
 
+def diagonal_law_for(law: EntryLaw, diagonal_law: EntryLaw | None = None) -> EntryLaw:
+    """Law of the diagonal entries: ``diagonal_law`` if given, else ``law``."""
+    if diagonal_law is not None:
+        return diagonal_law
+    # Hermitian diagonals are real; complex laws fall back to the real gaussian
+    return EntryLaw.gaussian_real() if law.is_complex else law
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Everything needed to reproduce an ensemble draw: n, law, profile, seed."""
@@ -376,10 +385,7 @@ class EnsembleSpec:
 
     @property
     def effective_diagonal_law(self) -> EntryLaw:
-        if self.diagonal_law is not None:
-            return self.diagonal_law
-        # Hermitian diagonals are real; complex laws fall back to the real gaussian
-        return EntryLaw.gaussian_real() if self.law.is_complex else self.law
+        return diagonal_law_for(self.law, self.diagonal_law)
 
 
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:

@@ -1,12 +1,13 @@
 """Spectral distribution functions and metrics between them.
 
 Empirical spectral distributions are step CDFs; the semicircle law is the
-reference limit.  Levy and Kolmogorov distances are computed against the
-closed-form semicircle CDF
+reference limit, with closed-form CDF
 
-    F(x) = 1/2 + x sqrt(4 - x^2) / (4 pi) + arcsin(x/2) / pi   on [-2, 2],
+    F(x) = 1/2 + x sqrt(4 - x^2) / (4 pi) + arcsin(x/2) / pi   on [-2, 2].
 
-and ramp test functions give exact weak-convergence integrals on both sides.
+Levy and Kolmogorov distances are exact when one argument is a step CDF and
+are read off its atoms; ramp test functions give exact weak-convergence
+integrals on both sides.
 """
 from __future__ import annotations
 
@@ -30,9 +31,6 @@ __all__ = [
 
 # weights must sum to 1 within this slack
 WEIGHT_TOL = 1e-12
-# grid sizes backing the sup-scans where a CDF is not a step function
-LEVY_GRID = 4096
-KOLMOGOROV_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,16 @@ class StepDistribution:
 
     def cdf(self, x):
         """Right-continuous CDF, vectorized."""
-        idx = np.searchsorted(self.atoms, np.asarray(x, dtype=np.float64), side="right")
+        return self._cdf(x, "right")
+
+    def cdf_left(self, x):
+        """Left limit F(x-) = P(X < x), vectorized."""
+        return self._cdf(x, "left")
+
+    def _cdf(self, x, side: str):
+        idx = np.searchsorted(self.atoms, np.asarray(x, dtype=np.float64), side=side)
         out = self._cum[idx]
         return float(out) if np.isscalar(x) else out
-
-    def critical_points(self) -> np.ndarray:
-        return self.atoms
-
-    def support(self) -> tuple[float, float]:
-        return float(self.atoms[0]), float(self.atoms[-1])
 
     def mean_of(self, f) -> float:
         """integral of f against the distribution; exact for atomic measures."""
@@ -102,11 +101,8 @@ class SemicircleLaw:
         out = np.clip(out, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def critical_points(self) -> np.ndarray:
-        return np.linspace(-2.0, 2.0, KOLMOGOROV_GRID + 1)
-
-    def support(self) -> tuple[float, float]:
-        return (-2.0, 2.0)
+    # continuous, so the left limit is the CDF itself
+    cdf_left = cdf
 
     def partial_first_moment(self, a: float, b: float) -> float:
         """integral of x over [a, b] against the law, exact antiderivative."""
@@ -144,36 +140,37 @@ def expected_esd(samples: Iterable[StepDistribution]) -> StepDistribution:
     return StepDistribution(atoms, weights)
 
 
-def _scan_points(f, g, eps: float = 0.0) -> np.ndarray:
-    pts = np.concatenate([f.critical_points(), g.critical_points()])
-    lo = min(f.support()[0], g.support()[0]) - 1.0
-    hi = max(f.support()[1], g.support()[1]) + 1.0
-    base = np.concatenate([pts, np.linspace(lo, hi, LEVY_GRID)])
-    if eps != 0.0:
-        base = np.concatenate([base, base - eps, base + eps])
-    xs = np.unique(base)
-    # left limits pick up the step-function sups exactly
-    return np.concatenate([xs, np.nextafter(xs, -np.inf)])
+def _step_first(f, g):
+    """Order the pair so the first CDF is a step CDF; both metrics are symmetric."""
+    if isinstance(f, StepDistribution):
+        return f, g
+    if isinstance(g, StepDistribution):
+        return g, f
+    raise TypeError("one of the two distributions must be a StepDistribution")
 
 
 def kolmogorov_distance(f, g) -> float:
-    """sup_x |F(x) - G(x)|; exact for step CDFs, grid-backed otherwise."""
-    xs = _scan_points(f, g)
-    return float(np.max(np.abs(np.asarray(f.cdf(xs)) - np.asarray(g.cdf(xs)))))
+    """sup_x |F(x) - G(x)|, the max over the step argument's atoms and left limits."""
+    f, g = _step_first(f, g)
+    x = f.atoms
+    return float(np.max(np.abs([f.cdf(x) - g.cdf(x), f.cdf_left(x) - g.cdf_left(x)])))
 
 
 def levy_distance(f, g, tol: float = 1e-9) -> float:
     """Levy metric: inf of eps with F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x.
 
-    Feasibility of a candidate eps is decided on the union of both CDFs'
-    breakpoints shifted by 0 and +-eps, their left limits, and a uniform
-    grid over the joint support hull; bisection then brackets the infimum.
-    The returned value is an upper bound within 1e-6 of the true infimum.
+    With F the step argument, eps is feasible iff at every atom x_i
+    F(x_i) <= G(x_i+eps)+eps and F(x_i-) >= G((x_i-eps)-)-eps: between atoms
+    F is constant and G monotone, so no other point can bind.  Bisection on
+    that exact test returns a feasible eps within ``tol`` of the infimum.
     """
+    f, g = _step_first(f, g)
+    x = f.atoms
+    upper, lower = f.cdf(x), f.cdf_left(x)
+
     def feasible(eps: float) -> bool:
-        xs = _scan_points(f, g, eps)
-        gap1 = np.max(np.asarray(g.cdf(xs)) - np.asarray(f.cdf(xs + eps)))
-        gap2 = np.max(np.asarray(f.cdf(xs)) - np.asarray(g.cdf(xs + eps)))
+        gap1 = np.max(upper - g.cdf(x + eps))
+        gap2 = np.max(g.cdf_left(x - eps) - lower)
         return max(gap1, gap2) <= eps + 1e-12
 
     hi = kolmogorov_distance(f, g) + 1e-12  # L <= K always

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensembles import EntryLaw, VarianceProfile
+from .ensembles import EntryLaw, VarianceProfile, diagonal_law_for
 
 __all__ = [
     "CanonicalWalk",
@@ -466,11 +466,6 @@ def tree_product_sum(
     return total
 
 
-def _effective_diag_law(law: EntryLaw) -> EntryLaw:
-    # matches the sampling convention: complex laws get a real gaussian diagonal
-    return EntryLaw.gaussian_real() if law.is_complex else law
-
-
 def _pair_counts(walk: Sequence[int]) -> tuple[Counter, Counter]:
     fwd: Counter = Counter()
     bwd: Counter = Counter()
@@ -500,6 +495,17 @@ def _expectation_from_counts(
     return out
 
 
+def _expectation_sum(walks, law, profile, n, diagonal_law) -> float:
+    """Sum of E[prod w] over concrete closed walks on indices 0..n-1."""
+    sig = profile.matrix(n)
+    dlaw = diagonal_law_for(law, diagonal_law)
+    total = 0.0
+    for walk in walks:
+        fwd, bwd = _pair_counts(walk)
+        total += _expectation_from_counts(fwd, bwd, law, dlaw, sig)
+    return total
+
+
 def walk_expectation(
     walk: Sequence[int],
     law: EntryLaw,
@@ -518,17 +524,16 @@ def walk_expectation(
         raise ValueError("closed walk must end where it starts")
     if any(v < 0 or v >= n for v in walk):
         raise ValueError("walk labels must lie in 0..n-1")
-    fwd, bwd = _pair_counts(walk)
-    return _expectation_from_counts(
-        fwd, bwd, law, _effective_diag_law(law), profile.matrix(n)
-    )
+    return _expectation_sum([walk], law, profile, n, None)
 
 
-def walk_sum_moment(law: EntryLaw, profile: VarianceProfile, n: int, k: int) -> float:
+def walk_sum_moment(
+    law: EntryLaw, profile: VarianceProfile, n: int, k: int, diagonal_law: EntryLaw | None = None
+) -> float:
     """Exact (1/n) E tr W^k by summing walk expectations over all index tuples.
 
     Limited to n <= 6 and k <= 8 (the sum has n^k terms); the law must have
-    finite moments to order k.
+    finite moments to order k.  ``diagonal_law`` is as in ``EnsembleSpec``.
     """
     if n > ORACLE_MAX_N or k > ORACLE_MAX_K:
         raise ValueError("oracle scale exceeded")
@@ -536,13 +541,8 @@ def walk_sum_moment(law: EntryLaw, profile: VarianceProfile, n: int, k: int) -> 
         raise ValueError("need n >= 1 and k >= 1")
     if not law.has_moments_to(k):
         raise ValueError("oracle requires finite moments")
-    sig = profile.matrix(n)
-    dlaw = _effective_diag_law(law)
-    total = 0.0
-    for tup in itertools.product(range(n), repeat=k):
-        fwd, bwd = _pair_counts(tup + (tup[0],))
-        total += _expectation_from_counts(fwd, bwd, law, dlaw, sig)
-    return total / n
+    walks = (tup + (tup[0],) for tup in itertools.product(range(n), repeat=k))
+    return _expectation_sum(walks, law, profile, n, diagonal_law) / n
 
 
 def class_walk_sum(
@@ -550,17 +550,14 @@ def class_walk_sum(
     law: EntryLaw,
     profile: VarianceProfile,
     n: int,
+    diagonal_law: EntryLaw | None = None,
 ) -> float:
     """Sum of E[prod w] over all walks in {0..n-1} isomorphic to the class.
 
     Members of the class are exactly the injective relabelings of the
     canonical walk, so this is the walk-class weight in the trace expansion.
+    ``diagonal_law`` overrides the diagonal entries' law as in ``EnsembleSpec``.
     """
-    sig = profile.matrix(n)
-    dlaw = _effective_diag_law(law)
-    total = 0.0
-    for image in itertools.permutations(range(n), walk.t):
-        relabeled = tuple(image[c - 1] for c in walk.sequence)
-        fwd, bwd = _pair_counts(relabeled)
-        total += _expectation_from_counts(fwd, bwd, law, dlaw, sig)
-    return total
+    images = itertools.permutations(range(n), walk.t)
+    relabeled = (tuple(image[c - 1] for c in walk.sequence) for image in images)
+    return _expectation_sum(relabeled, law, profile, n, diagonal_law)

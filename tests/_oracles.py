@@ -43,16 +43,13 @@ def brute_levy(f, g, eps_step: float = 1e-3, pad: float = 1.0) -> float:
     """Smallest feasible epsilon on a grid, by scanning the definition.
 
     Feasibility of eps means F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x;
-    the scan covers both breakpoint sets, their shifts, left limits, and a
-    dense uniform grid.
+    the scan covers the atoms of either step argument, their shifts, left
+    limits, and a dense uniform grid.  The semicircle has no atoms and
+    contributes only the ends of its support [-2, 2] to the grid's hull.
     """
-    lo = min(f.support()[0], g.support()[0]) - pad
-    hi = max(f.support()[1], g.support()[1]) + pad
-    base = np.unique(
-        np.concatenate(
-            [f.critical_points(), g.critical_points(), np.linspace(lo, hi, 2001)]
-        )
-    )
+    pts = np.concatenate([getattr(d, "atoms", np.array([-2.0, 2.0])) for d in (f, g)])
+    grid = np.linspace(pts.min() - pad, pts.max() + pad, 2001)
+    base = np.unique(np.concatenate([pts, grid]))
     for step in itertools.count():
         eps = step * eps_step
         xs = np.unique(np.concatenate([base, base - eps, base + eps]))
@@ -64,6 +61,36 @@ def brute_levy(f, g, eps_step: float = 1e-3, pad: float = 1.0) -> float:
             return eps
         if eps > 1.0 + 2 * pad:
             raise AssertionError("no feasible epsilon found")
+
+
+def levy_violation(points: np.ndarray, f, g, eps: float) -> float:
+    """Largest breach of the Levy constraints at eps over a sample of points.
+
+    Checks G(x-eps)-eps <= F(x) <= G(x+eps)+eps at every sample point x, the
+    definition with the two (symmetric) roles exchanged, using nothing but
+    each distribution's right-continuous CDF.  Sampling F's atoms and the
+    float just left of each one covers every point where a step F can bind.
+    Positive means infeasible.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    fx = np.asarray(f.cdf(x))
+    above = fx - np.asarray(g.cdf(x + eps)) - eps
+    below = np.asarray(g.cdf(x - eps)) - eps - fx
+    return float(max(above.max(), below.max()))
+
+
+def step_kolmogorov_gap(eigenvalues: np.ndarray, g) -> float:
+    """max over atoms of |F(x)-G(x)| and |F(x-)-G(x)| for the ESD F, G continuous.
+
+    F(x) and F(x-) are counted directly from the eigenvalues, not read from
+    the library's cumulative weights.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    x = np.unique(lam)
+    at = (lam[None, :] <= x[:, None]).sum(axis=1) / lam.size
+    before = (lam[None, :] < x[:, None]).sum(axis=1) / lam.size
+    gx = np.asarray(g.cdf(x))
+    return float(max(np.abs(at - gx).max(), np.abs(before - gx).max()))
 
 
 def direct_tree_sum(tree, profile: VarianceProfile, n: int, pin=None) -> float:

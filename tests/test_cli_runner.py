@@ -462,6 +462,26 @@ def test_run_moments_oracle_emits_second_csv(tmp_path):
     assert float(abs_err) == pytest.approx(abs(float(empirical) - 1.0))
 
 
+def test_run_moments_oracle_uses_diagonal_law(tmp_path):
+    """With a zero diagonal at n=3 (sigma^2 = 1/3), (1/n) E tr W^4 is 10/9."""
+    config = ExperimentConfig.from_mapping(
+        {
+            "command": "moments",
+            "sizes": "3",
+            "trials": "2",
+            "out": str(tmp_path),
+            "ensemble.law": "gaussian_real",
+            "ensemble.variance": "1/n",
+            "ensemble.diagonal_law": "constant_zero",
+            "moments.k": "4",
+            "moments.exact_oracle": "true",
+        }
+    )
+    run(config)
+    _, [(_, _, walk_sum, _, _)] = read_csv(tmp_path / "moments_oracle.csv")
+    assert float(walk_sum) == pytest.approx(10 / 9, rel=1e-12)
+
+
 def test_run_stieltjes_outputs_points_and_density(tmp_path):
     config = make_config(
         "stieltjes",

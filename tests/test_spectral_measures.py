@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_levy, quad_semicircle, random_hermitian, semicircle_quantile_atoms
-from wignerlab.ensembles import sample_trial, wigner_unit_spec
+from _oracles import (
+    brute_levy,
+    levy_violation,
+    quad_semicircle,
+    random_hermitian,
+    semicircle_quantile_atoms,
+    step_kolmogorov_gap,
+)
+from wignerlab.ensembles import EntryLaw, sample_trial, wigner_unit_spec
 from wignerlab.hermitian_core import (
     HermitianMatrix,
     eigenvalues_desc,
@@ -164,6 +171,38 @@ def test_levy_matches_brute_force_on_random_steps(rng):
         got = levy_distance(f, g)
         brute = brute_levy(f, g, eps_step=1e-3)
         assert abs(got - brute) <= 2e-3
+
+
+def test_levy_matches_brute_force_against_semicircle(rng):
+    sc = SemicircleLaw()
+    for size in (3, 8):
+        f = esd(rng.standard_normal(size))
+        got = levy_distance(f, sc)
+        assert levy_distance(sc, f) == got
+        assert abs(got - brute_levy(f, sc, eps_step=1e-3)) <= 2e-3
+
+
+def test_levy_exact_on_rademacher_esd():
+    """The returned eps meets the Levy definition and eps - 2 tol breaks it.
+
+    The same spectrum checks Kolmogorov against directly counted one-sided gaps.
+    """
+    lam = eigenvalues_desc(sample_trial(wigner_unit_spec(64, EntryLaw.rademacher(), seed=5), 4))
+    f, sc = esd(lam), SemicircleLaw()
+    tol = 1e-9
+    got = levy_distance(f, sc, tol=tol)
+    points = np.concatenate([f.atoms, np.nextafter(f.atoms, -np.inf)])
+    assert levy_violation(points, f, sc, got) <= 1e-12
+    assert levy_violation(points, f, sc, got - 2 * tol) > 0.0
+    assert kolmogorov_distance(f, sc) == pytest.approx(step_kolmogorov_gap(lam, sc), abs=1e-15)
+
+
+def test_metrics_need_a_step_argument():
+    sc = SemicircleLaw()
+    with pytest.raises(TypeError):
+        levy_distance(sc, sc)
+    with pytest.raises(TypeError):
+        kolmogorov_distance(sc, sc)
 
 
 def test_levy_below_kolmogorov_on_100_pairs(rng):

@@ -436,6 +436,10 @@ def test_walk_sum_moment_small_exact_values():
             assert walk_sum_moment(law, prof, n, 2) == pytest.approx(1.0, rel=1e-12)
     # odd moments vanish for symmetric laws
     assert walk_sum_moment(EntryLaw.gaussian_real(), one, 3, 3) == 0.0
+    # a zero diagonal leaves only off-diagonal walks: 30/9 summed, 10/9 per row
+    third = VarianceProfile.uniform(1.0 / 3)
+    zero = EntryLaw.constant_zero()
+    assert walk_sum_moment(EntryLaw.gaussian_real(), third, 3, 4, zero) == pytest.approx(10 / 9)
 
 
 def test_walk_sum_moment_matches_exhaustive_signs():
@@ -493,15 +497,17 @@ def test_class_walk_sum_pair_class_closed_form():
 
 def test_class_decomposition_recovers_trace_moment():
     """Summing every class weight reproduces the full n^k walk sum."""
-    for law in (EntryLaw.gaussian_real(), EntryLaw.rademacher(), EntryLaw.gaussian_complex()):
-        for n, k in ((3, 4), (4, 4), (3, 6)):
-            prof = VarianceProfile.uniform(1.0 / n)
-            total = sum(
-                class_walk_sum(w, law, prof, n) for w in enumerate_canonical_walks(k)
-            )
-            assert total / n == pytest.approx(
-                walk_sum_moment(law, prof, n, k), rel=1e-10, abs=1e-12
-            )
+    laws = (EntryLaw.gaussian_real(), EntryLaw.rademacher(), EntryLaw.gaussian_complex())
+    for law in laws:
+        for diag in (None, EntryLaw.constant_zero()):
+            for n, k in ((3, 4), (4, 4), (3, 6)):
+                prof = VarianceProfile.uniform(1.0 / n)
+                total = sum(
+                    class_walk_sum(w, law, prof, n, diag) for w in enumerate_canonical_walks(k)
+                )
+                assert total / n == pytest.approx(
+                    walk_sum_moment(law, prof, n, k, diag), rel=1e-10, abs=1e-12
+                )
 
 
 def test_double_tree_class_weight_is_tree_product_sum(rng):
