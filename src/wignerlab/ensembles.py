@@ -104,11 +104,6 @@ class EntryLaw:
         return self.kind == "gaussian_complex"
 
     @property
-    def is_symmetric(self) -> bool:
-        # every bundled kind is symmetric about 0
-        return True
-
-    @property
     def has_finite_variance(self) -> bool:
         if self.kind == "pareto_symmetric":
             return self.alpha > 2.0
@@ -196,10 +191,6 @@ class EntryLaw:
             return 1.0
         return (self.scale / u) ** self.alpha
 
-    def truncated_mean(self, t: float) -> float:
-        """E[X; |X| <= t]; identically 0 since every kind is symmetric."""
-        return 0.0
-
     def has_moments_to(self, k: int) -> bool:
         if self.kind == "pareto_symmetric":
             return self.alpha > k
@@ -265,6 +256,11 @@ class VarianceProfile:
 
     Kinds: uniform (one value), banded (inside/outside a |i-j| <= width
     band), explicit (full matrix, validated symmetric).
+
+    Every view is derived from one structure: a short table of ``levels``
+    plus two per-kind rules, the level of entry (i, j) and each row's level
+    counts.  Uniform and banded profiles answer both rules in O(n); only
+    explicit profiles pay O(n^2).
     """
 
     kind: str
@@ -273,16 +269,22 @@ class VarianceProfile:
     inside: float = 0.0
     outside: float = 0.0
     values: np.ndarray | None = field(default=None, repr=False)
+    # the level table, and for explicit profiles each entry's index into it
+    levels: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "banded", "explicit"):
             raise ValueError(f"unknown profile kind: {self.kind!r}")
-        if self.kind == "uniform" and self.v < 0:
-            raise ValueError("uniform variance must be nonnegative")
-        if self.kind == "banded":
+        if self.kind == "uniform":
+            if self.v < 0:
+                raise ValueError("uniform variance must be nonnegative")
+            levels = np.array([self.v])
+        elif self.kind == "banded":
             if self.width < 0 or self.inside < 0 or self.outside < 0:
                 raise ValueError("banded profile values must be nonnegative")
-        if self.kind == "explicit":
+            levels = np.array([self.inside, self.outside])
+        else:
             m = np.asarray(self.values, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("explicit profile must be square")
@@ -293,6 +295,10 @@ class VarianceProfile:
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "values", m)
+            levels, index = np.unique(m, return_inverse=True)
+            object.__setattr__(self, "_index", index.reshape(m.shape))
+        levels.setflags(write=False)
+        object.__setattr__(self, "levels", levels)
 
     @classmethod
     def uniform(cls, v: float) -> "VarianceProfile":
@@ -306,54 +312,74 @@ class VarianceProfile:
     def explicit(cls, values: np.ndarray) -> "VarianceProfile":
         return cls("explicit", values=values)
 
+    def map_levels(self, f) -> "VarianceProfile":
+        """The profile of the same kind with every level v replaced by f(v)."""
+        new = np.array([f(float(v)) for v in self.levels])
+        if self.kind == "uniform":
+            return VarianceProfile.uniform(new[0])
+        if self.kind == "banded":
+            return VarianceProfile.banded(self.width, new[0], new[1])
+        return VarianceProfile.explicit(new[self._index])
+
     def check_dimension(self, n: int) -> None:
         if self.kind == "explicit" and self.values.shape[0] != n:
             raise ValueError("explicit profile dimension does not match n")
 
+    # -- the two per-kind rules ----------------------------------------------
+    def _level_of(self, i, j) -> np.ndarray:
+        """Index into ``levels`` of entry (i, j); i and j broadcast."""
+        if self.kind == "uniform":
+            return np.zeros(np.broadcast(i, j).shape, dtype=np.intp)
+        if self.kind == "banded":
+            return (np.abs(i - j) > self.width).astype(np.intp)
+        return self._index[i, j]
+
+    def _row_counts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, counts), both (n, K): row i has counts[i, k] entries at level ids[i, k]."""
+        if self.kind == "uniform":
+            return np.zeros((n, 1), dtype=np.intp), np.full((n, 1), n)
+        if self.kind == "banded":
+            i = np.arange(n)
+            inside = np.minimum(i, self.width) + np.minimum(n - 1 - i, self.width) + 1
+            return np.broadcast_to(np.arange(2), (n, 2)), np.column_stack([inside, n - inside])
+        r = np.arange(n)
+        return self._level_of(r[:, None], r[None, :]), np.ones((n, n), dtype=np.int64)
+
+    # -- derived views -------------------------------------------------------
+    def _row_sums_of(self, term, n: int) -> np.ndarray:
+        """Per-row sums of term(sigma^2_ij) over j.
+
+        ``term`` is called once per level and never on a zero level, whose
+        entries contribute 0.
+        """
+        self.check_dimension(n)
+        weights = np.array([term(float(v)) if v > 0 else 0.0 for v in self.levels])
+        ids, counts = self._row_counts(n)
+        return (counts * weights[ids]).sum(axis=1)
+
     def matrix(self, n: int) -> np.ndarray:
         self.check_dimension(n)
-        if self.kind == "uniform":
-            return np.full((n, n), self.v)
-        if self.kind == "banded":
-            d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-            return np.where(d <= self.width, self.inside, self.outside)
-        return self.values.copy()
+        r = np.arange(n)
+        return self.levels[self._level_of(r[:, None], r[None, :])]
 
     def row_tail(self, i: int, n: int) -> np.ndarray:
         """Profile values sigma^2_ij for j = i..n-1."""
         self.check_dimension(n)
-        if self.kind == "uniform":
-            return np.full(n - i, self.v)
-        if self.kind == "banded":
-            d = np.arange(i, n) - i
-            return np.where(d <= self.width, self.inside, self.outside)
-        return self.values[i, i:].copy()
+        return self.levels[self._level_of(i, np.arange(i, n))]
 
     def row_sums(self, n: int) -> np.ndarray:
-        self.check_dimension(n)
-        if self.kind == "uniform":
-            return np.full(n, n * self.v)
-        if self.kind == "banded":
-            i = np.arange(n)
-            inside_count = np.minimum(i, self.width) + np.minimum(n - 1 - i, self.width) + 1
-            return inside_count * self.inside + (n - inside_count) * self.outside
-        return self.values.sum(axis=1)
+        return self._row_sums_of(lambda v: v, n)
 
     def unique_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct profile values with ordered-pair counts over the n x n grid."""
+        """Profile levels with their ordered-pair counts over the n x n grid.
+
+        Levels that no entry takes are dropped.
+        """
         self.check_dimension(n)
-        if self.kind == "uniform":
-            return np.array([self.v]), np.array([n * n], dtype=np.int64)
-        if self.kind == "banded":
-            inside_count = n + 2 * (self.width * n - self.width * (self.width + 1) // 2)
-            inside_count = min(inside_count, n * n)
-            vals, counts = [self.inside], [inside_count]
-            if n * n - inside_count > 0:
-                vals.append(self.outside)
-                counts.append(n * n - inside_count)
-            return np.array(vals), np.array(counts, dtype=np.int64)
-        vals, counts = np.unique(self.values, return_counts=True)
-        return vals, counts.astype(np.int64)
+        ids, counts = self._row_counts(n)
+        total = np.bincount(ids.ravel(), weights=counts.ravel(), minlength=self.levels.size)
+        keep = total > 0
+        return self.levels[keep], total[keep].astype(np.int64)
 
 
 def diagonal_law_for(law: EntryLaw, diagonal_law: EntryLaw | None = None) -> EntryLaw:
@@ -395,11 +421,12 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     the off-diagonal tail), so a given generator state always yields the
     same matrix.
     """
-    n = spec.n
+    n, prof = spec.n, spec.profile
     law, dlaw = spec.law, spec.effective_diagonal_law
+    sd_levels, cols = np.sqrt(prof.levels), np.arange(n)
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
     for i in range(n):
-        sd = np.sqrt(spec.profile.row_tail(i, n))
+        sd = sd_levels[prof._level_of(i, cols[i:])]  # row_tail(i, n), square-rooted
         w[i, i] = float(np.real(dlaw.standard_sample(rng, 1)[0])) * sd[0]
         if i + 1 < n:
             off = law.standard_sample(rng, n - i - 1) * sd[1:]
@@ -510,45 +537,22 @@ def condition_sums(
     return ConditionReport(n, C, var_row, excess, tuple(lind), None, True)
 
 
-def _row_value_sums(spec: EnsembleSpec, term) -> np.ndarray:
-    """Per-row sums of term(sigma^2_ij) over j, exploiting profile structure."""
-    n, prof = spec.n, spec.profile
-    if prof.kind == "uniform":
-        val = term(prof.v) if prof.v > 0 else 0.0
-        return np.full(n, n * val)
-    if prof.kind == "banded":
-        i = np.arange(n)
-        inside_count = np.minimum(i, prof.width) + np.minimum(n - 1 - i, prof.width) + 1
-        t_in = term(prof.inside) if prof.inside > 0 else 0.0
-        t_out = term(prof.outside) if prof.outside > 0 else 0.0
-        return inside_count * t_in + (n - inside_count) * t_out
-    m = prof.values
-    out = np.zeros(n)
-    for i in range(n):
-        row = m[i]
-        nz = row[row > 0]
-        out[i] = float(np.sum([term(float(v)) for v in nz])) if nz.size else 0.0
-    return out
-
-
 def gaussian_row_check(spec: EnsembleSpec, epsilons: Sequence[float]) -> ConditionReport:
     """Worst-row triangular-array conditions at truncation level 1.
 
-    Requires a symmetric entry law (condition (ii) is then exactly 0).  The
+    Every entry law is symmetric, so condition (ii) is exactly 0.  The
     worst row is taken per condition: the largest tail-probability sum for
     (i), and the truncated-variance sum farthest from 1 for (iii).
     """
-    if not spec.law.is_symmetric:
-        raise ValueError("gaussian_row_check requires a symmetric entry law")
     eps_list = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_list):
         raise ValueError("epsilons must be positive")
-    law = spec.law
+    n, law, prof = spec.n, spec.law, spec.profile
     tail_sums = []
     for eps in eps_list:
-        per_row = _row_value_sums(spec, lambda v: law.tail_prob(eps / math.sqrt(v)))
+        per_row = prof._row_sums_of(lambda v: law.tail_prob(eps / math.sqrt(v)), n)
         tail_sums.append((eps, float(per_row.max())))
-    trunc_var = _row_value_sums(spec, lambda v: v * law.m2_below(1.0 / math.sqrt(v)))
+    trunc_var = prof._row_sums_of(lambda v: v * law.m2_below(1.0 / math.sqrt(v)), n)
     worst = float(trunc_var[np.argmax(np.abs(trunc_var - 1.0))])
     gauss = GaussConditions(tuple(tail_sums), 0.0, worst)
     base = condition_sums(spec, C=1.0, epsilons=eps_list)

@@ -38,12 +38,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class HermitianMatrix:
     """Square matrix with entries[i, j] == conj(entries[j, i]) exactly.
 
-    Construction accepts any square array whose asymmetry max|A - A*| is at
-    most ``SYMMETRY_TOL`` and symmetrizes it by averaging with its conjugate
-    transpose; anything more asymmetric is an error, not a silent repair.
-    Real input stays real (float64), complex input with vanishing imaginary
-    part is demoted to real storage so the eigensolver can take the
-    symmetric path.
+    Construction accepts any finite square array whose asymmetry max|A - A*|
+    is at most ``SYMMETRY_TOL`` and symmetrizes it by averaging with its
+    conjugate transpose; anything more asymmetric is an error, not a silent
+    repair.  Real input stays real (float64), complex input with vanishing
+    imaginary part is demoted to real storage so the eigensolver can take
+    the symmetric path.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -57,8 +57,12 @@ class HermitianMatrix:
         if not np.issubdtype(a.dtype, np.number):
             raise ValueError("entries must be numeric")
         a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
-        asym = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if asym > SYMMETRY_TOL:
+        # a non-finite entry meets itself or its mirror here: inf - inf is NaN
+        with np.errstate(invalid="ignore"):
+            asym = np.max(np.abs(a - a.conj().T))
+        if not asym <= SYMMETRY_TOL:
+            if np.isnan(asym):
+                raise ValueError("matrix entries must be finite")
             raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
         h = (a + a.conj().T) / 2.0
         if np.iscomplexobj(h):

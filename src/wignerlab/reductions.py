@@ -170,17 +170,7 @@ def truncated_profile(spec: EnsembleSpec, eta: float) -> VarianceProfile:
     if eta <= 0:
         raise ValueError("eta must be positive")
     law = spec.law
-
-    def shrink(v: float) -> float:
-        return v * law.m2_below(eta / math.sqrt(v)) if v > 0 else 0.0
-
-    prof = spec.profile
-    if prof.kind == "uniform":
-        return VarianceProfile.uniform(shrink(prof.v))
-    if prof.kind == "banded":
-        return VarianceProfile.banded(prof.width, shrink(prof.inside), shrink(prof.outside))
-    vec = np.vectorize(shrink, otypes=[np.float64])
-    return VarianceProfile.explicit(vec(prof.values))
+    return spec.profile.map_levels(lambda v: v * law.m2_below(eta / math.sqrt(v)) if v > 0 else 0.0)
 
 
 def pipeline(
@@ -191,30 +181,25 @@ def pipeline(
 ) -> tuple[HermitianMatrix, ReductionTrace]:
     """Truncate at eta, centralize, then rescale rows to the bound C.
 
-    Conditional means are computed in closed form from the spec's law; all
-    bundled laws are symmetric so the centering stage is exact zero (the
-    hook stays in place for the accounting).  Rescaling uses the truncated
-    variance profile, since those are the variances the row bound applies to
-    after the first two stages.
+    Every entry law is symmetric, so the conditional means E[w; |w| <= eta]
+    vanish: the centralize stage changes nothing, and its Frobenius cost and
+    ``centering_norm_sq`` are exact zeros.  Rescaling uses the truncated
+    variance profile, since those are the variances the row bound applies
+    to after the first two stages.
     """
     spec.profile.check_dimension(w.n)
     if w.n != spec.n:
         raise ValueError("matrix dimension does not match spec")
-    w1, t1 = truncate(w, eta)
-    # symmetric laws: E[w; |w| <= eta] = 0 entrywise
-    assert spec.law.truncated_mean(eta) == 0.0
-    means = np.zeros((w.n, w.n))
-    w2 = centralize(w1, means)
-    centering_norm_sq = 0.0
-    coeffs = rescale_to_row_bound(truncated_profile(spec, eta), w.n, C)
-    w3 = HermitianMatrix(coeffs * w2.entries)
     n = w.n
+    w1, t1 = truncate(w, eta)
+    coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, C)
+    w3 = HermitianMatrix(coeffs * w1.entries)
     deltas = (
         t1.frobenius_delta_sq_per_stage[0],
-        float(np.sum(np.abs(w1.entries - w2.entries) ** 2)) / n,
-        float(np.sum(np.abs(w2.entries - w3.entries) ** 2)) / n,
+        0.0,
+        float(np.sum(np.abs(w1.entries - w3.entries) ** 2)) / n,
     )
-    trace = ReductionTrace(eta, t1.truncated_count, centering_norm_sq, coeffs, deltas)
+    trace = ReductionTrace(eta, t1.truncated_count, 0.0, coeffs, deltas)
     return w3, trace
 
 

@@ -101,6 +101,26 @@ class CanonicalWalk:
         return WalkGraph.from_walk(self.sequence)
 
 
+def _distances(vertices, edges, root: int) -> dict[int, int]:
+    """Edge-count distance from root to every vertex it reaches (BFS).
+
+    The graph is connected exactly when every vertex is reached.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 @dataclass(frozen=True)
 class WalkGraph:
     """Undirected multigraph skeleton of a walk: edges with multiplicities."""
@@ -125,28 +145,12 @@ class WalkGraph:
             return False
         if len(edges) != len(self.vertices) - 1:
             return False
-        return len(self._distances_from(self.vertices[0])) == len(self.vertices)
-
-    def _distances_from(self, root: int) -> dict[int, int]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            if a != b:
-                adj[a].append(b)
-                adj[b].append(a)
-        dist = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
+        return len(_distances(self.vertices, edges, self.vertices[0])) == len(self.vertices)
 
     def distances_from(self, root: int) -> dict[int, int]:
         if root not in self.vertices:
             raise ValueError("root is not a vertex of the walk graph")
-        return self._distances_from(root)
+        return _distances(self.vertices, self.edges, root)
 
 
 class WalkClass(Enum):
@@ -300,20 +304,7 @@ class Tree:
                 raise ValueError("edge endpoint outside the vertex set")
         if len(edges) != len(verts) - 1:
             raise ValueError("not a tree: |E| must equal |V| - 1")
-        # connectivity
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(verts):
+        if len(_distances(verts, edges, verts[0])) != len(verts):
             raise ValueError("not a tree: graph is disconnected")
 
     @classmethod

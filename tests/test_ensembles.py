@@ -59,7 +59,6 @@ def test_law_structure_flags():
     assert EntryLaw.gaussian_complex().is_complex
     for law in FINITE_REAL_LAWS + (EntryLaw.constant_zero(),):
         assert not law.is_complex
-        assert law.is_symmetric
     assert EntryLaw.pareto_symmetric(2.5, 1.0).has_finite_variance
     assert not EntryLaw.pareto_symmetric(2.0, 1.0).has_finite_variance
     assert EntryLaw.pareto_symmetric(2.0, 1.0).standard_variance == math.inf
@@ -179,15 +178,6 @@ def test_tail_prob_closed_forms():
     assert p.tail_prob(2.0) == pytest.approx(0.25, rel=1e-14)
     with pytest.raises(ValueError, match="nonnegative"):
         u.tail_prob(-1.0)
-
-
-def test_truncated_mean_always_zero():
-    for law in FINITE_REAL_LAWS + (
-        EntryLaw.gaussian_complex(),
-        EntryLaw.pareto_symmetric(2.0, 1.0),
-        EntryLaw.constant_zero(),
-    ):
-        assert law.truncated_mean(1.0) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,18 +309,22 @@ def test_profile_matrix_values():
     assert np.array_equal(VarianceProfile.explicit(m).matrix(2), m)
 
 
-@pytest.mark.parametrize(
+PROFILE_CASES = pytest.mark.parametrize(
     "profile",
     (
         VarianceProfile.uniform(0.2),
         VarianceProfile.banded(2, 1.5, 0.25),
         VarianceProfile.banded(0, 1.0),
+        VarianceProfile.banded(10, 0.5, 0.25),
         VarianceProfile.explicit(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0], [2.0, 1.0, 0.0]])),
     ),
-    ids=("uniform", "banded", "band0", "explicit"),
+    ids=("uniform", "banded", "band0", "wide", "explicit"),
 )
+
+
+@PROFILE_CASES
 def test_profile_views_agree_with_matrix(profile):
-    """row_tail, row_sums, and unique_values all re-derive from matrix()."""
+    """row_tail, row_sums, unique_values and map_levels all re-derive from matrix()."""
     n = 3 if profile.kind == "explicit" else 6
     m = profile.matrix(n)
     assert np.array_equal(m, m.T)
@@ -341,6 +335,29 @@ def test_profile_views_agree_with_matrix(profile):
     assert counts.sum() == n * n
     for v, c in zip(vals, counts):
         assert int(np.count_nonzero(m == v)) == c
+    mapped = profile.map_levels(lambda v: 2.0 * v + 1.0)
+    assert mapped.kind == profile.kind
+    assert np.array_equal(mapped.matrix(n), 2.0 * m + 1.0)
+
+
+@PROFILE_CASES
+def test_gaussian_row_check_matches_entrywise_row_sums(profile):
+    """The per-level row sums equal sums over the entries of matrix()."""
+    n = 3 if profile.kind == "explicit" else 6
+    law = EntryLaw.gaussian_real()
+    spec = EnsembleSpec(n, law, profile)
+    m = profile.matrix(n)
+
+    def row_sums(term):
+        return np.array([sum(term(v) for v in row if v > 0) for row in m])
+
+    eps = 0.75
+    gauss = gaussian_row_check(spec, epsilons=(eps,)).gauss_conditions
+    tail = row_sums(lambda v: law.tail_prob(eps / math.sqrt(v)))
+    assert gauss.tail_prob_sums[0][1] == pytest.approx(tail.max(), rel=1e-14)
+    trunc_var = row_sums(lambda v: v * law.m2_below(1.0 / math.sqrt(v)))
+    worst = trunc_var[np.argmax(np.abs(trunc_var - 1.0))]
+    assert gauss.truncated_variance_sum == pytest.approx(worst, rel=1e-14)
 
 
 def test_profile_dimension_check():

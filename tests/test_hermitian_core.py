@@ -36,6 +36,21 @@ def test_rejects_asymmetric_beyond_tolerance():
         HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "a",
+    (
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        np.array([[0.0, complex(np.inf, 1.0)], [complex(np.inf, -1.0), 0.0]]),
+    ),
+    ids=("nan", "inf_diagonal", "inf_symmetric_pair", "complex_inf"),
+)
+def test_rejects_non_finite_entries(a):
+    with pytest.raises(ValueError, match="must be finite"):
+        HermitianMatrix(a)
+
+
 def test_symmetrizes_tiny_asymmetry():
     a = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
     m = HermitianMatrix(a)

@@ -404,6 +404,23 @@ def test_pipeline_output_is_reduced():
     assert len(trace.frobenius_delta_sq_per_stage) == 3
 
 
+def test_pipeline_builds_one_matrix_per_working_stage(monkeypatch):
+    """Truncate and rescale each build one matrix; centering builds none."""
+    import wignerlab.reductions as reductions
+
+    built = []
+
+    class Counting(HermitianMatrix):
+        def __post_init__(self):
+            built.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(reductions, "HermitianMatrix", Counting)
+    spec = wigner_unit_spec(16, seed=61)
+    pipeline(sample_trial(spec, 0), spec, eta=0.1, C=0.5)
+    assert len(built) == 2
+
+
 def test_pipeline_stage_costs_recompose():
     """Stage deltas re-derive from the intermediate matrices they separate."""
     spec = wigner_unit_spec(32, seed=59)
