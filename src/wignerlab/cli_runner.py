@@ -7,8 +7,8 @@ seed, checksums, and version.  Outputs are byte-identical for a fixed
 own derived stream and rows are written in a fixed order by a single
 thread.
 
-Exit codes: 0 success, 2 unknown command / bad usage, 3 malformed config,
-4 unwritable output path.
+Exit codes: 0 success, 2 unknown command / bad usage, 3 malformed or
+invalid config, 4 unwritable output path.
 """
 from __future__ import annotations
 

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _SQRT3 = math.sqrt(3.0)
+_LOG2_FLOAT_MAX = math.log2(np.finfo(np.float64).max)
 
 LAW_KINDS = (
     "rademacher_scaled",
@@ -70,8 +71,12 @@ class EntryLaw:
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown entry law kind: {self.kind!r}")
         if self.kind == "pareto_symmetric":
-            if self.alpha <= 0 or self.scale <= 0:
-                raise ValueError("pareto_symmetric requires alpha > 0 and scale > 0")
+            if not (0 < self.alpha < math.inf and 0 < self.scale < math.inf):
+                raise ValueError("pareto_symmetric requires alpha > 0 and scale > 0, both finite")
+            # rng.random() steps by 2^-53, so a draw reaches scale * 2^(53/alpha)
+            if math.log2(self.scale) + 53.0 / self.alpha >= _LOG2_FLOAT_MAX:
+                raise ValueError(f"pareto_symmetric(alpha={self.alpha}, scale={self.scale}) "
+                                 "draws overflow float64: scale * 2^(53/alpha) is too large")
 
     # -- constructors ------------------------------------------------------
     @classmethod

@@ -40,7 +40,7 @@ __all__ = [
     "class_walk_sum",
 ]
 
-# hard caps for the exact trace-moment oracle
+# run-time policy caps for the exact trace-moment oracle (cost: see walk_sum_moment)
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 8
 
@@ -487,14 +487,12 @@ def _expectation_from_counts(
 
 
 def _expectation_sum(walks, law, profile, n, diagonal_law) -> float:
-    """Sum of E[prod w] over concrete closed walks on indices 0..n-1."""
+    """Correctly rounded sum of E[prod w] over concrete closed walks on 0..n-1."""
     sig = profile.matrix(n)
     dlaw = diagonal_law_for(law, diagonal_law)
-    total = 0.0
-    for walk in walks:
-        fwd, bwd = _pair_counts(walk)
-        total += _expectation_from_counts(fwd, bwd, law, dlaw, sig)
-    return total
+    return math.fsum(
+        _expectation_from_counts(*_pair_counts(walk), law, dlaw, sig) for walk in walks
+    )
 
 
 def walk_expectation(
@@ -521,10 +519,13 @@ def walk_expectation(
 def walk_sum_moment(
     law: EntryLaw, profile: VarianceProfile, n: int, k: int, diagonal_law: EntryLaw | None = None
 ) -> float:
-    """Exact (1/n) E tr W^k by summing walk expectations over all index tuples.
+    """Exact (1/n) E tr W^k as the sum of walk-class weights.
 
-    Limited to n <= 6 and k <= 8 (the sum has n^k terms); the law must have
-    finite moments to order k.  ``diagonal_law`` is as in ``EnsembleSpec``.
+    Classes with an edge crossed once weigh zero (every law is symmetric with
+    mean zero) and classes on t > n labels are empty, so the cost is one
+    expectation per labelled walk: the sum of (n)_t over the other classes.
+    The law must have finite moments to order k.  ``diagonal_law`` is as in
+    ``EnsembleSpec``.
     """
     if n > ORACLE_MAX_N or k > ORACLE_MAX_K:
         raise ValueError("oracle scale exceeded")
@@ -532,8 +533,11 @@ def walk_sum_moment(
         raise ValueError("need n >= 1 and k >= 1")
     if not law.has_moments_to(k):
         raise ValueError("oracle requires finite moments")
-    walks = (tup + (tup[0],) for tup in itertools.product(range(n), repeat=k))
-    return _expectation_sum(walks, law, profile, n, diagonal_law) / n
+    return math.fsum(
+        class_walk_sum(walk, law, profile, n, diagonal_law)
+        for walk in enumerate_canonical_walks(k)
+        if walk.t <= n and classify(walk) is not WalkClass.SINGLE_EDGE
+    ) / n
 
 
 def class_walk_sum(

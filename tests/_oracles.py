@@ -4,8 +4,8 @@ Every oracle recomputes its quantity by a different route than the library:
 characteristic-polynomial roots instead of the symmetric eigensolver,
 brute-force feasibility scans instead of bisection, direct injection
 enumeration instead of Moebius inversion, exhaustive sign assignments
-instead of moment bookkeeping.  Agreement between unrelated routes is what
-the suite certifies.
+instead of moment bookkeeping, all n^k index walks instead of walk classes.
+Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from wignerlab.ensembles import EntryLaw, VarianceProfile
+from wignerlab.ensembles import EntryLaw, VarianceProfile, diagonal_law_for
 
 
 def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -107,6 +107,31 @@ def direct_tree_sum(tree, profile: VarianceProfile, n: int, pin=None) -> float:
             prod *= sig[assign[a], assign[b]]
         total += prod
     return total
+
+
+def brute_walk_sum_moment(
+    law: EntryLaw, profile: VarianceProfile, n: int, k: int, diagonal_law: EntryLaw | None = None
+) -> float:
+    """(1/n) E tr W^k summed over every one of the n^k closed index walks.
+
+    Each walk's expectation factors over unordered index pairs: the law's
+    mixed moment of the (forward, backward) crossing counts times
+    sigma^(forward + backward).  No walk is skipped or grouped by class.
+    """
+    sig = profile.matrix(n)
+    dlaw = diagonal_law_for(law, diagonal_law)
+    total = 0.0
+    for tup in itertools.product(range(n), repeat=k):
+        crossings: dict[tuple[int, int], list[int]] = {}
+        for a, b in zip(tup, tup[1:] + tup[:1]):
+            counts = crossings.setdefault((min(a, b), max(a, b)), [0, 0])
+            counts[a > b] += 1
+        prod = 1.0
+        for (a, b), (f, r) in crossings.items():
+            use = dlaw if a == b else law
+            prod *= use.pair_moment(f, r) * math.sqrt(sig[a, b]) ** (f + r)
+        total += prod
+    return total / n
 
 
 def exhaustive_rademacher_moment(profile: VarianceProfile, n: int, k: int) -> float:

@@ -661,6 +661,22 @@ def test_main_failed_validation_exits_3(tmp_path, capsys):
     assert "sizes must be positive" in capsys.readouterr().err
 
 
+def test_main_overflowing_pareto_law_exits_3(tmp_path, capsys):
+    path = tmp_path / "pareto.cfg"
+    path.write_text(
+        "sizes = 64\n"
+        f"out = {tmp_path / 'results'}\n"
+        "ensemble.law = pareto_symmetric\n"
+        "ensemble.alpha = 0.01\n"
+        "ensemble.scale = 1\n"
+    )
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "overflow float64" in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_main_unwritable_output_exits_4(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("a file, not a directory\n")

@@ -53,6 +53,20 @@ def test_law_validation_errors():
         EntryLaw.pareto_symmetric(0.0, 1.0)
     with pytest.raises(ValueError, match="alpha > 0 and scale > 0"):
         EntryLaw.pareto_symmetric(2.0, -1.0)
+    for alpha, scale in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="alpha > 0 and scale > 0, both finite"):
+            EntryLaw.pareto_symmetric(alpha, scale)
+
+
+def test_pareto_law_rejects_draws_that_overflow():
+    """The largest draw, scale * 2^(53/alpha), must be a finite float64."""
+    for alpha, scale in ((0.01, 1.0), (0.05, 1.0), (53 / 1024, 1.0), (3.0, 1e305)):
+        with pytest.raises(ValueError, match="overflow float64"):
+            EntryLaw.pareto_symmetric(alpha, scale)
+    for alpha, scale in ((0.052, 1.0), (3.0, 1e300)):
+        law = EntryLaw.pareto_symmetric(alpha, scale)
+        assert math.isfinite(scale * 2.0 ** (53.0 / alpha)), (alpha, scale)
+        assert np.isfinite(law.standard_sample(np.random.default_rng(0), 1000)).all()
 
 
 def test_law_structure_flags():

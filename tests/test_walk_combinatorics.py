@@ -35,7 +35,12 @@ from wignerlab.walk_combinatorics import (
     walk_sum_moment,
 )
 
-from _oracles import direct_tree_sum, exhaustive_rademacher_moment, mc_trace_moments
+from _oracles import (
+    brute_walk_sum_moment,
+    direct_tree_sum,
+    exhaustive_rademacher_moment,
+    mc_trace_moments,
+)
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
 
@@ -452,6 +457,34 @@ def test_walk_sum_moment_matches_exhaustive_signs():
         )
 
 
+def _symmetric_profile(rng, n: int) -> VarianceProfile:
+    a = rng.uniform(0.05, 0.5, (n, n))
+    return VarianceProfile.explicit((a + a.T) / 2.0)
+
+
+def test_walk_sum_moment_matches_index_tuple_brute_force(rng):
+    """The class sum equals the plain sum over all n^k index walks."""
+    zero = EntryLaw.constant_zero()
+    cases = (
+        (EntryLaw.rademacher(), VarianceProfile.banded(1, 0.25, 0.05), 4, 8, None),
+        (EntryLaw.gaussian_complex(), _symmetric_profile(rng, 4), 4, 6, None),
+        (EntryLaw.gaussian_complex(), VarianceProfile.banded(1, 0.3, 0.1), 3, 8, zero),
+        (EntryLaw.gaussian_real(), _symmetric_profile(rng, 4), 4, 6, zero),
+        (EntryLaw.pareto_symmetric(9.0, 1.0), _symmetric_profile(rng, 3), 3, 8, None),
+        (EntryLaw.uniform_bounded(), VarianceProfile.banded(2, 0.2, 0.02), 4, 6, None),
+    )
+    for law, prof, n, k, diag in cases:
+        expect = brute_walk_sum_moment(law, prof, n, k, diag)
+        got = walk_sum_moment(law, prof, n, k, diag)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0), (law.kind, prof.kind, n, k)
+
+
+def test_walk_sum_moment_exact_on_banded_rademacher():
+    """Exact rational value of the float-level sum, 1.91685, to within 1e-14."""
+    prof = VarianceProfile.banded(1, 0.25, 0.05)
+    assert abs(walk_sum_moment(EntryLaw.rademacher(), prof, 4, 8) - 1.91685) <= 1e-14
+
+
 def test_walk_sum_moment_validation():
     prof = VarianceProfile.uniform(1.0)
     with pytest.raises(ValueError, match="oracle scale exceeded"):
@@ -496,7 +529,7 @@ def test_class_walk_sum_pair_class_closed_form():
 
 
 def test_class_decomposition_recovers_trace_moment():
-    """Summing every class weight reproduces the full n^k walk sum."""
+    """Summing every class weight reproduces the brute-force n^k walk sum."""
     laws = (EntryLaw.gaussian_real(), EntryLaw.rademacher(), EntryLaw.gaussian_complex())
     for law in laws:
         for diag in (None, EntryLaw.constant_zero()):
@@ -506,7 +539,7 @@ def test_class_decomposition_recovers_trace_moment():
                     class_walk_sum(w, law, prof, n, diag) for w in enumerate_canonical_walks(k)
                 )
                 assert total / n == pytest.approx(
-                    walk_sum_moment(law, prof, n, k, diag), rel=1e-10, abs=1e-12
+                    brute_walk_sum_moment(law, prof, n, k, diag), rel=1e-10, abs=1e-12
                 )
 
 
