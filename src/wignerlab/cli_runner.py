@@ -518,7 +518,15 @@ def _cmd_stieltjes(config: ExperimentConfig, out: Path) -> list[Path]:
         if config.grid is not None:
             lo, hi, step = config.grid
             pts = np.arange(lo, hi + 0.5 * step, step)
-            dens = invert_on_grid(lambda zz: stieltjes_atomic(pooled, zz), config.bandwidth, pts)
+            try:
+                dens = invert_on_grid(
+                    lambda zz: stieltjes_atomic(pooled, zz), config.bandwidth, pts
+                )
+            except ValueError as exc:  # the grid undersamples a sharp density
+                raise ConfigError(
+                    f"stieltjes.grid step {step:g} is too coarse for "
+                    f"stieltjes.bandwidth {config.bandwidth:g}: {exc}"
+                ) from exc
             dpath = out / f"density_n{n}.csv"
             _write_csv(dpath, ("a", "density"), list(zip(dens.grid, dens.values)))
             density_paths.append(dpath)
@@ -703,7 +711,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: config, then WIGNERLAB_THREADS, then 1)",
+        help="worker threads (default: WIGNERLAB_THREADS, then config, then 1)",
     )
     args = parser.parse_args(argv)
     try:

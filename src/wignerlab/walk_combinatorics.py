@@ -2,12 +2,18 @@
 
 (1/n) E tr W^k expands into a sum over closed walks of length k; walks group
 into isomorphism classes represented by canonical walks (first-appearance
-relabelings, a restricted-growth condition).  Classes split into those with
+relabelings, a restricted-growth condition).  Without its closing 1 a
+canonical walk of length k is a restricted-growth string of k items, so the
+census is the partition lattice of k items, counted by Bell numbers; it also
+supplies the vertex partitions of the tree sums.  Every walk is read through
+one crossing table, how often it steps a -> b.  Classes split into those with
 an edge traversed exactly once (expectation zero for centered entries),
 double trees (each edge exactly twice, t = k/2 + 1 vertices, counted by
 Catalan numbers via a height bijection with Dyck paths), and the rest
 (vanishing weight in the limit).  Tree-product sums evaluate the variance
-weight of a tree class exactly, including the injectivity correction.
+weight of a tree class exactly, including the injectivity correction: Moebius
+inversion over the vertex partitions, each quotient one einsum contraction
+of profile tables.
 """
 from __future__ import annotations
 
@@ -101,6 +107,11 @@ class CanonicalWalk:
         return WalkGraph.from_walk(self.sequence)
 
 
+def _crossings(seq: Sequence[int]) -> Counter:
+    """The crossing table of a walk: how often it steps a -> b."""
+    return Counter(zip(seq, seq[1:]))
+
+
 def _distances(vertices, edges, root: int) -> dict[int, int]:
     """Edge-count distance from root to every vertex it reaches (BFS).
 
@@ -131,8 +142,8 @@ class WalkGraph:
     @classmethod
     def from_walk(cls, seq: Sequence[int]) -> "WalkGraph":
         mult = Counter()
-        for a, b in zip(seq, seq[1:]):
-            mult[(min(a, b), max(a, b))] += 1
+        for (a, b), c in _crossings(seq).items():
+            mult[min(a, b), max(a, b)] += c
         return cls(tuple(sorted(set(seq))), tuple(sorted(mult.items())))
 
     @property
@@ -162,23 +173,22 @@ class WalkClass(Enum):
 def classify(walk: CanonicalWalk) -> WalkClass:
     """Sort a canonical walk into the three expectation regimes.
 
-    single_edge: some edge traversed exactly once (zero expectation for
-    centered entries).  double_tree: every edge exactly twice and t = k/2+1,
-    in which case the skeleton is verified to be a tree with each edge
-    crossed once in each direction.  multi_other: everything else.
+    Reads only the crossing table.  single_edge: some edge traversed exactly
+    once, its two directions summing to 1 (zero expectation for centered
+    entries).  double_tree: no such edge and t = k/2 + 1.  Every edge is then
+    crossed at least twice, so the walk's skeleton has at most k/2 edges; a
+    connected graph on k/2 + 1 vertices needs k/2, so the skeleton of the
+    connected walk is a tree whose edges are each crossed twice.  A closed
+    walk crosses a tree edge as often in each direction, hence once each way;
+    the table is checked for exactly that rather than trusted.
+    multi_other: everything else.
     """
-    g = walk.graph()
-    counts = [m for _, m in g.multiplicities]
-    if any(m == 1 for m in counts):
+    steps = _crossings(walk.sequence)
+    if any(c + (steps[b, a] if a != b else 0) == 1 for (a, b), c in steps.items()):
         return WalkClass.SINGLE_EDGE
     if walk.k % 2 == 0 and walk.t == walk.k // 2 + 1:
-        # the pigeonhole forces a double tree here; verify rather than trust
-        if not (all(m == 2 for m in counts) and g.is_tree()):
+        if not all(a != b and c == 1 and steps[b, a] == 1 for (a, b), c in steps.items()):
             raise AssertionError("t = k/2 + 1 walk without a double-tree skeleton")
-        directed = Counter(zip(walk.sequence, walk.sequence[1:]))
-        for (a, b), _ in g.multiplicities:
-            if directed[(a, b)] != 1 or directed[(b, a)] != 1:
-                raise AssertionError("double tree must cross each edge once per direction")
         return WalkClass.DOUBLE_TREE
     return WalkClass.MULTI_OTHER
 
@@ -206,10 +216,7 @@ def enumerate_gamma(k: int, t: int) -> list[CanonicalWalk]:
                 continue  # not enough steps left to introduce t labels
             seq[s] = v
             rec(s + 1, nmx)
-        seq[s] = 1
 
-    if k == 1:
-        return [CanonicalWalk((1, 1))] if t == 1 else []
     rec(1, 1)
     return out
 
@@ -317,25 +324,11 @@ class Tree:
         return len(self.edges)
 
 
-def _set_partitions(items: Sequence[int]):
-    """All partitions of items into nonempty blocks (restricted-growth order)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def _partition_moebius(part: list[list[int]]) -> int:
-    mu = 1
-    for block in part:
-        b = len(block)
-        mu *= (-1) ** (b - 1) * math.factorial(b - 1)
-    return mu
+def _partition_moebius(block_of: Sequence[int]) -> int:
+    """mu(0, pi) on the partition lattice: prod over blocks of (-1)^(b-1) (b-1)!."""
+    return math.prod(
+        (-1) ** (b - 1) * math.factorial(b - 1) for b in Counter(block_of).values()
+    )
 
 
 def _hom_sum(
@@ -346,67 +339,20 @@ def _hom_sum(
 ) -> float:
     """Sum over all (not necessarily injective) block labelings of the edge product.
 
-    Factor tables over the label alphabet are eliminated greedily, smallest
-    combined scope first; quotients of small trees keep the scopes tiny.
+    One einsum contraction: each edge contributes the profile table with its
+    blocks as subscripts (a loop is the subscript pair [a, a], its diagonal),
+    a clamped block indexes the table instead, and a free block that no edge
+    touches is a free choice among the n labels.
     """
     n = p.shape[0]
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for a, b in block_edges:
-        if a == b:
-            table = np.diag(p).copy()
-            if a in clamp:
-                factors.append(((), np.array(table[clamp[a]])))
-            else:
-                factors.append(((a,), table))
-        else:
-            table = p
-            if a in clamp and b in clamp:
-                factors.append(((), np.array(table[clamp[a], clamp[b]])))
-            elif a in clamp:
-                factors.append(((b,), table[clamp[a], :].copy()))
-            elif b in clamp:
-                factors.append(((a,), table[:, clamp[b]].copy()))
-            else:
-                factors.append(((a, b), table.copy()))
-    free = [v for v in range(n_blocks) if v not in clamp]
-    touched = {v for vars_, _ in factors for v in vars_}
-    result = 1.0
-    # blocks untouched by any edge contribute a free choice of label
-    result *= float(n) ** sum(1 for v in free if v not in touched)
-
-    def combine(f1, f2):
-        v1, t1 = f1
-        v2, t2 = f2
-        vs = tuple(sorted(set(v1) | set(v2)))
-        def expand(vars_, tab):
-            shape = [n if v in vars_ else 1 for v in vs]
-            order = [vars_.index(v) for v in vs if v in vars_]
-            return tab.transpose(order).reshape(shape)
-        return vs, expand(v1, t1) * expand(v2, t2)
-
-    for v in sorted((v for v in free if v in touched),
-                    key=lambda v: sum(len(vars_) for vars_, _ in factors if v in vars_)):
-        group = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        acc = group[0]
-        for g in group[1:]:
-            acc = combine(acc, g)
-        vs, tab = acc
-        axis = vs.index(v)
-        summed = tab.sum(axis=axis)
-        factors.append((tuple(x for x in vs if x != v), summed))
-    for vs, tab in factors:
-        while tab.ndim:
-            tab = tab.sum(axis=0)
-        result *= float(tab)
-    return result
-
-
-def _falling(n: int, r: int) -> float:
-    out = 1.0
-    for j in range(r):
-        out *= n - j
-    return out
+    operands = []
+    for edge in block_edges:
+        operands.append(p[tuple(clamp.get(v, slice(None)) for v in edge)])
+        operands.append([v for v in edge if v not in clamp])
+    touched = {v for edge in block_edges for v in edge}
+    untouched = sum(1 for v in range(n_blocks) if v not in clamp and v not in touched)
+    contracted = np.einsum(*operands, [], optimize="greedy") if operands else 1.0
+    return float(n) ** untouched * float(contracted)
 
 
 def tree_product_sum(
@@ -420,8 +366,8 @@ def tree_product_sum(
     ``pin=(vertex, index)`` restricts to injections with F(vertex) = index.
     Uniform profiles use the falling-factorial closed form; otherwise the
     injectivity constraint is unwound by Moebius inversion on the partition
-    lattice of the vertex set, with each quotient evaluated by factor-table
-    elimination.  Partitions that merge adjacent vertices create loops whose
+    lattice of the vertex set, with each quotient evaluated by one einsum
+    contraction.  Partitions that merge adjacent vertices create loops whose
     weight is the diagonal of the profile.
     """
     t = len(tree.vertices)
@@ -438,61 +384,49 @@ def tree_product_sum(
     if profile.kind == "uniform":
         weight = profile.v ** tree.m
         if pin is None:
-            return weight * _falling(n, t)
-        return weight * _falling(n - 1, t - 1)
+            return weight * math.perm(n, t)
+        return weight * math.perm(n - 1, t - 1)
     p = profile.matrix(n)
     index_of = {v: i for i, v in enumerate(tree.vertices)}
     edges = [(index_of[a], index_of[b]) for a, b in tree.edges]
     total = 0.0
-    for part in _set_partitions(range(t)):
-        block_of = {}
-        for bi, block in enumerate(part):
-            for v in block:
-                block_of[v] = bi
-        clamp = {}
-        if pin is not None:
-            clamp[block_of[index_of[pin[0]]]] = pin[1]
+    # the canonical walks of length t are the set partitions of the t vertices
+    for walk in enumerate_canonical_walks(t):
+        block_of = [c - 1 for c in walk.sequence[:-1]]
+        clamp = {} if pin is None else {block_of[index_of[pin[0]]]: pin[1]}
         qedges = [(block_of[a], block_of[b]) for a, b in edges]
-        total += _partition_moebius(part) * _hom_sum(qedges, len(part), p, clamp)
+        total += _partition_moebius(block_of) * _hom_sum(qedges, walk.t, p, clamp)
     return total
 
 
-def _pair_counts(walk: Sequence[int]) -> tuple[Counter, Counter]:
-    fwd: Counter = Counter()
-    bwd: Counter = Counter()
-    for a, b in zip(walk, walk[1:]):
-        if a <= b:
-            fwd[(a, b)] += 1
-        else:
-            bwd[(b, a)] += 1
-    return fwd, bwd
+def _expectation_sum(seq, images, law, profile, n, diagonal_law) -> float:
+    """Correctly rounded sum of E[prod w] over the relabelings v -> image[v] of seq.
 
-
-def _expectation_from_counts(
-    fwd: Counter, bwd: Counter, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarray
-) -> float:
-    out = 1.0
-    for a, b in set(fwd) | set(bwd):
-        f, r = fwd[(a, b)], bwd[(a, b)]
-        use = dlaw if a == b else law
-        mom = use.pair_moment(f, r) if use.is_complex else use.moment(f + r)
-        if mom == 0.0:
-            return 0.0
-        # symmetric laws leave only even total powers, where sigma^2 is exact
-        if (f + r) % 2 == 0:
-            out *= mom * sig[a, b] ** ((f + r) // 2)
-        else:
-            out *= mom * math.sqrt(sig[a, b]) ** (f + r)
-    return out
-
-
-def _expectation_sum(walks, law, profile, n, diagonal_law) -> float:
-    """Correctly rounded sum of E[prod w] over concrete closed walks on 0..n-1."""
+    Per unordered pair a <= b the crossing table gives f steps a -> b and r
+    steps b -> a (r = 0 for a loop).  The law's (direction-aware, for complex
+    laws) mixed moment of (f, r) does not depend on the labels, so it is read
+    once; each image only looks up the profile scales.
+    """
     sig = profile.matrix(n)
     dlaw = diagonal_law_for(law, diagonal_law)
-    return math.fsum(
-        _expectation_from_counts(*_pair_counts(walk), law, dlaw, sig) for walk in walks
-    )
+    steps = _crossings(seq)
+    factors = []
+    for a, b in {(min(e), max(e)) for e in steps}:
+        f, r = steps[a, b], (steps[b, a] if a != b else 0)
+        mom = (dlaw if a == b else law).pair_moment(f, r)
+        if mom == 0.0:
+            return 0.0
+        factors.append((a, b, mom, f + r))
+
+    def expectation(image) -> float:
+        out = 1.0
+        for a, b, mom, m in factors:
+            s = sig[image[a], image[b]]
+            # symmetric laws leave only even total powers, where sigma^2 is exact
+            out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
+        return out
+
+    return math.fsum(expectation(image) for image in images)
 
 
 def walk_expectation(
@@ -509,11 +443,13 @@ def walk_expectation(
     forward/backward pair moments is real for every supported law.
     """
     walk = tuple(int(v) for v in walk)
+    if len(walk) < 2:
+        raise ValueError("a closed walk has at least one step")
     if walk[0] != walk[-1]:
         raise ValueError("closed walk must end where it starts")
     if any(v < 0 or v >= n for v in walk):
         raise ValueError("walk labels must lie in 0..n-1")
-    return _expectation_sum([walk], law, profile, n, None)
+    return _expectation_sum(walk, [range(n)], law, profile, n, None)
 
 
 def walk_sum_moment(
@@ -535,8 +471,9 @@ def walk_sum_moment(
         raise ValueError("oracle requires finite moments")
     return math.fsum(
         class_walk_sum(walk, law, profile, n, diagonal_law)
-        for walk in enumerate_canonical_walks(k)
-        if walk.t <= n and classify(walk) is not WalkClass.SINGLE_EDGE
+        for t in range(1, n + 1)
+        for walk in enumerate_gamma(k, t)
+        if classify(walk) is not WalkClass.SINGLE_EDGE
     ) / n
 
 
@@ -553,6 +490,6 @@ def class_walk_sum(
     canonical walk, so this is the walk-class weight in the trace expansion.
     ``diagonal_law`` overrides the diagonal entries' law as in ``EnsembleSpec``.
     """
+    seq = [c - 1 for c in walk.sequence]
     images = itertools.permutations(range(n), walk.t)
-    relabeled = (tuple(image[c - 1] for c in walk.sequence) for image in images)
-    return _expectation_sum(relabeled, law, profile, n, diagonal_law)
+    return _expectation_sum(seq, images, law, profile, n, diagonal_law)

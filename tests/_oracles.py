@@ -4,7 +4,8 @@ Every oracle recomputes its quantity by a different route than the library:
 characteristic-polynomial roots instead of the symmetric eigensolver,
 brute-force feasibility scans instead of bisection, direct injection
 enumeration instead of Moebius inversion, exhaustive sign assignments
-instead of moment bookkeeping, all n^k index walks instead of walk classes.
+instead of moment bookkeeping, all n^k index walks instead of walk classes,
+a BFS tree test instead of the vertex-count argument.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from wignerlab.ensembles import EntryLaw, VarianceProfile, diagonal_law_for
+from wignerlab.walk_combinatorics import WalkClass, WalkGraph
 
 
 def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -107,6 +109,30 @@ def direct_tree_sum(tree, profile: VarianceProfile, n: int, pin=None) -> float:
             prod *= sig[assign[a], assign[b]]
         total += prod
     return total
+
+
+def graph_classify(walk) -> WalkClass:
+    """Walk class from the walk's multigraph, with double trees found by BFS.
+
+    Counts undirected multiplicities and directed crossings step by step.  A
+    double tree is a walk whose skeleton passes ``WalkGraph.is_tree`` and
+    crosses every edge exactly once in each direction; t = k/2 + 1 is never
+    consulted.
+    """
+    seq = walk.sequence
+    mult: dict[tuple[int, int], int] = {}
+    directed: dict[tuple[int, int], int] = {}
+    for a, b in zip(seq, seq[1:]):
+        edge = (min(a, b), max(a, b))
+        mult[edge] = mult.get(edge, 0) + 1
+        directed[a, b] = directed.get((a, b), 0) + 1
+    if 1 in mult.values():
+        return WalkClass.SINGLE_EDGE
+    graph = WalkGraph(tuple(sorted(set(seq))), tuple(sorted(mult.items())))
+    once_each_way = all(directed.get((a, b)) == directed.get((b, a)) == 1 for a, b in mult)
+    if graph.is_tree() and once_each_way:
+        return WalkClass.DOUBLE_TREE
+    return WalkClass.MULTI_OTHER
 
 
 def brute_walk_sum_moment(

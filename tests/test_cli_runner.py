@@ -677,6 +677,23 @@ def test_main_overflowing_pareto_law_exits_3(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+def test_main_grid_too_coarse_for_bandwidth_exits_3(tmp_path, capsys):
+    path = tmp_path / "coarse.cfg"
+    path.write_text(
+        "sizes = 2\n"
+        f"out = {tmp_path / 'results'}\n"
+        "ensemble.law = constant_zero\n"
+        "stieltjes.z = 1j\n"
+        "stieltjes.grid = -1, 1, 0.5\n"
+        "stieltjes.bandwidth = 0.01\n"
+    )
+    assert main(["stieltjes", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "stieltjes.grid step 0.5 is too coarse for stieltjes.bandwidth 0.01" in err
+    assert "trapezoid mass" in err
+
+
 def test_main_unwritable_output_exits_4(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("a file, not a directory\n")
@@ -692,6 +709,14 @@ def test_main_seed_and_out_overrides(tmp_path):
     manifest = json.loads((other / "manifest.json").read_text())
     assert manifest["master_seed"] == 7
     assert manifest["config"]["seed"] == "42"  # echo keeps the file's text verbatim
+
+
+def test_main_help_gives_threads_precedence(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: WIGNERLAB_THREADS, then config, then 1)" in text
 
 
 def test_main_threads_env_fallback(tmp_path, monkeypatch):

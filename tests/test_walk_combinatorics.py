@@ -39,6 +39,7 @@ from _oracles import (
     brute_walk_sum_moment,
     direct_tree_sum,
     exhaustive_rademacher_moment,
+    graph_classify,
     mc_trace_moments,
 )
 
@@ -156,6 +157,16 @@ def test_classify_length_four_census():
         (1, 2, 1, 3, 1),
         (1, 2, 3, 2, 1),
     }
+
+
+def test_classify_matches_graph_classifier():
+    """The crossing-table classifier agrees with a BFS tree test on every walk."""
+    checked = 0
+    for k in range(1, 10):
+        for w in enumerate_canonical_walks(k):
+            assert classify(w) is graph_classify(w), w.sequence
+            checked += 1
+    assert checked == 26442  # Bell(1) + ... + Bell(9)
 
 
 def test_odd_length_has_no_double_trees():
@@ -339,6 +350,22 @@ def test_tree_product_sum_matches_direct_enumeration(rng):
         assert tree_product_sum(tree, profile, n, pin=pin) == pytest.approx(
             expect_pin, rel=1e-9, abs=1e-12
         )
+    # t = 6 (203 vertex partitions): a path, a star and a caterpillar
+    n = 7
+    a = rng.uniform(0.0, 2.0, (n, n))
+    profiles = (VarianceProfile.explicit((a + a.T) / 2.0), VarianceProfile.banded(1, 0.5, 0.1))
+    for edges in (
+        ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
+        ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6)),
+        ((1, 2), (2, 3), (3, 4), (2, 5), (3, 6)),
+    ):
+        tree = Tree(tuple(range(1, 7)), edges)
+        for profile in profiles:
+            for pin in (None, (1, 0), (6, 4)):
+                expect = direct_tree_sum(tree, profile, n, pin=pin)
+                assert tree_product_sum(tree, profile, n, pin=pin) == pytest.approx(
+                    expect, rel=1e-9, abs=1e-12
+                ), (edges, profile.kind, pin)
 
 
 def test_tree_product_sum_banded_profile(rng):
@@ -402,6 +429,9 @@ def test_walk_expectation_validation():
         walk_expectation((0, 1), EntryLaw.gaussian_real(), prof, 2)
     with pytest.raises(ValueError, match="labels must lie in"):
         walk_expectation((0, 5, 0), EntryLaw.gaussian_real(), prof, 2)
+    for stepless in ((0,), ()):
+        with pytest.raises(ValueError, match="at least one step"):
+            walk_expectation(stepless, EntryLaw.gaussian_real(), prof, 2)
 
 
 def test_walk_expectation_closed_forms():
