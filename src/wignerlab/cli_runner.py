@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,9 +35,9 @@ from .ensembles import (
     gaussian_row_check,
     heavy_tail_spec,
     sample_trial,
+    trial_eigenvalues,
     wigner_unit_spec,
 )
-from .hermitian_core import eigenvalues_desc
 from .reductions import auto_eta, pipeline
 from .spectral_measures import (
     RampFunction,
@@ -78,6 +78,9 @@ COMMANDS = (
     "conditions",
 )
 
+# commands that sample one n x n matrix per trial
+SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduce")
+
 LAW_BUILDERS: dict[str, Callable[..., EntryLaw]] = {
     "rademacher": EntryLaw.rademacher,
     "gaussian_real": EntryLaw.gaussian_real,
@@ -110,84 +113,57 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get_int(m: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in m:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return int(m[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected integer, got {m[key]!r}") from exc
-
-
-def _get_float(m: dict[str, str], key: str, default: float | None = None) -> float:
-    if key not in m:
-        if default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    try:
-        return float(m[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected number, got {m[key]!r}") from exc
-
-
-def _get_bool(m: dict[str, str], key: str, default: bool = False) -> bool:
-    if key not in m:
-        return default
-    v = m[key].lower()
-    if v in ("true", "1", "yes", "on"):
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes", "on"):
         return True
-    if v in ("false", "0", "no", "off"):
+    if text.lower() in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected boolean, got {m[key]!r}")
+    raise ValueError(text)
 
 
-def _split_list(value: str) -> list[str]:
-    return [p.strip() for p in value.split(",") if p.strip()]
+def _list(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    return lambda text: tuple(item(p.strip()) for p in text.split(",") if p.strip())
 
 
-def _get_int_list(m: dict[str, str], key: str) -> tuple[int, ...]:
-    if key not in m:
-        return ()
-    try:
-        return tuple(int(p) for p in _split_list(m[key]))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected integers, got {m[key]!r}") from exc
+def _grid(text: str) -> tuple[float, ...]:
+    values = _list(float)(text)
+    if values and len(values) != 3:
+        raise ValueError(text)
+    return values
 
 
-def _get_float_list(m: dict[str, str], key: str) -> tuple[float, ...]:
-    if key not in m:
-        return ()
-    try:
-        return tuple(float(p) for p in _split_list(m[key]))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected numbers, got {m[key]!r}") from exc
+# Readers: a parse that raises ValueError on a bad value, and what it expects.
+_TEXT = (str, "text")
+_INT = (int, "integer")
+_NUMBER = (float, "number")
+_BOOL = (_bool, "boolean")
+_INTS = (_list(int), "integers")
+_NUMBERS = (_list(float), "numbers")
+_COMPLEXES = (_list(lambda p: complex(p.replace(" ", ""))), "complex numbers")
+_GRID = (_grid, "'min, max, step'")
+_ETA = (lambda text: None if text == "auto" else float(text), "number or 'auto'")
 
 
-def _get_complex_list(m: dict[str, str], key: str) -> tuple[complex, ...]:
-    if key not in m:
-        return ()
-    try:
-        return tuple(complex(p.replace(" ", "")) for p in _split_list(m[key]))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected complex numbers, got {m[key]!r}") from exc
+def _key(keys: str | tuple[str, ...], reader: tuple[Callable[[str], object], str], default):
+    """A field set by config key(s) through `reader`; of two keys the later wins."""
+    keys = (keys,) if isinstance(keys, str) else keys
+    return field(default=default, metadata={"keys": keys, "reader": reader})
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Declarative ensemble block; built into an EnsembleSpec per size."""
 
-    preset: str | None = None
-    law_kind: str = "gaussian_real"
-    alpha: float = 0.0
-    scale: float = 0.0
-    profile_kind: str = "uniform"
-    variance: str = "1/n"
-    band_width: int = 0
-    band_inside: str = "1/n"
-    band_outside: str = "0"
-    diagonal_law: str | None = None
+    preset: str | None = _key("ensemble.preset", _TEXT, None)
+    law_kind: str = _key("ensemble.law", _TEXT, "gaussian_real")
+    alpha: float = _key("ensemble.alpha", _NUMBER, 0.0)
+    scale: float = _key("ensemble.scale", _NUMBER, 0.0)
+    profile_kind: str = _key("ensemble.profile", _TEXT, "uniform")
+    variance: str = _key("ensemble.variance", _TEXT, "1/n")
+    band_width: int = _key("ensemble.band_width", _INT, 0)
+    band_inside: str = _key("ensemble.band_inside", _TEXT, "1/n")
+    band_outside: str = _key("ensemble.band_outside", _TEXT, "0")
+    diagonal_law: str | None = _key("ensemble.diagonal_law", _TEXT, None)
 
     def _law(self) -> EntryLaw:
         if self.law_kind == "pareto_symmetric":
@@ -229,86 +205,79 @@ class EnsembleConfig:
             dlaw = LAW_BUILDERS[self.diagonal_law]()
         return EnsembleSpec(n, self._law(), profile, diagonal_law=dlaw, seed=seed)
 
-    @classmethod
-    def from_mapping(cls, m: dict[str, str]) -> "EnsembleConfig":
-        return cls(
-            preset=m.get("ensemble.preset"),
-            law_kind=m.get("ensemble.law", "gaussian_real"),
-            alpha=_get_float(m, "ensemble.alpha", 0.0),
-            scale=_get_float(m, "ensemble.scale", 0.0),
-            profile_kind=m.get("ensemble.profile", "uniform"),
-            variance=m.get("ensemble.variance", "1/n"),
-            band_width=_get_int(m, "ensemble.band_width", 0),
-            band_inside=m.get("ensemble.band_inside", "1/n"),
-            band_outside=m.get("ensemble.band_outside", "0"),
-            diagonal_law=m.get("ensemble.diagonal_law"),
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a command plus everything needed to reproduce it."""
 
-    command: str
-    sizes: tuple[int, ...]
-    trials: int
-    seed: int
-    out_dir: str
-    threads: int = 1
+    command: str = _key("command", _TEXT, "")
+    sizes: tuple[int, ...] = _key("sizes", _INTS, ())
+    trials: int = _key("trials", _INT, 1)
+    seed: int = _key("seed", _INT, 0)
+    out_dir: str = _key("out", _TEXT, "results")
+    threads: int = _key("threads", _INT, 1)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    k_list: tuple[int, ...] = ()
-    exact_oracle: bool = False
-    z_list: tuple[complex, ...] = ()
-    grid: tuple[float, float, float] | None = None
-    bandwidth: float = 1e-2
-    c_bound: float = 1.0
-    eps_list: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0)
-    t_list: tuple[float, ...] = ()
-    ramp_p: float = -0.5
-    ramp_q: float = 0.5
-    bernoulli_p: float = 0.0
-    bernoulli_count: int = 0
-    bernoulli_x: float = 0.0
-    eta: float | None = None
+    k_list: tuple[int, ...] = _key(("walks.k", "moments.k"), _INTS, ())
+    exact_oracle: bool = _key("moments.exact_oracle", _BOOL, False)
+    z_list: tuple[complex, ...] = _key("stieltjes.z", _COMPLEXES, ())
+    grid: tuple[float, float, float] | None = _key("stieltjes.grid", _GRID, None)
+    bandwidth: float = _key("stieltjes.bandwidth", _NUMBER, 1e-2)
+    c_bound: float = _key(("reduce.c", "conditions.c"), _NUMBER, 1.0)
+    eps_list: tuple[float, ...] = _key("conditions.eps", _NUMBERS, (0.125, 0.25, 0.5, 1.0))
+    t_list: tuple[float, ...] = _key("concentration.t", _NUMBERS, ())
+    ramp_p: float = _key("concentration.ramp_p", _NUMBER, -0.5)
+    ramp_q: float = _key("concentration.ramp_q", _NUMBER, 0.5)
+    bernoulli_p: float = _key("concentration.bernoulli_p", _NUMBER, 0.0)
+    bernoulli_count: int = _key("concentration.bernoulli_count", _INT, 0)
+    bernoulli_x: float = _key("concentration.bernoulli_x", _NUMBER, 0.0)
+    eta: float | None = _key("reduce.eta", _ETA, None)
     raw: tuple[tuple[str, str], ...] = ()
 
     @classmethod
     def from_mapping(cls, m: dict[str, str]) -> "ExperimentConfig":
-        grid_vals = _get_float_list(m, "stieltjes.grid")
-        if grid_vals and len(grid_vals) != 3:
-            raise ConfigError("stieltjes.grid: expected 'min, max, step'")
-        eta_raw = m.get("reduce.eta", "auto")
-        eta = None
-        if eta_raw != "auto":
+        """Read every key of `m` through CONFIG_KEYS; `raw` echoes `m` sorted.
+
+        An absent key, or a list value with no items, leaves its field's
+        default.  A key not in CONFIG_KEYS, or an ensemble key the preset
+        does not read, is a ConfigError.
+        """
+        unknown = sorted(set(m) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError("unknown config key " + ", ".join(map(repr, unknown)))
+        values: dict[type, dict] = {EnsembleConfig: {}, ExperimentConfig: {}}
+        for key, (owner, f) in CONFIG_KEYS.items():
+            if key not in m:
+                continue
+            read, expected = f.metadata["reader"]
             try:
-                eta = float(eta_raw)
+                value = read(m[key])
             except ValueError as exc:
-                raise ConfigError(f"reduce.eta: expected number or 'auto', got {eta_raw!r}") from exc
-        eps = _get_float_list(m, "conditions.eps")
+                raise ConfigError(f"{key}: expected {expected}, got {m[key]!r}") from exc
+            if value != ():
+                values[owner][f.name] = value
+        preset = values[EnsembleConfig].get("preset")
+        if preset in PRESET_FIELDS:
+            for key in sorted(m):
+                owner, f = CONFIG_KEYS[key]
+                if owner is EnsembleConfig and f.name not in PRESET_FIELDS[preset]:
+                    raise ConfigError(f"preset {preset!r} ignores {key}")
         return cls(
-            command=m.get("command", ""),
-            sizes=_get_int_list(m, "sizes"),
-            trials=_get_int(m, "trials", 1),
-            seed=_get_int(m, "seed", 0),
-            out_dir=m.get("out", "results"),
-            threads=_get_int(m, "threads", 1),
-            ensemble=EnsembleConfig.from_mapping(m),
-            k_list=_get_int_list(m, "moments.k") or _get_int_list(m, "walks.k"),
-            exact_oracle=_get_bool(m, "moments.exact_oracle", False),
-            z_list=_get_complex_list(m, "stieltjes.z"),
-            grid=tuple(grid_vals) if grid_vals else None,
-            bandwidth=_get_float(m, "stieltjes.bandwidth", 1e-2),
-            c_bound=_get_float(m, "conditions.c", _get_float(m, "reduce.c", 1.0)),
-            eps_list=eps if eps else (0.125, 0.25, 0.5, 1.0),
-            t_list=_get_float_list(m, "concentration.t"),
-            ramp_p=_get_float(m, "concentration.ramp_p", -0.5),
-            ramp_q=_get_float(m, "concentration.ramp_q", 0.5),
-            bernoulli_p=_get_float(m, "concentration.bernoulli_p", 0.0),
-            bernoulli_count=_get_int(m, "concentration.bernoulli_count", 0),
-            bernoulli_x=_get_float(m, "concentration.bernoulli_x", 0.0),
-            eta=eta,
+            ensemble=EnsembleConfig(**values[EnsembleConfig]),
             raw=tuple(sorted(m.items())),
+            **values[ExperimentConfig],
         )
+
+
+# Every config key, in field order, with the class and field it sets.
+CONFIG_KEYS = {
+    key: (owner, f)
+    for owner in (EnsembleConfig, ExperimentConfig)
+    for f in fields(owner)
+    for key in f.metadata.get("keys", ())
+}
+
+# The EnsembleConfig fields each preset reads; a key for any other is an error.
+PRESET_FIELDS = {"wigner_unit": ("preset", "law_kind", "alpha", "scale"), "heavy_tail": ("preset",)}
 
 
 @dataclass(frozen=True)
@@ -337,6 +306,14 @@ class RunManifest:
         )
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory from `os.sysconf`, or None where it has no answer."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """All problems with the config; an empty list means runnable."""
     diags: list[str] = []
@@ -354,11 +331,22 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.threads < 1:
         diags.append("threads must be at least 1")
     if config.sizes and not diags:
+        memory = _physical_memory() if config.command in SAMPLING_COMMANDS else None
+        matrices = min(config.threads, config.trials)
         for n in config.sizes:
             try:
-                config.ensemble.build(n, config.seed)
+                spec = config.ensemble.build(n, config.seed)
             except (ConfigError, ValueError) as exc:
                 diags.append(f"ensemble at n={n}: {exc}")
+                break
+            itemsize = 16 if spec.law.is_complex else 8
+            need = n * n * itemsize * matrices
+            if memory and need > memory:
+                diags.append(
+                    f"sizes: n={n} needs {need / 2**30:.3g} GiB for {matrices} concurrent "
+                    f"{n}x{n} trial matrices of {itemsize}-byte entries; physical memory "
+                    f"is {memory / 2**30:.3g} GiB"
+                )
                 break
     cmd = config.command
     if cmd in ("moments", "walks") and not config.k_list:
@@ -436,12 +424,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
             writer.writerow([_fmt(x) for x in row])
 
 
-def _trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int) -> list[np.ndarray]:
-    return parallel_map(
-        lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads
-    )
-
-
 # -- commands ----------------------------------------------------------------
 
 def _cmd_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
@@ -449,13 +431,9 @@ def _cmd_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
-
-        def one(trial: int) -> tuple[float, float]:
-            dist = esd(eigenvalues_desc(sample_trial(spec, trial)))
-            return levy_distance(dist, sc), kolmogorov_distance(dist, sc)
-
-        for trial, (lv, kv) in enumerate(parallel_map(one, range(config.trials), config.threads)):
-            rows.append((n, trial, lv, kv))
+        for trial, lam in enumerate(trial_eigenvalues(spec, config.trials, config.threads)):
+            dist = esd(lam)
+            rows.append((n, trial, levy_distance(dist, sc), kolmogorov_distance(dist, sc)))
     path = out / "simulate.csv"
     _write_csv(path, ("n", "trial", "levy_to_sc", "kolmogorov_to_sc"), rows)
     return [path]
@@ -466,7 +444,7 @@ def _cmd_moments(config: ExperimentConfig, out: Path) -> list[Path]:
     oracle_rows = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
-        eigs = _trial_eigenvalues(spec, config.trials, config.threads)
+        eigs = trial_eigenvalues(spec, config.trials, config.threads)
         for k in config.k_list:
             empirical = float(np.mean([np.mean(lam**k) for lam in eigs]))
             catalan = semicircle_moment(k)
@@ -508,7 +486,7 @@ def _cmd_stieltjes(config: ExperimentConfig, out: Path) -> list[Path]:
     density_paths = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
-        eigs = _trial_eigenvalues(spec, config.trials, config.threads)
+        eigs = trial_eigenvalues(spec, config.trials, config.threads)
         pooled = expected_esd(esd(lam) for lam in eigs)
         for z in config.z_list:
             s = stieltjes_atomic(pooled, z)

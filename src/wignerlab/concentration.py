@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_trial
-from .hermitian_core import eigenvalues_desc
+from .ensembles import EnsembleSpec, trial_eigenvalues
 from .spectral_measures import RampFunction
-from .streams import DOMAIN_BERNOULLI, derive_rng, parallel_map
+from .streams import DOMAIN_BERNOULLI, derive_rng
 
 __all__ = [
     "TailEstimate",
@@ -117,12 +116,9 @@ def empirical_tail(
         raise ValueError(f"need at least {MIN_TAIL_TRIALS} trials")
     if any(not t > 0 for t in t_list):
         raise ValueError("thresholds must be positive")
-
-    def one(trial: int) -> float:
-        lam = eigenvalues_desc(sample_trial(spec, trial))
-        return float(np.mean(ramp.value(lam)))
-
-    stats = np.array(parallel_map(one, range(trials), threads))
+    stats = np.array(
+        [float(np.mean(ramp.value(lam))) for lam in trial_eigenvalues(spec, trials, threads)]
+    )
     center = float(np.mean(stats))
     dev = np.abs(stats - center)
     name = f"ramp({ramp.p:g},{ramp.q:g})"

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian_core import HermitianMatrix
-from .streams import DOMAIN_SAMPLE, derive_rng
+from .hermitian_core import HermitianMatrix, eigenvalues_desc
+from .streams import DOMAIN_SAMPLE, derive_rng, parallel_map
 
 __all__ = [
     "EntryLaw",
@@ -30,6 +30,7 @@ __all__ = [
     "ConditionReport",
     "sample",
     "sample_trial",
+    "trial_eigenvalues",
     "condition_sums",
     "gaussian_row_check",
     "monte_carlo_lindeberg_term",
@@ -445,6 +446,13 @@ def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
     if trial < 0:
         raise ValueError("trial index must be nonnegative")
     return sample(spec, derive_rng(spec.seed, DOMAIN_SAMPLE, trial))
+
+
+def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list[np.ndarray]:
+    """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`."""
+    return parallel_map(
+        lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads
+    )
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, sample_trial
+from .ensembles import EnsembleSpec, trial_eigenvalues
 from .hermitian_core import (
     HermitianMatrix,
     eigen_decomposition,
     eigenvalues_desc,
     principal_minor,
 )
-from .spectral_measures import StepDistribution
+from .spectral_measures import StepDistribution, esd, expected_esd
 
 __all__ = [
     "UpperHalfPoint",
@@ -190,7 +190,7 @@ def resolvent_second_moment(
 def recursion_residual(
     spec: EnsembleSpec, z: "complex | UpperHalfPoint", trials: int
 ) -> float:
-    """|s_n + 1/(z + s_n)| with s_n the trial average of the resolvent trace.
+    """|s_n + 1/(z + s_n)| with s_n the transform of the trials' pooled ESD.
 
     The residual tends to 0 for unit-profile ensembles as n grows; it stays
     bounded away from 0 for degenerate ensembles (0.5 at z = i for the zero
@@ -199,10 +199,7 @@ def recursion_residual(
     if trials < 1:
         raise ValueError("need at least one trial")
     zz = _as_z(z)
-    acc = 0.0 + 0.0j
-    for trial in range(trials):
-        acc += resolvent_trace(sample_trial(spec, trial), zz)
-    s_n = acc / trials
+    s_n = stieltjes_atomic(expected_esd(esd(lam) for lam in trial_eigenvalues(spec, trials)), zz)
     return abs(s_n + 1.0 / (zz + s_n))
 
 

@@ -5,13 +5,17 @@ import csv
 import hashlib
 import json
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wignerlab import cli_runner
 from wignerlab.cli_runner import (
     COMMANDS,
+    CONFIG_KEYS,
     ConfigError,
     EnsembleConfig,
     ExperimentConfig,
@@ -23,12 +27,13 @@ from wignerlab.cli_runner import (
 from wignerlab.ensembles import sample_trial
 from wignerlab.hermitian_core import eigenvalues_desc
 from wignerlab.spectral_measures import SemicircleLaw, esd, levy_distance
+from wignerlab.stieltjes import recursion_residual
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def make_config(command: str, out_dir: str, **overrides: str) -> ExperimentConfig:
-    """A small, fast config for `command` with optional raw-key overrides."""
+def make_config(command: str, out_dir: str, **overrides: str | None) -> ExperimentConfig:
+    """A small, fast config for `command` with raw-key overrides; None drops a key."""
     mapping = {
         "command": command,
         "sizes": "16",
@@ -46,7 +51,7 @@ def make_config(command: str, out_dir: str, **overrides: str) -> ExperimentConfi
         mapping["trials"] = "100"
         mapping.setdefault("concentration.t", "0.5,1.0")
     mapping.update(overrides)
-    return ExperimentConfig.from_mapping(mapping)
+    return ExperimentConfig.from_mapping({k: v for k, v in mapping.items() if v is not None})
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -166,6 +171,47 @@ def test_from_mapping_type_errors():
         ExperimentConfig.from_mapping({"stieltjes.z": "up"})
 
 
+def test_from_mapping_empty_list_leaves_default():
+    config = ExperimentConfig.from_mapping({"moments.k": "", "walks.k": "3", "conditions.eps": ""})
+    assert config.k_list == (3,)  # an empty moments.k falls back to walks.k
+    assert config.eps_list == (0.125, 0.25, 0.5, 1.0)
+    both = ExperimentConfig.from_mapping({"moments.k": "2", "walks.k": "3"})
+    assert both.k_list == (2,)
+
+
+def test_from_mapping_rejects_unknown_key():
+    with pytest.raises(ConfigError, match="unknown config key 'stieltjes.bandwith'"):
+        ExperimentConfig.from_mapping({"stieltjes.bandwith": "0.05"})
+
+
+@pytest.mark.parametrize(
+    "preset, key",
+    [
+        ("wigner_unit", "ensemble.diagonal_law"),
+        ("wigner_unit", "ensemble.profile"),
+        ("wigner_unit", "ensemble.band_width"),
+        ("heavy_tail", "ensemble.law"),
+        ("heavy_tail", "ensemble.alpha"),
+    ],
+)
+def test_from_mapping_rejects_key_the_preset_ignores(preset, key):
+    with pytest.raises(ConfigError, match=f"preset '{preset}' ignores {key}"):
+        ExperimentConfig.from_mapping({"ensemble.preset": preset, key: "1"})
+
+
+def test_every_documented_key_is_read():
+    """README's key table and CONFIG_KEYS name the same keys."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    section = readme.split("### Config format", 1)[1].split("###", 1)[0]
+    documented = {
+        key
+        for line in section.splitlines()
+        if line.startswith("| `")
+        for key in re.findall(r"`([a-z_.]+)`", line.split("|")[1])
+    }
+    assert documented == set(CONFIG_KEYS)
+
+
 def test_from_mapping_echoes_raw_items_sorted():
     config = ExperimentConfig.from_mapping({"seed": "9", "command": "simulate"})
     assert config.raw == (("command", "simulate"), ("seed", "9"))
@@ -264,6 +310,26 @@ def test_validate_bundled_configs_are_runnable():
 def test_validate_unknown_command_short_circuits():
     config = ExperimentConfig.from_mapping({"command": "render"})
     assert validate(config) == ["unknown command: 'render'"]
+
+
+def test_validate_memory_preflight(tmp_path, monkeypatch):
+    """n^2 entries of 8 bytes (16 complex) for each of min(threads, trials) trials."""
+    need = 64 * 64 * 8 * 2
+    config = make_config("simulate", str(tmp_path), sizes="32, 64", trials="2", threads="3")
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: need)
+    assert validate(config) == []
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: need - 1)
+    [diag] = validate(config)
+    assert diag.startswith("sizes: n=64 needs")
+    assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: 2 * need - 1)
+    complex_law = make_config(
+        "moments", str(tmp_path), sizes="64", trials="2", threads="3",
+        **{"ensemble.law": "gaussian_complex"},
+    )
+    assert validate(complex_law)[0].startswith("sizes: n=64 needs")
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: None)
+    assert validate(complex_law) == []
 
 
 def test_validate_walks_needs_no_sizes():
@@ -508,6 +574,17 @@ def test_run_stieltjes_outputs_points_and_density(tmp_path):
     assert all(float(r[1]) >= 0 for r in drows)
 
 
+def test_run_stieltjes_residual_is_recursion_residual(tmp_path):
+    config = make_config(
+        "stieltjes",
+        str(tmp_path),
+        **{"sizes": "64", "trials": "8", "seed": "3", "ensemble.law": "gaussian_real"},
+    )
+    run(config)
+    _, [row] = read_csv(tmp_path / "stieltjes.csv")
+    assert float(row[7]) == recursion_residual(config.ensemble.build(64, 3), 1j, 8)
+
+
 def test_run_conditions_row_per_size_and_eps(tmp_path):
     config = make_config(
         "conditions",
@@ -570,6 +647,7 @@ def test_run_reduce_trace_columns(tmp_path):
             "sizes": "16",
             "trials": "3",
             "ensemble.preset": "heavy_tail",
+            "ensemble.law": None,
             "reduce.eta": "1.0",
             "reduce.c": "1.0",
         },
@@ -692,6 +770,34 @@ def test_main_grid_too_coarse_for_bandwidth_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
     assert "stieltjes.grid step 0.5 is too coarse for stieltjes.bandwidth 0.01" in err
     assert "trapezoid mass" in err
+
+
+def test_main_unknown_key_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, **{"stieltjes.z": "1j", "stieltjes.bandwith": "0.05"})
+    assert main(["stieltjes", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'stieltjes.bandwith'" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_main_key_the_preset_ignores_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, **{"moments.k": "2", "ensemble.diagonal_law": "constant_zero"})
+    assert main(["moments", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "preset 'wigner_unit' ignores ensemble.diagonal_law" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_main_size_beyond_memory_exits_3(tmp_path, capsys):
+    """A 3,000,000 x 3,000,000 float64 matrix needs 65.5 TiB; nothing is allocated."""
+    path = write_config(tmp_path, sizes="3000000")
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sizes: n=3000000 needs")
+    assert "physical memory" in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_main_unwritable_output_exits_4(tmp_path, capsys):
