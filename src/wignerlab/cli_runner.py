@@ -8,7 +8,7 @@ own derived stream and rows are written in a fixed order by a single
 thread.
 
 Exit codes: 0 success, 2 unknown command / bad usage, 3 malformed or
-invalid config, 4 unwritable output path.
+invalid config, or a run that runs out of memory, 4 unwritable output path.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .ensembles import (
     trial_eigenvalues,
     wigner_unit_spec,
 )
-from .reductions import auto_eta, pipeline
+from .reductions import auto_eta, pipeline, rescale_to_row_bound, truncated_profile
 from .spectral_measures import (
     RampFunction,
     SemicircleLaw,
@@ -598,11 +598,14 @@ def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
         eta = config.eta if config.eta is not None else auto_eta(spec)
+        # one read-only table per size, shared by every trial's thread
+        coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, config.c_bound)
+        coeffs.setflags(write=False)
+        coeff_range = (float(coeffs.min()), float(coeffs.max()))
 
         def one(trial: int):
             w = sample_trial(spec, trial)
-            _, trace = pipeline(w, spec, eta, config.c_bound)
-            coeffs = trace.rescale_coeffs
+            _, trace = pipeline(w, spec, eta, config.c_bound, coeffs)
             d = trace.frobenius_delta_sq_per_stage
             return (
                 trace.eta,
@@ -611,9 +614,7 @@ def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:
                 d[0],
                 d[1],
                 d[2],
-                float(coeffs.min()),
-                float(coeffs.max()),
-            )
+            ) + coeff_range
 
         for trial, vals in enumerate(parallel_map(one, range(config.trials), config.threads)):
             rows.append((n, trial) + vals)
@@ -725,6 +726,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's _ArrayMemoryError included: the preflight in validate() is a lower bound
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}; try smaller sizes or fewer threads", file=sys.stderr)
+        return 3
     names = ", ".join(name for name, _ in manifest.checksums)
     print(
         f"{config.command}: wrote {names} + manifest.json to {config.out_dir} "

@@ -438,7 +438,7 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
             off = law.standard_sample(rng, n - i - 1) * sd[1:]
             w[i, i + 1 :] = off
             w[i + 1 :, i] = np.conj(off)
-    return HermitianMatrix(w)
+    return HermitianMatrix._trusted(w)
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:

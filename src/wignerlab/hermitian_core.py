@@ -4,6 +4,16 @@ The substrate for everything downstream: validated construction, descending
 eigenvalues, trace powers, Frobenius norm, numeric rank and principal minors.
 Instances are immutable and all operations are pure functions of their
 arguments, so they are safe to share across threads.
+
+Trust boundary: ``HermitianMatrix(x)`` is the checked constructor for any
+caller.  It copies ``x``, rejects asymmetry beyond ``SYMMETRY_TOL`` and
+averages ``x`` with its conjugate transpose.  Code inside this package that
+has just written a fresh array as an exact conjugate mirror (``sample``, the
+reduction stages, ``principal_minor``, ``+`` and ``-``) wraps it with
+``HermitianMatrix._trusted`` instead, which skips the asymmetry pass, the
+averaging and the copy, but still rejects non-finite entries, stores
+float64 or complex128, demotes complex storage with no imaginary part to
+real, and makes the array read-only.
 """
 from __future__ import annotations
 
@@ -44,6 +54,9 @@ class HermitianMatrix:
     repair.  Real input stays real (float64), complex input with vanishing
     imaginary part is demoted to real storage so the eigensolver can take
     the symmetric path.
+
+    In-package producers that build an exact mirror use ``_trusted``; see
+    the module docstring for what it still checks.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -73,6 +86,23 @@ class HermitianMatrix:
                 h[np.diag_indices_from(h)] = h.diagonal().real
         object.__setattr__(self, "entries", _readonly(h))
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "HermitianMatrix":
+        """Wrap ``a``, a fresh square array that is an exact conjugate mirror.
+
+        For in-package producers only: ``a[i, j] == conj(a[j, i])`` must hold
+        exactly, with a real diagonal, and no one else may hold ``a``, which
+        becomes read-only in place.  Only finiteness is checked.
+        """
+        a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        if np.iscomplexobj(a) and not a.imag.any():
+            a = a.real.copy()
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", _readonly(a))
+        return self
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -82,10 +112,10 @@ class HermitianMatrix:
         return np.iscomplexobj(self.entries)
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries + other.entries)
+        return HermitianMatrix._trusted(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries - other.entries)
+        return HermitianMatrix._trusted(self.entries - other.entries)
 
 
 @dataclass(frozen=True)
@@ -152,4 +182,4 @@ def principal_minor(a: HermitianMatrix, keep: Iterable[int] | Sequence[int]) -> 
         raise ValueError("empty minor")
     if idx[0] < 0 or idx[-1] >= a.n:
         raise ValueError("minor indices out of range")
-    return HermitianMatrix(a.entries[np.ix_(idx, idx)])
+    return HermitianMatrix._trusted(a.entries[np.ix_(idx, idx)])

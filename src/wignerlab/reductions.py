@@ -59,7 +59,7 @@ def truncate(w: HermitianMatrix, eta: float) -> tuple[HermitianMatrix, Reduction
     out = np.where(mask, 0.0, a)
     delta_sq = float(np.sum(np.abs(a[mask]) ** 2))
     trace = ReductionTrace(eta, removed, 0.0, None, (delta_sq / w.n,))
-    return HermitianMatrix(out), trace
+    return HermitianMatrix._trusted(out), trace
 
 
 def centralize(w: HermitianMatrix, conditional_means) -> HermitianMatrix:
@@ -75,7 +75,7 @@ def centralize(w: HermitianMatrix, conditional_means) -> HermitianMatrix:
             raise ValueError(f"conditional means must be Hermitian: {e}") from e
     if conditional_means.n != w.n:
         raise ValueError("conditional means dimension mismatch")
-    return HermitianMatrix(w.entries - conditional_means.entries)
+    return HermitianMatrix._trusted(w.entries - conditional_means.entries)
 
 
 def rescale_to_row_bound(profile: VarianceProfile, n: int, C: float) -> np.ndarray:
@@ -151,14 +151,14 @@ def unit_variance_replace(
     """
     n = w.n
     plan = unit_variance_plan(profile, n)
-    out = np.array(w.entries * plan.scale)
+    out = w.entries * plan.scale
     iu, ju = np.where(np.triu(plan.replace_mask, 1))
     if iu.size:
         signs = rng.integers(0, 2, iu.size).astype(np.float64) * 2.0 - 1.0
         vals = signs / math.sqrt(n)
         out[iu, ju] = vals
         out[ju, iu] = vals  # real, so the conjugate mirror is the value itself
-    return HermitianMatrix(out)
+    return HermitianMatrix._trusted(out)
 
 
 def truncated_profile(spec: EnsembleSpec, eta: float) -> VarianceProfile:
@@ -178,6 +178,7 @@ def pipeline(
     spec: EnsembleSpec,
     eta: float,
     C: float,
+    coeffs: np.ndarray | None = None,
 ) -> tuple[HermitianMatrix, ReductionTrace]:
     """Truncate at eta, centralize, then rescale rows to the bound C.
 
@@ -185,15 +186,21 @@ def pipeline(
     vanish: the centralize stage changes nothing, and its Frobenius cost and
     ``centering_norm_sq`` are exact zeros.  Rescaling uses the truncated
     variance profile, since those are the variances the row bound applies
-    to after the first two stages.
+    to after the first two stages.  The coefficients depend only on
+    (spec, eta, C); a caller running many trials passes
+    ``rescale_to_row_bound(truncated_profile(spec, eta), n, C)`` once as
+    ``coeffs`` instead of having it rebuilt per trial.
     """
     spec.profile.check_dimension(w.n)
     if w.n != spec.n:
         raise ValueError("matrix dimension does not match spec")
     n = w.n
     w1, t1 = truncate(w, eta)
-    coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, C)
-    w3 = HermitianMatrix(coeffs * w1.entries)
+    if coeffs is None:
+        coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, C)
+    elif coeffs.shape != (n, n):
+        raise ValueError("rescale coefficients dimension mismatch")
+    w3 = HermitianMatrix._trusted(coeffs * w1.entries)
     deltas = (
         t1.frobenius_delta_sq_per_stage[0],
         0.0,

@@ -800,6 +800,41 @@ def test_main_size_beyond_memory_exits_3(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+@pytest.mark.parametrize(
+    "exc",
+    [MemoryError(), np._core._exceptions._ArrayMemoryError((2048, 2048), np.dtype(np.float64))],
+    ids=["MemoryError", "_ArrayMemoryError"],
+)
+def test_main_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, exc):
+    """An allocation that fails past the preflight is an error line, not a traceback."""
+
+    def exhausted(config, out):
+        raise exc
+
+    monkeypatch.setitem(cli_runner._COMMAND_FNS, "simulate", exhausted)
+    assert main(["simulate", "--config", str(write_config(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+
+
+def test_run_reduce_builds_rescale_table_once_per_size(tmp_path, monkeypatch):
+    """pipeline takes the table from the command instead of rebuilding it per trial."""
+    from wignerlab import reductions
+
+    calls = []
+    original = reductions.rescale_to_row_bound
+
+    def counting(profile, n, C):
+        calls.append(n)
+        return original(profile, n, C)
+
+    monkeypatch.setattr(cli_runner, "rescale_to_row_bound", counting)
+    monkeypatch.setattr(reductions, "rescale_to_row_bound", counting)
+    run(make_config("reduce", str(tmp_path), sizes="16, 32", trials="4", threads="2"))
+    assert calls == [16, 32]
+
+
 def test_main_unwritable_output_exits_4(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("a file, not a directory\n")

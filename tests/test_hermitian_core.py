@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import charpoly_eigenvalues, random_hermitian
+from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, sample_trial
 from wignerlab.hermitian_core import (
     EigenDecomposition,
     HermitianMatrix,
@@ -17,6 +18,7 @@ from wignerlab.hermitian_core import (
     principal_minor,
     trace_power,
 )
+from wignerlab.reductions import centralize, pipeline, truncate, unit_variance_replace
 
 
 # -- construction -------------------------------------------------------------
@@ -251,6 +253,76 @@ def test_minor_empty_set_rejected():
 def test_minor_out_of_range_rejected():
     with pytest.raises(ValueError, match="out of range"):
         principal_minor(HermitianMatrix(np.eye(2)), [0, 2])
+
+
+# -- trusted construction -----------------------------------------------------
+
+TRUST_N = 12
+_explicit = np.random.default_rng(5).uniform(0.0, 2.0 / TRUST_N, (TRUST_N, TRUST_N))
+TRUST_SPECS = {
+    "rademacher": (EntryLaw.rademacher(), VarianceProfile.uniform(1 / TRUST_N), None),
+    "gaussian_real": (EntryLaw.gaussian_real(), VarianceProfile.uniform(1 / TRUST_N), None),
+    "gaussian_complex": (EntryLaw.gaussian_complex(), VarianceProfile.uniform(1 / TRUST_N), None),
+    "uniform_bounded": (EntryLaw.uniform_bounded(), VarianceProfile.uniform(1 / TRUST_N), None),
+    "pareto": (EntryLaw.pareto_symmetric(2.5, 1.0), VarianceProfile.uniform(1 / TRUST_N), None),
+    "constant_zero": (EntryLaw.constant_zero(), VarianceProfile.uniform(1 / TRUST_N), None),
+    "complex_rademacher_diagonal": (
+        EntryLaw.gaussian_complex(), VarianceProfile.uniform(1 / TRUST_N), EntryLaw.rademacher(),
+    ),
+    "banded_complex": (
+        EntryLaw.gaussian_complex(), VarianceProfile.banded(2, 1 / TRUST_N, 1e-3), None,
+    ),
+    "explicit_pareto": (
+        EntryLaw.pareto_symmetric(3.0, 1.0), VarianceProfile.explicit(_explicit + _explicit.T), None,
+    ),
+}
+
+TRUSTED_PRODUCERS = {
+    "sample": lambda spec, w, other: w,
+    "truncate": lambda spec, w, other: truncate(w, 0.5)[0],
+    "centralize": lambda spec, w, other: centralize(w, other),
+    "unit_variance_replace": lambda spec, w, other: unit_variance_replace(
+        w, spec.profile, np.random.default_rng(9)
+    ),
+    # C well below the truncated row sums, so the rescale stage does work
+    "pipeline": lambda spec, w, other: pipeline(w, spec, 0.5, 0.25)[0],
+    "principal_minor": lambda spec, w, other: principal_minor(w, [0, 2, 3, 7, 11]),
+    "add": lambda spec, w, other: w + other,
+    "sub": lambda spec, w, other: w - other,
+}
+
+
+def _assert_checked_copy_is_identical(x: HermitianMatrix) -> None:
+    checked = HermitianMatrix(x.entries).entries
+    assert x.entries.dtype == checked.dtype
+    assert x.entries.tobytes() == checked.tobytes()
+    assert not x.entries.flags.writeable
+
+
+@pytest.mark.parametrize("case", TRUST_SPECS)
+@pytest.mark.parametrize("producer", TRUSTED_PRODUCERS)
+def test_trusted_producers_write_exact_mirrors(producer, case):
+    """Every producer on the trusted path builds what the checked constructor would."""
+    law, profile, diagonal_law = TRUST_SPECS[case]
+    spec = EnsembleSpec(TRUST_N, law, profile, diagonal_law, seed=17)
+    x = TRUSTED_PRODUCERS[producer](spec, sample_trial(spec, 0), sample_trial(spec, 1))
+    _assert_checked_copy_is_identical(x)
+
+
+def test_trusted_truncation_to_zero_imaginary_parts_is_real():
+    w = HermitianMatrix(np.array([[1.0, 5 + 5j, 0.5], [5 - 5j, -2.0, 3j], [0.5, -3j, 0.25]]))
+    x, _ = truncate(w, 2.5)
+    assert x.entries.dtype == np.float64
+    assert np.array_equal(x.entries, [[1.0, 0.0, 0.5], [0.0, -2.0, 0.0], [0.5, 0.0, 0.25]])
+    _assert_checked_copy_is_identical(x)
+
+
+def test_trusted_path_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        HermitianMatrix._trusted(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    big = HermitianMatrix._trusted(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        big + big
 
 
 # -- spectral inequalities ----------------------------------------------------

@@ -342,6 +342,21 @@ def test_pipeline_validation():
     w = HermitianMatrix(np.eye(3))
     with pytest.raises(ValueError, match="does not match spec"):
         pipeline(w, spec, eta=1.0, C=1.0)
+    with pytest.raises(ValueError, match="coefficients dimension mismatch"):
+        pipeline(sample_trial(spec, 0), spec, eta=1.0, C=1.0, coeffs=np.ones((3, 3)))
+
+
+def test_pipeline_given_table_matches_its_own():
+    """A table built once per size gives the bytes pipeline builds per trial."""
+    spec = heavy_tail_spec(64, seed=53)
+    table = rescale_to_row_bound(truncated_profile(spec, 1.0), 64, 1.0)
+    for trial in range(3):
+        w = sample_trial(spec, trial)
+        own, own_trace = pipeline(w, spec, eta=1.0, C=1.0)
+        given, given_trace = pipeline(w, spec, eta=1.0, C=1.0, coeffs=table)
+        assert given.entries.tobytes() == own.entries.tobytes()
+        assert given_trace.frobenius_delta_sq_per_stage == own_trace.frobenius_delta_sq_per_stage
+        assert given_trace.rescale_coeffs is table
 
 
 def test_pipeline_no_work_when_level_is_generous():
@@ -414,6 +429,11 @@ def test_pipeline_builds_one_matrix_per_working_stage(monkeypatch):
         def __post_init__(self):
             built.append(1)
             super().__post_init__()
+
+        @classmethod
+        def _trusted(cls, a):
+            built.append(1)
+            return super()._trusted(a)
 
     monkeypatch.setattr(reductions, "HermitianMatrix", Counting)
     spec = wigner_unit_spec(16, seed=61)
