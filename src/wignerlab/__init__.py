@@ -22,14 +22,11 @@ from .ensembles import (
     wigner_unit_spec,
 )
 from .hermitian_core import (
-    EigenDecomposition,
     HermitianMatrix,
-    eigen_decomposition,
     eigenvalues_desc,
     frobenius_norm,
     numeric_rank,
     principal_minor,
-    trace_power,
 )
 from .reductions import (
     ReductionTrace,
@@ -52,7 +49,6 @@ from .spectral_measures import (
     kolmogorov_distance,
     levy_distance,
     semicircle_moment,
-    weak_convergence_report,
 )
 from .concentration import (
     TailEstimate,
@@ -60,17 +56,13 @@ from .concentration import (
     bernstein_tail_check,
     empirical_tail,
     hoeffding_mgf_bound,
-    mcdiarmid_bound,
     spectral_bound,
 )
 from .stieltjes import (
     GridDensity,
     UpperHalfPoint,
     invert_on_grid,
-    minor_comparison_gap,
     recursion_residual,
-    resolvent_trace,
-    schur_det_check,
     semicircle_stieltjes,
     stieltjes_atomic,
 )
@@ -81,12 +73,10 @@ from .walk_combinatorics import (
     Tree,
     WalkClass,
     all_dyck_paths,
-    canonicalize,
     classify,
     dyck_of,
     enumerate_canonical_walks,
     enumerate_gamma,
     tree_product_sum,
-    walk_expectation,
     walk_sum_moment,
 )

@@ -1,8 +1,8 @@
 """Concentration bounds and the empirical tails they must dominate.
 
-Closed-form bounds (Hoeffding mgf, McDiarmid, Bernstein, and the spectral
-bound for linear eigenvalue statistics of bounded-variation test functions)
-plus Monte Carlo tail estimators.  Every bound here is used by tests that
+Closed-form bounds (Hoeffding mgf, Bernstein, and the spectral bound for
+linear eigenvalue statistics of bounded-variation test functions) plus
+Monte Carlo tail estimators.  Every bound here is used by tests that
 check domination: observed deviation frequencies stay below the bound up to
 binomial sampling error.
 """
@@ -19,7 +19,6 @@ from .streams import DOMAIN_BERNOULLI, derive_rng
 
 __all__ = [
     "TailEstimate",
-    "mcdiarmid_bound",
     "spectral_bound",
     "bernstein_bound",
     "hoeffding_mgf_bound",
@@ -62,18 +61,12 @@ class TailEstimate:
         return self.empirical_prob <= self.bound + 3.0 * self.standard_error
 
 
-def mcdiarmid_bound(lam: float) -> float:
-    """2 exp(-lambda^2/8) for a function with unit bounded differences."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    return 2.0 * math.exp(-lam * lam / 8.0)
-
-
 def spectral_bound(n: int, t: float) -> float:
     """2 exp(-n t^2/32): deviation of int f dmu_W for BV-1 test functions.
 
-    Equals mcdiarmid_bound(t*sqrt(n)/2): replacing one independent row moves
-    the statistic by at most 4/n via rank-two perturbation.
+    McDiarmid's 2 exp(-lambda^2/8) at lambda = t sqrt(n)/2: replacing one
+    independent row moves the statistic by at most 4/n via rank-two
+    perturbation.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -33,7 +33,6 @@ __all__ = [
     "trial_eigenvalues",
     "condition_sums",
     "gaussian_row_check",
-    "monte_carlo_lindeberg_term",
     "wigner_unit_spec",
     "heavy_tail_spec",
 ]
@@ -578,27 +577,6 @@ def gaussian_row_check(spec: EnsembleSpec, epsilons: Sequence[float]) -> Conditi
         gauss,
         base.finite_variance,
     )
-
-
-def monte_carlo_lindeberg_term(
-    law: EntryLaw,
-    sigma2: float,
-    eps: float,
-    samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo E[|w|^2; |w| > eps] for one (law, sigma^2) cell, with s.e.
-
-    The closed forms in condition_sums cover every bundled kind; this is the
-    independent estimator used to cross-check them.
-    """
-    if sigma2 < 0 or eps <= 0 or samples < 1:
-        raise ValueError("need sigma2 >= 0, eps > 0, samples >= 1")
-    w = math.sqrt(sigma2) * law.standard_sample(rng, samples)
-    contrib = np.where(np.abs(w) > eps, np.abs(w) ** 2, 0.0)
-    est = float(contrib.mean())
-    se = float(contrib.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
-    return est, se
 
 
 def wigner_unit_spec(n: int, law: EntryLaw | None = None, seed: int = 0) -> EnsembleSpec:

@@ -1,19 +1,19 @@
 """Dense Hermitian matrices and their spectra.
 
 The substrate for everything downstream: validated construction, descending
-eigenvalues, trace powers, Frobenius norm, numeric rank and principal minors.
+eigenvalues, Frobenius norm, numeric rank and principal minors.
 Instances are immutable and all operations are pure functions of their
 arguments, so they are safe to share across threads.
 
 Trust boundary: ``HermitianMatrix(x)`` is the checked constructor for any
 caller.  It copies ``x``, rejects asymmetry beyond ``SYMMETRY_TOL`` and
-averages ``x`` with its conjugate transpose.  Code inside this package that
-has just written a fresh array as an exact conjugate mirror (``sample``, the
-reduction stages, ``principal_minor``, ``+`` and ``-``) wraps it with
-``HermitianMatrix._trusted`` instead, which skips the asymmetry pass, the
-averaging and the copy, but still rejects non-finite entries, stores
-float64 or complex128, demotes complex storage with no imaginary part to
-real, and makes the array read-only.
+averages ``x`` with its conjugate transpose unless the mirror is already
+exact.  Code inside this package that has just written a fresh array as an
+exact conjugate mirror (``sample``, the reduction stages, ``principal_minor``,
+``+`` and ``-``) wraps it with ``HermitianMatrix._trusted`` instead, which
+skips the asymmetry pass, the averaging and the copy, but still rejects
+non-finite entries, stores float64 or complex128, demotes complex storage
+with no imaginary part to real, and makes the array read-only.
 """
 from __future__ import annotations
 
@@ -24,10 +24,7 @@ import numpy as np
 
 __all__ = [
     "HermitianMatrix",
-    "EigenDecomposition",
     "eigenvalues_desc",
-    "eigen_decomposition",
-    "trace_power",
     "frobenius_norm",
     "numeric_rank",
     "principal_minor",
@@ -35,8 +32,6 @@ __all__ = [
 
 # max-norm asymmetry beyond which input is rejected instead of symmetrized
 SYMMETRY_TOL = 1e-12
-# reconstruction tolerance for eigendecompositions, scaled by n * ||A||_F
-EIGEN_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -77,7 +72,8 @@ class HermitianMatrix:
             if np.isnan(asym):
                 raise ValueError("matrix entries must be finite")
             raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        h = (a + a.conj().T) / 2.0
+        # an exact mirror needs no average; halving first keeps finite entries finite
+        h = a if asym == 0.0 else a / 2.0 + a.conj().T / 2.0
         if np.iscomplexobj(h):
             if not h.imag.any():
                 h = h.real.copy()
@@ -111,52 +107,21 @@ class HermitianMatrix:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.entries)
 
+    def _same_n(self, other: "HermitianMatrix") -> "HermitianMatrix":
+        if other.n != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} and {other.n}")
+        return other
+
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix._trusted(self.entries + other.entries)
+        return HermitianMatrix._trusted(self.entries + self._same_n(other).entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix._trusted(self.entries - other.entries)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Descending eigenvalues and, optionally, a matching orthonormal basis."""
-
-    eigenvalues: np.ndarray = field(repr=False)
-    basis: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        ev = np.asarray(self.eigenvalues, dtype=np.float64)
-        if np.any(np.diff(ev) > 0):
-            raise ValueError("eigenvalues must be in descending order")
-        object.__setattr__(self, "eigenvalues", _readonly(ev.copy()))
-        if self.basis is not None:
-            b = np.asarray(self.basis).copy()
-            object.__setattr__(self, "basis", _readonly(b))
+        return HermitianMatrix._trusted(self.entries - self._same_n(other).entries)
 
 
 def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
     """All eigenvalues of ``a``, repeated by multiplicity, descending."""
     return _readonly(np.linalg.eigvalsh(a.entries)[::-1].copy())
-
-
-def eigen_decomposition(a: HermitianMatrix) -> EigenDecomposition:
-    """Descending spectrum plus orthonormal eigenbasis, reconstruction-checked."""
-    vals, vecs = np.linalg.eigh(a.entries)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    resid = np.max(np.abs((vecs * vals) @ vecs.conj().T - a.entries))
-    budget = EIGEN_TOL * a.n * max(frobenius_norm(a), 1.0)
-    if resid > budget:
-        raise ArithmeticError(f"eigendecomposition residual {resid:.3e} exceeds {budget:.3e}")
-    return EigenDecomposition(vals, vecs)
-
-
-def trace_power(a: HermitianMatrix, k: int) -> float:
-    """tr(A^k) = sum_i lambda_i^k for integer k >= 1."""
-    if k < 1:
-        raise ValueError("trace power requires k >= 1")
-    return float(np.sum(eigenvalues_desc(a) ** k))
 
 
 def frobenius_norm(a: HermitianMatrix) -> float:

@@ -201,10 +201,13 @@ def pipeline(
     elif coeffs.shape != (n, n):
         raise ValueError("rescale coefficients dimension mismatch")
     w3 = HermitianMatrix._trusted(coeffs * w1.entries)
+    # one n^2 temporary: the difference, squared in place (complex needs one real array)
+    diff = w1.entries - w3.entries
+    sq = np.abs(diff, out=None if np.iscomplexobj(diff) else diff)
     deltas = (
         t1.frobenius_delta_sq_per_stage[0],
         0.0,
-        float(np.sum(np.abs(w1.entries - w3.entries) ** 2)) / n,
+        float(np.sum(np.square(sq, out=sq))) / n,
     )
     trace = ReductionTrace(eta, t1.truncated_count, 0.0, coeffs, deltas)
     return w3, trace

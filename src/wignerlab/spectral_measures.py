@@ -26,7 +26,6 @@ __all__ = [
     "levy_distance",
     "kolmogorov_distance",
     "semicircle_moment",
-    "weak_convergence_report",
 ]
 
 # weights must sum to 1 within this slack
@@ -217,21 +216,3 @@ class RampFunction:
         fp, fq = law.cdf(self.p), law.cdf(self.q)
         m1 = law.partial_first_moment(self.p, self.q)
         return float(fp + (self.q * (fq - fp) - m1) / (self.q - self.p))
-
-
-def weak_convergence_report(
-    dist: StepDistribution,
-    ramps: Sequence[RampFunction],
-    law: SemicircleLaw | None = None,
-) -> list[tuple[float, float, float]]:
-    """Per-ramp absolute gap |int f d(dist) - int f d(semicircle)|.
-
-    Returns (p, q, gap) triples; small uniformly over a ramp grid certifies
-    weak convergence against the semicircle.
-    """
-    law = law or SemicircleLaw()
-    report = []
-    for ramp in ramps:
-        gap = abs(ramp.integrate_step(dist) - ramp.integrate_semicircle(law))
-        report.append((ramp.p, ramp.q, float(gap)))
-    return report

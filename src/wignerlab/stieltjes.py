@@ -1,8 +1,7 @@
 """Stieltjes transforms on the upper half plane.
 
 Atomic and semicircle transforms, the branch-correct closed form for the
-semicircle, grid inversion back to a density, resolvent traces and
-quadratic forms, the Schur determinant identity, and the fixed-point
+semicircle, grid inversion back to a density, and the fixed-point
 recursion residual that certifies convergence to the semicircle.
 """
 from __future__ import annotations
@@ -15,12 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensembles import EnsembleSpec, trial_eigenvalues
-from .hermitian_core import (
-    HermitianMatrix,
-    eigen_decomposition,
-    eigenvalues_desc,
-    principal_minor,
-)
 from .spectral_measures import StepDistribution, esd, expected_esd
 
 __all__ = [
@@ -30,15 +23,9 @@ __all__ = [
     "stieltjes_atomic",
     "semicircle_stieltjes",
     "invert_on_grid",
-    "resolvent_trace",
-    "resolvent_quadratic_form",
-    "resolvent_second_moment",
     "recursion_residual",
-    "schur_det_check",
-    "minor_comparison_gap",
 ]
 
-SCHUR_SINGULAR_TOL = 1e-12
 MASS_CAP = 1.05
 
 
@@ -158,35 +145,6 @@ def invert_on_grid(
     return GridDensity(grid, vals, bandwidth)
 
 
-def resolvent_trace(matrix: HermitianMatrix, z: "complex | UpperHalfPoint") -> complex:
-    """(1/n) tr (W - z)^{-1} = (1/n) sum 1/(lambda_i - z), from eigenvalues."""
-    zz = _as_z(z)
-    lam = eigenvalues_desc(matrix)
-    return complex(np.mean(1.0 / (lam - zz)))
-
-
-def resolvent_quadratic_form(
-    matrix: HermitianMatrix, vector: np.ndarray, z: "complex | UpperHalfPoint"
-) -> complex:
-    """u^* (W - z)^{-1} u via the eigenbasis; Im > 0 for any nonzero u."""
-    zz = _as_z(z)
-    dec = eigen_decomposition(matrix)
-    u = np.asarray(vector).reshape(-1)
-    if u.shape[0] != matrix.n:
-        raise ValueError("vector length must match the matrix dimension")
-    coeffs = dec.basis.conj().T @ u
-    return complex(np.sum(np.abs(coeffs) ** 2 / (dec.eigenvalues - zz)))
-
-
-def resolvent_second_moment(
-    matrix: HermitianMatrix, z: "complex | UpperHalfPoint"
-) -> float:
-    """tr((W-z)(W-conj(z)))^{-1} = sum 1/|lambda-z|^2, at most n/(Im z)^2."""
-    zz = _as_z(z)
-    lam = eigenvalues_desc(matrix)
-    return float(np.sum(1.0 / np.abs(lam - zz) ** 2))
-
-
 def recursion_residual(
     spec: EnsembleSpec, z: "complex | UpperHalfPoint", trials: int
 ) -> float:
@@ -201,54 +159,3 @@ def recursion_residual(
     zz = _as_z(z)
     s_n = stieltjes_atomic(expected_esd(esd(lam) for lam in trial_eigenvalues(spec, trials)), zz)
     return abs(s_n + 1.0 / (zz + s_n))
-
-
-def schur_det_check(matrix: np.ndarray, split: int) -> float:
-    """Relative gap in det M = det(A) det(D - C A^{-1} B) at a block split.
-
-    A is the leading split x split block.  Raises when A is numerically
-    singular, since the complement is then undefined.
-    """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    n = m.shape[0]
-    if not 1 <= split < n:
-        raise ValueError("split must leave both diagonal blocks nonempty")
-    a = m[:split, :split]
-    b = m[:split, split:]
-    c = m[split:, :split]
-    d = m[split:, split:]
-    det_a = complex(np.linalg.det(a))
-    if abs(det_a) <= SCHUR_SINGULAR_TOL:
-        raise ArithmeticError("schur split singular")
-    comp = d - c @ np.linalg.solve(a, b)
-    det_m = complex(np.linalg.det(m))
-    det_split = det_a * complex(np.linalg.det(comp))
-    return abs(det_m - det_split) / max(1.0, abs(det_m))
-
-
-def minor_comparison_gap(
-    matrix: HermitianMatrix, z: "complex | UpperHalfPoint"
-) -> float:
-    """Average over i of |w_i^* S_{W^(i)}(z) w_i - (1/n) tr S_{W^(i)}(z)|.
-
-    W^(i) removes row and column i and w_i is column i without its diagonal
-    entry.  For unit-profile ensembles the quadratic form concentrates on
-    the normalized minor trace, so the gap shrinks with n.
-    """
-    zz = _as_z(z)
-    n = matrix.n
-    if n < 2:
-        raise ValueError("need dimension at least 2 to remove a row")
-    total = 0.0
-    entries = matrix.entries
-    for i in range(n):
-        keep = [j for j in range(n) if j != i]
-        sub = principal_minor(matrix, keep)
-        w_i = entries[keep, i]
-        quad = resolvent_quadratic_form(sub, w_i, zz)
-        lam = eigenvalues_desc(sub)
-        tr_scaled = complex(np.sum(1.0 / (lam - zz))) / n
-        total += abs(quad - tr_scaled)
-    return total / n

@@ -30,18 +30,15 @@ from .ensembles import EntryLaw, VarianceProfile, diagonal_law_for
 
 __all__ = [
     "CanonicalWalk",
-    "WalkGraph",
     "WalkClass",
     "DyckPath",
     "Tree",
-    "canonicalize",
     "enumerate_gamma",
     "enumerate_canonical_walks",
     "classify",
     "dyck_of",
     "all_dyck_paths",
     "tree_product_sum",
-    "walk_expectation",
     "walk_sum_moment",
     "class_walk_sum",
 ]
@@ -49,26 +46,6 @@ __all__ = [
 # run-time policy caps for the exact trace-moment oracle (cost: see walk_sum_moment)
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 8
-
-
-def canonicalize(walk: Sequence[int]) -> "CanonicalWalk":
-    """Relabel a closed walk by order of first appearance.
-
-    Two walks hit the same canonical form exactly when they have the same
-    equality pattern among their vertices.
-    """
-    walk = tuple(int(v) for v in walk)
-    if len(walk) < 2:
-        raise ValueError("a closed walk has at least one step")
-    if walk[0] != walk[-1]:
-        raise ValueError("closed walk must end where it starts")
-    labels: dict[int, int] = {}
-    out = []
-    for v in walk:
-        if v not in labels:
-            labels[v] = len(labels) + 1
-        out.append(labels[v])
-    return CanonicalWalk(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -103,9 +80,6 @@ class CanonicalWalk:
     def t(self) -> int:
         return max(self.sequence)
 
-    def graph(self) -> "WalkGraph":
-        return WalkGraph.from_walk(self.sequence)
-
 
 def _crossings(seq: Sequence[int]) -> Counter:
     """The crossing table of a walk: how often it steps a -> b."""
@@ -130,38 +104,6 @@ def _distances(vertices, edges, root: int) -> dict[int, int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
-
-
-@dataclass(frozen=True)
-class WalkGraph:
-    """Undirected multigraph skeleton of a walk: edges with multiplicities."""
-
-    vertices: tuple[int, ...]
-    multiplicities: tuple[tuple[tuple[int, int], int], ...]
-
-    @classmethod
-    def from_walk(cls, seq: Sequence[int]) -> "WalkGraph":
-        mult = Counter()
-        for (a, b), c in _crossings(seq).items():
-            mult[min(a, b), max(a, b)] += c
-        return cls(tuple(sorted(set(seq))), tuple(sorted(mult.items())))
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e, _ in self.multiplicities)
-
-    def is_tree(self) -> bool:
-        edges = self.edges
-        if any(a == b for a, b in edges):
-            return False
-        if len(edges) != len(self.vertices) - 1:
-            return False
-        return len(_distances(self.vertices, edges, self.vertices[0])) == len(self.vertices)
-
-    def distances_from(self, root: int) -> dict[int, int]:
-        if root not in self.vertices:
-            raise ValueError("root is not a vertex of the walk graph")
-        return _distances(self.vertices, self.edges, root)
 
 
 class WalkClass(Enum):
@@ -253,13 +195,20 @@ class DyckPath:
 def dyck_of(walk: CanonicalWalk) -> DyckPath:
     """Height profile of a double-tree walk: distance from the root vertex 1.
 
-    This map is the Catalan bijection: distinct double trees give distinct
-    Dyck paths of the same length, and every Dyck path arises.
+    A double tree crosses each edge once each way, first onto the vertex it
+    has not yet visited, so the height rises by 1 on a step to a new vertex
+    and falls by 1 on every other step.  This map is the Catalan bijection:
+    distinct double trees give distinct Dyck paths of the same length, and
+    every Dyck path arises.
     """
     if classify(walk) is not WalkClass.DOUBLE_TREE:
         raise ValueError("dyck_of requires a double-tree walk")
-    dist = walk.graph().distances_from(1)
-    return DyckPath(tuple(dist[v] for v in walk.sequence))
+    heights, seen = [0], 1
+    for v in walk.sequence[1:]:
+        # canonical labels appear in order, so v is new exactly when it exceeds them all
+        heights.append(heights[-1] + (1 if v > seen else -1))
+        seen = max(seen, v)
+    return DyckPath(tuple(heights))
 
 
 def all_dyck_paths(k: int) -> list[DyckPath]:
@@ -316,8 +265,9 @@ class Tree:
 
     @classmethod
     def from_walk(cls, walk: CanonicalWalk) -> "Tree":
-        g = walk.graph()
-        return cls(g.vertices, g.edges)
+        """The walk's skeleton; a ValueError unless that skeleton is a tree."""
+        seq = walk.sequence
+        return cls(set(seq), sorted({(min(a, b), max(a, b)) for a, b in _crossings(seq)}))
 
     @property
     def m(self) -> int:
@@ -399,59 +349,6 @@ def tree_product_sum(
     return total
 
 
-def _expectation_sum(seq, images, law, profile, n, diagonal_law) -> float:
-    """Correctly rounded sum of E[prod w] over the relabelings v -> image[v] of seq.
-
-    Per unordered pair a <= b the crossing table gives f steps a -> b and r
-    steps b -> a (r = 0 for a loop).  The law's (direction-aware, for complex
-    laws) mixed moment of (f, r) does not depend on the labels, so it is read
-    once; each image only looks up the profile scales.
-    """
-    sig = profile.matrix(n)
-    dlaw = diagonal_law_for(law, diagonal_law)
-    steps = _crossings(seq)
-    factors = []
-    for a, b in {(min(e), max(e)) for e in steps}:
-        f, r = steps[a, b], (steps[b, a] if a != b else 0)
-        mom = (dlaw if a == b else law).pair_moment(f, r)
-        if mom == 0.0:
-            return 0.0
-        factors.append((a, b, mom, f + r))
-
-    def expectation(image) -> float:
-        out = 1.0
-        for a, b, mom, m in factors:
-            s = sig[image[a], image[b]]
-            # symmetric laws leave only even total powers, where sigma^2 is exact
-            out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
-        return out
-
-    return math.fsum(expectation(image) for image in images)
-
-
-def walk_expectation(
-    walk: Sequence[int],
-    law: EntryLaw,
-    profile: VarianceProfile,
-    n: int,
-) -> float:
-    """E[prod_s w_{i_s i_{s+1}}] for a concrete closed walk on indices 0..n-1.
-
-    Entries are independent across unordered index pairs; per pair the
-    expectation is the law's (direction-aware, for complex laws) mixed
-    moment times the matching power of the profile scale.  The product of
-    forward/backward pair moments is real for every supported law.
-    """
-    walk = tuple(int(v) for v in walk)
-    if len(walk) < 2:
-        raise ValueError("a closed walk has at least one step")
-    if walk[0] != walk[-1]:
-        raise ValueError("closed walk must end where it starts")
-    if any(v < 0 or v >= n for v in walk):
-        raise ValueError("walk labels must lie in 0..n-1")
-    return _expectation_sum(walk, [range(n)], law, profile, n, None)
-
-
 def walk_sum_moment(
     law: EntryLaw, profile: VarianceProfile, n: int, k: int, diagonal_law: EntryLaw | None = None
 ) -> float:
@@ -487,9 +384,31 @@ def class_walk_sum(
     """Sum of E[prod w] over all walks in {0..n-1} isomorphic to the class.
 
     Members of the class are exactly the injective relabelings of the
-    canonical walk, so this is the walk-class weight in the trace expansion.
-    ``diagonal_law`` overrides the diagonal entries' law as in ``EnsembleSpec``.
+    canonical walk, so this is the walk-class weight in the trace expansion,
+    its terms summed by ``math.fsum``.  Per unordered pair a <= b the
+    crossing table gives f steps a -> b and r steps b -> a (r = 0 for a
+    loop).  The law's (direction-aware, for complex laws) mixed moment of
+    (f, r) does not depend on the labels, so it is read once; each
+    relabeling only looks up the profile scales.  ``diagonal_law`` overrides
+    the diagonal entries' law as in ``EnsembleSpec``.
     """
-    seq = [c - 1 for c in walk.sequence]
-    images = itertools.permutations(range(n), walk.t)
-    return _expectation_sum(seq, images, law, profile, n, diagonal_law)
+    sig = profile.matrix(n)
+    dlaw = diagonal_law_for(law, diagonal_law)
+    steps = _crossings([c - 1 for c in walk.sequence])
+    factors = []
+    for a, b in {(min(e), max(e)) for e in steps}:
+        f, r = steps[a, b], (steps[b, a] if a != b else 0)
+        mom = (dlaw if a == b else law).pair_moment(f, r)
+        if mom == 0.0:
+            return 0.0
+        factors.append((a, b, mom, f + r))
+
+    def expectation(image) -> float:
+        out = 1.0
+        for a, b, mom, m in factors:
+            s = sig[image[a], image[b]]
+            # symmetric laws leave only even total powers, where sigma^2 is exact
+            out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
+        return out
+
+    return math.fsum(expectation(image) for image in itertools.permutations(range(n), walk.t))

@@ -5,7 +5,9 @@ characteristic-polynomial roots instead of the symmetric eigensolver,
 brute-force feasibility scans instead of bisection, direct injection
 enumeration instead of Moebius inversion, exhaustive sign assignments
 instead of moment bookkeeping, all n^k index walks instead of walk classes,
-a BFS tree test instead of the vertex-count argument.
+a BFS tree test instead of the vertex-count argument, first-appearance
+relabelling instead of restricted-growth enumeration, sampled tail
+contributions instead of closed-form truncated moments.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from wignerlab.ensembles import EntryLaw, VarianceProfile, diagonal_law_for
-from wignerlab.walk_combinatorics import WalkClass, WalkGraph
+from wignerlab.walk_combinatorics import Tree, WalkClass
 
 
 def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -111,12 +113,23 @@ def direct_tree_sum(tree, profile: VarianceProfile, n: int, pin=None) -> float:
     return total
 
 
+def first_appearance_relabelling(walk) -> tuple[int, ...]:
+    """Relabel a closed walk's vertices 1, 2, ... in order of first appearance.
+
+    Two walks get the same relabelling exactly when they have the same
+    equality pattern among their vertices.
+    """
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(v, len(labels) + 1) for v in walk)
+
+
 def graph_classify(walk) -> WalkClass:
     """Walk class from the walk's multigraph, with double trees found by BFS.
 
     Counts undirected multiplicities and directed crossings step by step.  A
-    double tree is a walk whose skeleton passes ``WalkGraph.is_tree`` and
-    crosses every edge exactly once in each direction; t = k/2 + 1 is never
+    double tree is a walk whose skeleton is accepted by ``Tree``, which
+    checks loops, the edge count and connectivity by BFS, and that crosses
+    every edge exactly once in each direction; t = k/2 + 1 is never
     consulted.
     """
     seq = walk.sequence
@@ -128,11 +141,12 @@ def graph_classify(walk) -> WalkClass:
         directed[a, b] = directed.get((a, b), 0) + 1
     if 1 in mult.values():
         return WalkClass.SINGLE_EDGE
-    graph = WalkGraph(tuple(sorted(set(seq))), tuple(sorted(mult.items())))
+    try:
+        Tree(tuple(set(seq)), tuple(mult))
+    except ValueError:
+        return WalkClass.MULTI_OTHER
     once_each_way = all(directed.get((a, b)) == directed.get((b, a)) == 1 for a, b in mult)
-    if graph.is_tree() and once_each_way:
-        return WalkClass.DOUBLE_TREE
-    return WalkClass.MULTI_OTHER
+    return WalkClass.DOUBLE_TREE if once_each_way else WalkClass.MULTI_OTHER
 
 
 def brute_walk_sum_moment(
@@ -158,6 +172,27 @@ def brute_walk_sum_moment(
             prod *= use.pair_moment(f, r) * math.sqrt(sig[a, b]) ** (f + r)
         total += prod
     return total / n
+
+
+def monte_carlo_lindeberg_term(
+    law: EntryLaw,
+    sigma2: float,
+    eps: float,
+    samples: int,
+    rng: np.random.Generator,
+) -> tuple[float, float]:
+    """Monte Carlo E[|w|^2; |w| > eps] for one (law, sigma^2) cell, with s.e.
+
+    The closed forms in condition_sums cover every bundled kind; this is the
+    independent estimator used to cross-check them.
+    """
+    if sigma2 < 0 or eps <= 0 or samples < 1:
+        raise ValueError("need sigma2 >= 0, eps > 0, samples >= 1")
+    w = math.sqrt(sigma2) * law.standard_sample(rng, samples)
+    contrib = np.where(np.abs(w) > eps, np.abs(w) ** 2, 0.0)
+    est = float(contrib.mean())
+    se = float(contrib.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+    return est, se
 
 
 def exhaustive_rademacher_moment(profile: VarianceProfile, n: int, k: int) -> float:

@@ -13,7 +13,6 @@ from wignerlab.concentration import (
     bernstein_tail_check,
     empirical_tail,
     hoeffding_mgf_bound,
-    mcdiarmid_bound,
     spectral_bound,
 )
 from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, wigner_unit_spec
@@ -23,16 +22,6 @@ from wignerlab.spectral_measures import RampFunction
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
-
-
-def test_mcdiarmid_values():
-    assert mcdiarmid_bound(4.0) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-14)
-    assert mcdiarmid_bound(1e-9) == pytest.approx(2.0, rel=1e-9)
-    lams = np.linspace(0.1, 6.0, 30)
-    vals = [mcdiarmid_bound(l) for l in lams]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError, match="lambda must be positive"):
-        mcdiarmid_bound(0.0)
 
 
 def test_spectral_bound_values():
@@ -46,9 +35,8 @@ def test_spectral_bound_values():
 def test_spectral_bound_is_mcdiarmid_at_scaled_threshold():
     for n in (8, 64, 500):
         for t in (0.1, 0.5, 1.3):
-            assert spectral_bound(n, t) == pytest.approx(
-                mcdiarmid_bound(t * math.sqrt(n) / 2.0), rel=1e-14
-            )
+            lam = t * math.sqrt(n) / 2.0
+            assert spectral_bound(n, t) == pytest.approx(2.0 * math.exp(-lam * lam / 8.0), rel=1e-14)
 
 
 def test_spectral_bound_doubling_identity():

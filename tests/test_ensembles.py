@@ -21,11 +21,12 @@ from wignerlab.ensembles import (
     condition_sums,
     gaussian_row_check,
     heavy_tail_spec,
-    monte_carlo_lindeberg_term,
     sample,
     sample_trial,
     wigner_unit_spec,
 )
+
+from _oracles import monte_carlo_lindeberg_term
 
 N_MC = 1_000_000
 

@@ -1,4 +1,4 @@
-"""Hermitian substrate: construction, spectra, traces, norms, minors."""
+"""Hermitian substrate: construction, spectra, norms, minors."""
 import math
 
 import numpy as np
@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 from _oracles import charpoly_eigenvalues, random_hermitian
 from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, sample_trial
 from wignerlab.hermitian_core import (
-    EigenDecomposition,
     HermitianMatrix,
-    eigen_decomposition,
     eigenvalues_desc,
     frobenius_norm,
     numeric_rank,
     principal_minor,
-    trace_power,
 )
 from wignerlab.reductions import centralize, pipeline, truncate, unit_variance_replace
 
@@ -69,6 +66,25 @@ def test_diagonal_made_exactly_real():
 def test_real_valued_complex_input_demoted_to_real():
     m = HermitianMatrix(np.eye(2, dtype=np.complex128))
     assert not m.is_complex
+
+
+def test_huge_finite_entries_stay_finite():
+    """An exact mirror is stored as given; no averaging overflows it."""
+    m = HermitianMatrix(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    assert m.entries[0, 0] == 1e308
+    # a tiny asymmetry is still averaged, and halving first keeps the average finite
+    near = HermitianMatrix(np.array([[1.7e308, 0.5 + 1e-13], [0.5, 1.0]]))
+    assert near.entries[0, 0] == 1.7e308
+    assert near.entries[0, 1] == near.entries[1, 0]
+
+
+def test_sum_and_difference_reject_mismatched_dimensions():
+    big, one = HermitianMatrix(np.eye(3)), HermitianMatrix(np.array([[2.0]]))
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(big, one)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(one, big)
 
 
 def test_one_by_one_is_legal():
@@ -132,56 +148,6 @@ def test_eigenvalues_descending_order(rng):
     assert np.all(np.diff(lam) <= 0)
 
 
-# -- eigen_decomposition ------------------------------------------------------
-
-def test_decomposition_reconstructs(rng):
-    a = random_hermitian(rng, 9, complex_entries=True)
-    dec = eigen_decomposition(HermitianMatrix(a))
-    rebuilt = (dec.basis * dec.eigenvalues) @ dec.basis.conj().T
-    assert np.max(np.abs(rebuilt - a)) < 1e-10
-    gram = dec.basis.conj().T @ dec.basis
-    assert np.max(np.abs(gram - np.eye(9))) < 1e-12
-
-
-def test_decomposition_type_rejects_ascending():
-    with pytest.raises(ValueError, match="descending"):
-        EigenDecomposition(np.array([1.0, 2.0]))
-
-
-# -- trace_power --------------------------------------------------------------
-
-def test_trace_power_identity():
-    assert trace_power(HermitianMatrix(np.eye(3)), 5) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_trace_power_two_by_two():
-    m = HermitianMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert trace_power(m, 2) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_trace_power_matches_cubed_product(rng):
-    a = random_hermitian(rng, 4, complex_entries=True)
-    want = np.trace(a @ a @ a).real
-    assert trace_power(HermitianMatrix(a), 3) == pytest.approx(want, rel=1e-10)
-
-
-def test_trace_power_matches_repeated_multiplication(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 17))
-        a = random_hermitian(rng, n, complex_entries=bool(rng.integers(2)))
-        m = HermitianMatrix(a)
-        power = np.eye(n, dtype=a.dtype)
-        for k in range(1, 9):
-            power = power @ a
-            want = float(np.trace(power).real)
-            assert trace_power(m, k) == pytest.approx(want, rel=1e-8, abs=1e-8)
-
-
-def test_trace_power_requires_positive_k():
-    with pytest.raises(ValueError, match="k >= 1"):
-        trace_power(HermitianMatrix(np.eye(2)), 0)
-
-
 # -- frobenius_norm -----------------------------------------------------------
 
 def test_frobenius_zero_matrix():
@@ -200,7 +166,7 @@ def test_frobenius_hand_example():
 def test_frobenius_equals_sqrt_trace_square(rng):
     a = random_hermitian(rng, 11, complex_entries=True)
     m = HermitianMatrix(a)
-    assert frobenius_norm(m) == pytest.approx(math.sqrt(trace_power(m, 2)), rel=1e-10)
+    assert frobenius_norm(m) == pytest.approx(math.sqrt(np.sum(eigenvalues_desc(m) ** 2)), rel=1e-10)
 
 
 # -- numeric_rank -------------------------------------------------------------

@@ -441,6 +441,28 @@ def test_pipeline_builds_one_matrix_per_working_stage(monkeypatch):
     assert len(built) == 2
 
 
+def test_pipeline_peak_memory_is_three_matrices():
+    """Truncated, rescaled and one difference array: the rescale cost squares in place."""
+    import tracemalloc
+
+    n = 512
+    spec = EnsembleSpec(
+        n, EntryLaw.pareto_symmetric(2.5, 1.0), VarianceProfile.banded(64, 1.0 / n, 5e-4), seed=29
+    )
+    eta = auto_eta(spec)
+    # C below the truncated row sums, so the rescale stage does work
+    table = rescale_to_row_bound(truncated_profile(spec, eta), n, 0.25)
+    w = sample_trial(spec, 0)
+    tracemalloc.start()
+    try:
+        _, trace = pipeline(w, spec, eta=eta, C=0.25, coeffs=table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.frobenius_delta_sq_per_stage[2] > 0.0
+    assert peak <= 3.5 * n * n * 8, peak / (n * n * 8)
+
+
 def test_pipeline_stage_costs_recompose():
     """Stage deltas re-derive from the intermediate matrices they separate."""
     spec = wigner_unit_spec(32, seed=59)

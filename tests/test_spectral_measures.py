@@ -30,7 +30,6 @@ from wignerlab.spectral_measures import (
     kolmogorov_distance,
     levy_distance,
     semicircle_moment,
-    weak_convergence_report,
 )
 
 
@@ -278,14 +277,6 @@ def test_ramp_semicircle_integral_matches_quadrature():
     f = RampFunction(-0.4, 0.9)
     want = quad_semicircle(f.value)
     assert f.integrate_semicircle() == pytest.approx(want, abs=1e-10)
-
-
-def test_weak_convergence_report_on_quantized_semicircle():
-    quantized = esd(semicircle_quantile_atoms(10_000))
-    ramps = [RampFunction(-3.0, -2.5), RampFunction(-0.5, 0.5), RampFunction(2.5, 3.0)]
-    report = weak_convergence_report(quantized, ramps)
-    assert [r[:2] for r in report] == [(-3.0, -2.5), (-0.5, 0.5), (2.5, 3.0)]
-    assert all(gap < 1e-3 for _, _, gap in report)
 
 
 # -- perturbation and rank inequalities ---------------------------------------

@@ -1,9 +1,9 @@
-"""Stieltjes transforms, the Herglotz branch, inversion, and resolvents.
+"""Stieltjes transforms, the Herglotz branch, inversion, and the recursion.
 
 The closed-form semicircle transform is cross-checked by adaptive
 quadrature of the density, by quantile discretizations, and by sampled
-resolvent traces; determinant splitting and minor comparison get exact
-small cases plus scaling checks.
+spectra; the recursion residual gets an exact degenerate case plus a
+scaling check.
 """
 from __future__ import annotations
 
@@ -14,25 +14,20 @@ import numpy as np
 import pytest
 
 from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, sample_trial, wigner_unit_spec
-from wignerlab.hermitian_core import HermitianMatrix, eigenvalues_desc
+from wignerlab.hermitian_core import eigenvalues_desc
 from wignerlab.spectral_measures import SemicircleLaw, esd
 from wignerlab.stieltjes import (
     MASS_CAP,
     GridDensity,
     UpperHalfPoint,
     invert_on_grid,
-    minor_comparison_gap,
     recursion_residual,
-    resolvent_quadratic_form,
-    resolvent_second_moment,
-    resolvent_trace,
-    schur_det_check,
     semicircle_stieltjes,
     sqrt_z2_minus_4,
     stieltjes_atomic,
 )
 
-from _oracles import quad_semicircle, random_hermitian, semicircle_quantile_atoms
+from _oracles import quad_semicircle, semicircle_quantile_atoms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -229,72 +224,6 @@ def test_invert_semicircle_density_l1_error_small():
 
 
 # ---------------------------------------------------------------------------
-# resolvents
-# ---------------------------------------------------------------------------
-
-
-def test_resolvent_trace_exact_cases():
-    zero = HermitianMatrix(np.zeros((4, 4)))
-    assert resolvent_trace(zero, 1j) == pytest.approx(1j)
-    eye = HermitianMatrix(np.eye(3))
-    assert resolvent_trace(eye, 1j) == pytest.approx(1.0 / (1.0 - 1j))
-
-
-def test_resolvent_trace_is_esd_transform(rng):
-    for _ in range(10):
-        w = HermitianMatrix(random_hermitian(rng, 12, complex_entries=True))
-        z = complex(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-        lam = eigenvalues_desc(w)
-        assert resolvent_trace(w, z) == pytest.approx(
-            stieltjes_atomic(esd(lam), z), abs=1e-12
-        )
-
-
-def test_resolvent_quadratic_form_exact_case():
-    w = HermitianMatrix(np.diag([1.0, 2.0, 3.0]))
-    u = np.array([1.0, 0.0, 0.0])
-    assert resolvent_quadratic_form(w, u, 1j) == pytest.approx(1.0 / (1.0 - 1j))
-
-
-def test_resolvent_quadratic_form_validation():
-    w = HermitianMatrix(np.eye(3))
-    with pytest.raises(ValueError, match="vector length"):
-        resolvent_quadratic_form(w, np.ones(2), 1j)
-
-
-def test_resolvent_quadratic_form_positivity(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 10))
-        w = HermitianMatrix(random_hermitian(rng, n, complex_entries=bool(rng.integers(0, 2))))
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
-        q = resolvent_quadratic_form(w, u, z)
-        assert q.imag > 0.0
-
-
-def test_resolvent_quadratic_forms_sum_to_trace(rng):
-    n = 8
-    w = HermitianMatrix(random_hermitian(rng, n, complex_entries=True))
-    z = 0.4 + 0.9j
-    total = sum(
-        resolvent_quadratic_form(w, np.eye(n)[:, i], z) for i in range(n)
-    )
-    assert total / n == pytest.approx(resolvent_trace(w, z), abs=1e-10)
-
-
-def test_resolvent_second_moment(rng):
-    w = HermitianMatrix(np.diag([0.0, 2.0]))
-    z = 1.0 + 1.0j
-    expect = 1.0 / abs(0.0 - z) ** 2 + 1.0 / abs(2.0 - z) ** 2
-    assert resolvent_second_moment(w, z) == pytest.approx(expect, rel=1e-12)
-    for _ in range(20):
-        n = int(rng.integers(2, 16))
-        m = HermitianMatrix(random_hermitian(rng, n))
-        zz = complex(rng.uniform(-2, 2), rng.uniform(0.1, 2.0))
-        assert resolvent_second_moment(m, zz) <= n / zz.imag**2 + 1e-9
-
-
-# ---------------------------------------------------------------------------
 # the recursion certificate
 # ---------------------------------------------------------------------------
 
@@ -315,57 +244,3 @@ def test_recursion_residual_validation():
     with pytest.raises(ValueError, match="at least one trial"):
         recursion_residual(wigner_unit_spec(8), 1j, trials=0)
 
-
-# ---------------------------------------------------------------------------
-# determinant splitting
-# ---------------------------------------------------------------------------
-
-
-def test_schur_det_check_identity():
-    assert schur_det_check(np.eye(4), 2) == 0.0
-
-
-def test_schur_det_check_block_diagonal(rng):
-    a = random_hermitian(rng, 3) + 4.0 * np.eye(3)
-    d = random_hermitian(rng, 2) + 4.0 * np.eye(2)
-    m = np.block([[a, np.zeros((3, 2))], [np.zeros((2, 3)), d]])
-    assert schur_det_check(m, 3) <= 1e-12
-
-
-def test_schur_det_check_random_complex(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 7))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-        split = int(rng.integers(1, n))
-        assert schur_det_check(m, split) <= 1e-8
-
-
-def test_schur_det_check_errors():
-    with pytest.raises(ValueError, match="matrix must be square"):
-        schur_det_check(np.ones((2, 3)), 1)
-    with pytest.raises(ValueError, match="both diagonal blocks nonempty"):
-        schur_det_check(np.eye(3), 0)
-    with pytest.raises(ValueError, match="both diagonal blocks nonempty"):
-        schur_det_check(np.eye(3), 3)
-    with pytest.raises(ArithmeticError, match="schur split singular"):
-        schur_det_check(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
-
-
-# ---------------------------------------------------------------------------
-# minor comparison
-# ---------------------------------------------------------------------------
-
-
-def test_minor_comparison_gap_validation():
-    with pytest.raises(ValueError, match="dimension at least 2"):
-        minor_comparison_gap(HermitianMatrix(np.ones((1, 1))), 1j)
-
-
-def test_minor_comparison_gap_shrinks_with_n():
-    gaps = []
-    for n in (16, 48, 128):
-        spec = wigner_unit_spec(n, seed=71)
-        vals = [minor_comparison_gap(sample_trial(spec, r), 1j) for r in range(3)]
-        gaps.append(float(np.mean(vals)))
-    assert gaps[0] > gaps[1] > gaps[2]
-    assert gaps[2] <= 0.1

@@ -22,16 +22,13 @@ from wignerlab.walk_combinatorics import (
     DyckPath,
     Tree,
     WalkClass,
-    WalkGraph,
     all_dyck_paths,
-    canonicalize,
     class_walk_sum,
     classify,
     dyck_of,
     enumerate_canonical_walks,
     enumerate_gamma,
     tree_product_sum,
-    walk_expectation,
     walk_sum_moment,
 )
 
@@ -39,6 +36,7 @@ from _oracles import (
     brute_walk_sum_moment,
     direct_tree_sum,
     exhaustive_rademacher_moment,
+    first_appearance_relabelling,
     graph_classify,
     mc_trace_moments,
 )
@@ -68,28 +66,6 @@ def _random_tree(rng, t: int) -> Tree:
 # ---------------------------------------------------------------------------
 
 
-def test_canonicalize_examples():
-    assert canonicalize((7, 9, 7)).sequence == (1, 2, 1)
-    assert canonicalize((0, 0, 0)).sequence == (1, 1, 1)
-    assert canonicalize((5, 2, 5, 9, 5)).sequence == (1, 2, 1, 3, 1)
-    assert canonicalize((3, 3)).sequence == (1, 1)
-
-
-def test_canonicalize_validation():
-    with pytest.raises(ValueError, match="end where it starts"):
-        canonicalize((1, 2, 3))
-    with pytest.raises(ValueError, match="at least one step"):
-        canonicalize((1,))
-
-
-def test_canonicalize_is_isomorphism_invariant():
-    """Any injective relabeling of a walk canonicalizes to the same class."""
-    walk = (0, 3, 0, 5, 3, 5, 0)
-    base = canonicalize(walk)
-    relabeled = tuple({0: 11, 3: 7, 5: 2}[v] for v in walk)
-    assert canonicalize(relabeled) == base
-
-
 def test_canonical_walk_validation():
     with pytest.raises(ValueError, match="start and end at 1"):
         CanonicalWalk((2, 1, 2))
@@ -105,32 +81,6 @@ def test_canonical_walk_k_and_t():
     assert w.t == 3
     assert CanonicalWalk((1, 1)).k == 1
     assert CanonicalWalk((1, 1)).t == 1
-
-
-# ---------------------------------------------------------------------------
-# walk graphs
-# ---------------------------------------------------------------------------
-
-
-def test_walk_graph_multiplicities():
-    g = WalkGraph.from_walk((1, 2, 1, 2, 1))
-    assert g.vertices == (1, 2)
-    assert g.multiplicities == (((1, 2), 4),)
-    assert g.is_tree()
-    tri = WalkGraph.from_walk((1, 2, 3, 1))
-    assert tri.edges == ((1, 2), (1, 3), (2, 3))
-    assert not tri.is_tree()
-    loop = WalkGraph.from_walk((1, 1))
-    assert loop.multiplicities == (((1, 1), 1),)
-    assert not loop.is_tree()
-
-
-def test_walk_graph_distances():
-    g = WalkGraph.from_walk((1, 2, 3, 2, 1))
-    assert g.distances_from(1) == {1: 0, 2: 1, 3: 2}
-    assert g.distances_from(3) == {3: 0, 2: 1, 1: 2}
-    with pytest.raises(ValueError, match="not a vertex"):
-        g.distances_from(9)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +153,7 @@ def test_census_matches_brute_force_canonicalization():
     """Every closed walk on a k-letter alphabet canonicalizes into the census."""
     for k in (2, 3, 4, 6):
         brute = {
-            canonicalize(tup + (tup[0],)).sequence
+            first_appearance_relabelling(tup + (tup[0],))
             for tup in itertools.product(range(k), repeat=k)
         }
         census = {w.sequence for w in enumerate_canonical_walks(k)}
@@ -309,6 +259,9 @@ def test_tree_from_walk():
     assert t.vertices == (1, 2, 3)
     assert t.edges == ((1, 2), (1, 3))
     assert t.m == 2
+    for not_a_tree in ((1, 2, 3, 1), (1, 1), (1, 2, 2, 1)):
+        with pytest.raises(ValueError, match="not a tree|loop"):
+            Tree.from_walk(CanonicalWalk(not_a_tree))
 
 
 def test_tree_product_sum_uniform_closed_forms():
@@ -419,46 +372,8 @@ def test_unpinned_tree_sum_approaches_unit_weight(rng):
 
 
 # ---------------------------------------------------------------------------
-# walk expectations and the exact trace-moment oracle
+# the exact trace-moment oracle
 # ---------------------------------------------------------------------------
-
-
-def test_walk_expectation_validation():
-    prof = VarianceProfile.uniform(1.0)
-    with pytest.raises(ValueError, match="end where it starts"):
-        walk_expectation((0, 1), EntryLaw.gaussian_real(), prof, 2)
-    with pytest.raises(ValueError, match="labels must lie in"):
-        walk_expectation((0, 5, 0), EntryLaw.gaussian_real(), prof, 2)
-    for stepless in ((0,), ()):
-        with pytest.raises(ValueError, match="at least one step"):
-            walk_expectation(stepless, EntryLaw.gaussian_real(), prof, 2)
-
-
-def test_walk_expectation_closed_forms():
-    prof = VarianceProfile.uniform(0.25)
-    g = EntryLaw.gaussian_real()
-    # one edge crossed twice: E w^2 = sigma^2
-    assert walk_expectation((0, 1, 0), g, prof, 3) == pytest.approx(0.25)
-    # an edge crossed once has odd expectation zero
-    assert walk_expectation((0, 1, 2, 0), g, prof, 3) == 0.0
-    assert walk_expectation((0, 0), g, prof, 3) == 0.0
-    # diagonal loop crossed twice
-    assert walk_expectation((0, 0, 0), g, prof, 3) == pytest.approx(0.25)
-    # one edge crossed four times: E w^4 = 3 sigma^4 for the gaussian
-    assert walk_expectation((0, 1, 0, 1, 0), g, prof, 3) == pytest.approx(3 * 0.25**2)
-    assert walk_expectation((0, 1, 0, 1, 0), EntryLaw.rademacher(), prof, 3) == pytest.approx(
-        0.25**2
-    )
-
-
-def test_walk_expectation_complex_direction_counting():
-    """Complex entries pair forward with backward crossings: E|w|^4 = 2 sigma^4."""
-    prof = VarianceProfile.uniform(0.25)
-    c = EntryLaw.gaussian_complex()
-    assert walk_expectation((0, 1, 0), c, prof, 3) == pytest.approx(0.25)
-    assert walk_expectation((0, 1, 0, 1, 0), c, prof, 3) == pytest.approx(2 * 0.25**2)
-    # a diagonal crossed once vanishes even inside a doubled off-diagonal walk
-    assert walk_expectation((0, 1, 1, 0), c, prof, 3) == 0.0
 
 
 def test_walk_sum_moment_small_exact_values():
