@@ -53,8 +53,8 @@ from .streams import parallel_map
 from .walk_combinatorics import (
     ORACLE_MAX_K,
     ORACLE_MAX_N,
-    classify,
-    enumerate_canonical_walks,
+    WalkClass,
+    census_blocks,
     walk_sum_moment,
 )
 
@@ -462,21 +462,54 @@ def _cmd_moments(config: ExperimentConfig, out: Path) -> list[Path]:
     return written
 
 
+def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Decimal digits of non-negative ints as ASCII codes, one row each, right-aligned.
+
+    Leading columns the value does not reach hold 0, a byte no CSV line
+    contains, so dropping every 0 byte leaves the plain decimal text.
+    """
+    power = 10 ** np.arange(width - 1, -1, -1)
+    v = np.asarray(values, dtype=np.int64)[:, None]
+    return np.where((v >= power) | (power == 1), 48 + v // power % 10, 0).astype(np.uint8)
+
+
+_CLASS_NAMES = np.array([c.value for c in WalkClass], dtype="S")
+
+
+def _walk_lines(k: int, t: int, first_id: int, rows: np.ndarray, codes: np.ndarray) -> bytes:
+    """The walks.csv lines of one census block, built as one byte matrix.
+
+    Each line is laid out in fixed-width columns padded with 0 bytes, which
+    are dropped at the end; the text equals ``_fmt`` of each cell.
+    """
+    count, width = rows.shape
+
+    def text(s: str) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(s.encode(), dtype=np.uint8), (count, len(s)))
+
+    labels = _ascii_digits(rows.ravel(), len(str(t))).reshape(count, width, -1)
+    sequence = np.concatenate((labels, text("-" * width)[:, :, None]), axis=2).reshape(count, -1)
+    line = np.hstack((
+        text(f"{k},{t},"),
+        _ascii_digits(np.arange(first_id, first_id + count), len(str(first_id + count))),
+        text(","),
+        sequence[:, :-1],
+        text(","),
+        _CLASS_NAMES[codes].view(np.uint8).reshape(count, -1),
+        text("\n"),
+    ))
+    return line[line != 0].tobytes()
+
+
 def _cmd_walks(config: ExperimentConfig, out: Path) -> list[Path]:
-    rows = []
-    for k in config.k_list:
-        for class_id, walk in enumerate(enumerate_canonical_walks(k)):
-            rows.append(
-                (
-                    k,
-                    walk.t,
-                    class_id,
-                    "-".join(str(c) for c in walk.sequence),
-                    classify(walk).value,
-                )
-            )
     path = out / "walks.csv"
-    _write_csv(path, ("k", "t", "class_id", "sequence", "classification"), rows)
+    with open(path, "wb") as fh:
+        fh.write(b"k,t,class_id,sequence,classification\n")
+        for k in config.k_list:
+            class_id = 0
+            for t, rows, codes in census_blocks(k):
+                fh.write(_walk_lines(k, t, class_id, rows, codes))
+                class_id += len(rows)
     return [path]
 
 
@@ -651,7 +684,9 @@ _COMMAND_FNS = {
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:  # in pieces: a k = 12 walks.csv is over 200 MB
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            h.update(piece)
     return h.hexdigest()
 
 

@@ -5,24 +5,30 @@ into isomorphism classes represented by canonical walks (first-appearance
 relabelings, a restricted-growth condition).  Without its closing 1 a
 canonical walk of length k is a restricted-growth string of k items, so the
 census is the partition lattice of k items, counted by Bell numbers; it also
-supplies the vertex partitions of the tree sums.  Every walk is read through
-one crossing table, how often it steps a -> b.  Classes split into those with
-an edge traversed exactly once (expectation zero for centered entries),
-double trees (each edge exactly twice, t = k/2 + 1 vertices, counted by
-Catalan numbers via a height bijection with Dyck paths), and the rest
-(vanishing weight in the limit).  Tree-product sums evaluate the variance
-weight of a tree class exactly, including the injectivity correction: Moebius
-inversion over the vertex partitions, each quotient one einsum contraction
-of profile tables.
+supplies the vertex partitions of the tree sums.  The census is built as one
+int8 array per (k, t), a row per walk and no object per walk; the CLI and the
+exact oracle read these blocks, and ``enumerate_gamma`` wraps their rows in
+``CanonicalWalk`` for per-walk callers.  Every walk is read through one
+crossing table, how often it steps a -> b.  Classes split into those with an
+edge traversed exactly once (expectation zero for centered entries), double
+trees (each edge exactly twice, t = k/2 + 1 vertices, counted by Catalan
+numbers via a height bijection with Dyck paths), and the rest (vanishing
+weight in the limit).  ``classify`` is the per-walk reference rule; the census
+classifies a whole block at once from sorted crossing codes, and a test ties
+that block rule to ``classify`` on every walk up to k = 10.  Tree-product
+sums evaluate the variance weight of a tree class exactly, including the
+injectivity correction: Moebius inversion over the vertex partitions, each
+quotient one einsum contraction of profile tables.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +41,7 @@ __all__ = [
     "Tree",
     "enumerate_gamma",
     "enumerate_canonical_walks",
+    "census_blocks",
     "classify",
     "dyck_of",
     "all_dyck_paths",
@@ -46,6 +53,9 @@ __all__ = [
 # run-time policy caps for the exact trace-moment oracle (cost: see walk_sum_moment)
 ORACLE_MAX_N = 6
 ORACLE_MAX_K = 8
+
+# rows per census block handed to a caller; bounds the memory of per-row work
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,9 @@ class WalkClass(Enum):
     MULTI_OTHER = "multi_other"
 
 
+_CLASS_CODE = {c: i for i, c in enumerate(WalkClass)}
+
+
 def classify(walk: CanonicalWalk) -> WalkClass:
     """Sort a canonical walk into the three expectation regimes.
 
@@ -135,6 +148,72 @@ def classify(walk: CanonicalWalk) -> WalkClass:
     return WalkClass.MULTI_OTHER
 
 
+def _rgs_block(k: int, t: int) -> np.ndarray:
+    """Every canonical walk of length k on exactly t labels: an (N, k+1) int8 array.
+
+    Rows are in lex order and end with the closing 1.  The walks grow one step
+    at a time over the whole block: a prefix with maximum m takes the labels
+    lo..min(m+1, t) in order, where lo = m + 1 when only a new label still
+    leaves enough steps to reach t labels and lo = 1 otherwise, and none when
+    not even that does.  Each prefix's children follow it in label order, so
+    the block stays in lex order.
+    """
+    rows = np.ones((1, 1), dtype=np.int8)
+    top = np.ones(1, dtype=np.int8)
+    for s in range(1, k):
+        left = k - 1 - s  # free steps after this one
+        lo = np.where(top + left >= t, 1, top + 1)
+        count = np.where(top + 1 + left >= t, np.minimum(top + 1, t) - lo + 1, 0)
+        parent = np.repeat(np.arange(len(rows)), count)
+        first = np.cumsum(count) - count  # where each prefix's children start
+        label = (lo[parent] + np.arange(len(parent)) - first[parent]).astype(np.int8)
+        rows = np.column_stack((rows[parent], label))
+        top = np.maximum(top[parent], label)
+    rows = rows[top == t]
+    return np.column_stack((rows, np.ones(len(rows), dtype=np.int8)))
+
+
+def _classify_block(rows: np.ndarray, t: int) -> np.ndarray:
+    """``classify`` over a block of canonical walks on t labels, as class codes.
+
+    Code i stands for ``list(WalkClass)[i]``.  Each step a -> b has the
+    undirected crossing code min(a, b)(k+2) + max(a, b); a row is single_edge
+    exactly when some code occurs once in it.  Rows on t = k/2 + 1 labels
+    that are not single_edge get ``classify``'s check: no loop, and no
+    directed step taken twice.
+    """
+    k = rows.shape[1] - 1
+    a, b = rows[:, :-1].astype(np.int16), rows[:, 1:].astype(np.int16)
+    codes = np.sort(np.minimum(a, b) * (k + 2) + np.maximum(a, b), axis=1)
+    edge = np.ones((len(rows), 1), dtype=bool)
+    new = codes[:, 1:] != codes[:, :-1]
+    single = (np.hstack((edge, new)) & np.hstack((new, edge))).any(axis=1)
+    out = np.where(single, _CLASS_CODE[WalkClass.SINGLE_EDGE], _CLASS_CODE[WalkClass.MULTI_OTHER])
+    if k % 2 == 0 and t == k // 2 + 1:
+        tree = ~single
+        directed = np.sort(a[tree] * (k + 2) + b[tree], axis=1)
+        if (a[tree] == b[tree]).any() or (directed[:, 1:] == directed[:, :-1]).any():
+            raise AssertionError("t = k/2 + 1 walk without a double-tree skeleton")
+        out[tree] = _CLASS_CODE[WalkClass.DOUBLE_TREE]
+    return out.astype(np.int8)
+
+
+def census_blocks(k: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The length-k census as ``(t, rows, class codes)`` blocks, with no object per walk.
+
+    Rows come in ``enumerate_canonical_walks`` order, at most ``_CHUNK`` per
+    block: int8 arrays of canonical walks on exactly t labels, closing 1
+    included.  Code i in the int8 codes stands for ``list(WalkClass)[i]``.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    for t in range(1, k + 2):
+        block = _rgs_block(k, t)
+        for lo in range(0, len(block), _CHUNK):
+            rows = block[lo : lo + _CHUNK]
+            yield t, rows, _classify_block(rows, t)
+
+
 def enumerate_gamma(k: int, t: int) -> list[CanonicalWalk]:
     """All canonical closed walks of length k on exactly t labels, lex order.
 
@@ -144,23 +223,7 @@ def enumerate_gamma(k: int, t: int) -> list[CanonicalWalk]:
         raise ValueError("need k >= 1 and t >= 1")
     if t > k + 1:
         return []
-    out: list[CanonicalWalk] = []
-    seq = [1] * (k + 1)
-
-    def rec(s: int, mx: int) -> None:
-        if s == k:
-            if mx == t:
-                out.append(CanonicalWalk(tuple(seq)))
-            return
-        for v in range(1, min(mx + 1, t) + 1):
-            nmx = max(mx, v)
-            if nmx + (k - 1 - s) < t:
-                continue  # not enough steps left to introduce t labels
-            seq[s] = v
-            rec(s + 1, nmx)
-
-    rec(1, 1)
-    return out
+    return [CanonicalWalk(tuple(row)) for row in _rgs_block(k, t).tolist()]
 
 
 def enumerate_canonical_walks(k: int) -> list[CanonicalWalk]:
@@ -349,6 +412,19 @@ def tree_product_sum(
     return total
 
 
+@functools.lru_cache(maxsize=ORACLE_MAX_K * ORACLE_MAX_N)
+def _oracle_classes(k: int, t: int) -> tuple[CanonicalWalk, ...]:
+    """The classes of length k on t labels that can weigh non-zero: all but single_edge.
+
+    Cached for the process: ``walk_sum_moment`` needs the same classes at
+    every n, and its caps bound the cache to k <= ORACLE_MAX_K and
+    t <= ORACLE_MAX_N.
+    """
+    rows = _rgs_block(k, t)
+    keep = _classify_block(rows, t) != _CLASS_CODE[WalkClass.SINGLE_EDGE]
+    return tuple(CanonicalWalk(tuple(row)) for row in rows[keep].tolist())
+
+
 def walk_sum_moment(
     law: EntryLaw, profile: VarianceProfile, n: int, k: int, diagonal_law: EntryLaw | None = None
 ) -> float:
@@ -366,11 +442,12 @@ def walk_sum_moment(
         raise ValueError("need n >= 1 and k >= 1")
     if not law.has_moments_to(k):
         raise ValueError("oracle requires finite moments")
+    sig = profile.matrix(n)
+    dlaw = diagonal_law_for(law, diagonal_law)
     return math.fsum(
-        class_walk_sum(walk, law, profile, n, diagonal_law)
+        _class_sum(walk, law, dlaw, sig)
         for t in range(1, n + 1)
-        for walk in enumerate_gamma(k, t)
-        if classify(walk) is not WalkClass.SINGLE_EDGE
+        for walk in _oracle_classes(k, t)
     ) / n
 
 
@@ -392,8 +469,11 @@ def class_walk_sum(
     relabeling only looks up the profile scales.  ``diagonal_law`` overrides
     the diagonal entries' law as in ``EnsembleSpec``.
     """
-    sig = profile.matrix(n)
-    dlaw = diagonal_law_for(law, diagonal_law)
+    return _class_sum(walk, law, diagonal_law_for(law, diagonal_law), profile.matrix(n))
+
+
+def _class_sum(walk: CanonicalWalk, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarray) -> float:
+    """``class_walk_sum`` with the diagonal law resolved and the n x n profile table built."""
     steps = _crossings([c - 1 for c in walk.sequence])
     factors = []
     for a, b in {(min(e), max(e)) for e in steps}:
@@ -411,4 +491,4 @@ def class_walk_sum(
             out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
         return out
 
-    return math.fsum(expectation(image) for image in itertools.permutations(range(n), walk.t))
+    return math.fsum(expectation(image) for image in itertools.permutations(range(len(sig)), walk.t))

@@ -463,6 +463,17 @@ def test_run_walks_census_double_tree_counts(tmp_path):
         assert sum(1 for row in rows if row[0] == k) == expected
 
 
+def test_run_walks_census_k1_to_10_checksum(tmp_path):
+    """The k = 1..10 census, the benchmark's range plus the one-step edge case, pinned byte for byte."""
+    k_list = ",".join(str(k) for k in range(1, 11))
+    manifest = run(make_config("walks", str(tmp_path), **{"moments.k": None, "walks.k": k_list}))
+    expected = "fd4f8161acaf94ac1fa5be39c0fe7c41d78a08d2373478474d7ebe0f94c4aa6d"
+    data = (tmp_path / "walks.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == expected
+    assert dict(manifest.checksums) == {"walks.csv": expected}
+    assert data.count(b"\n") == 142418  # header + Bell(1) + ... + Bell(10)
+
+
 def test_run_same_config_twice_identical_checksums(tmp_path):
     config_a = make_config("simulate", str(tmp_path / "a"))
     config_b = make_config("simulate", str(tmp_path / "b"))

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from wignerlab import walk_combinatorics
 from wignerlab.ensembles import EntryLaw, VarianceProfile
 from wignerlab.spectral_measures import semicircle_moment
 from wignerlab.walk_combinatorics import (
@@ -23,6 +24,7 @@ from wignerlab.walk_combinatorics import (
     Tree,
     WalkClass,
     all_dyck_paths,
+    census_blocks,
     class_walk_sum,
     classify,
     dyck_of,
@@ -119,6 +121,29 @@ def test_classify_matches_graph_classifier():
     assert checked == 26442  # Bell(1) + ... + Bell(9)
 
 
+def test_block_classifier_matches_classify():
+    """The census's per-block class codes are classify's verdict on every walk, k <= 10."""
+    classes = list(WalkClass)
+    checked = 0
+    for k in range(1, 11):
+        for t, rows, codes in census_blocks(k):
+            assert rows.dtype == codes.dtype == np.int8
+            assert rows.shape == (len(codes), k + 1)
+            for row, code in zip(rows.tolist(), codes.tolist()):
+                walk = CanonicalWalk(tuple(row))
+                assert walk.t == t
+                assert classes[code] is classify(walk), row
+            checked += len(rows)
+    assert checked == 142417  # Bell(1) + ... + Bell(10)
+
+
+def test_block_classifier_keeps_the_double_tree_guard():
+    """A t = k/2 + 1 row with no single edge whose skeleton is no double tree is refused."""
+    rows = np.array([[1, 2, 1, 2, 1]], dtype=np.int8)  # (1,2) four times: no single edge
+    with pytest.raises(AssertionError, match="double-tree skeleton"):
+        walk_combinatorics._classify_block(rows, 3)
+
+
 def test_odd_length_has_no_double_trees():
     for k in (3, 5, 7):
         assert all(classify(w) is not WalkClass.DOUBLE_TREE for w in enumerate_canonical_walks(k))
@@ -137,6 +162,23 @@ def test_enumerate_gamma_small_cases():
     assert enumerate_gamma(1, 2) == []
     with pytest.raises(ValueError, match="k >= 1 and t >= 1"):
         enumerate_gamma(0, 1)
+
+
+def test_enumerate_gamma_equals_census_block_rows():
+    """enumerate_gamma wraps exactly the census rows on t labels, for k <= 9 and t <= k + 2."""
+    for k in range(1, 10):
+        rows_by_t = {}
+        for t, rows, _ in census_blocks(k):
+            rows_by_t.setdefault(t, []).extend(tuple(r) for r in rows.tolist())
+        assert max(rows_by_t) <= k + 1
+        for t in range(1, k + 3):
+            assert [w.sequence for w in enumerate_gamma(k, t)] == rows_by_t.get(t, []), (k, t)
+        assert enumerate_gamma(k, k + 2) == []
+    for k, t in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="k >= 1 and t >= 1"):
+            enumerate_gamma(k, t)
+    with pytest.raises(ValueError, match="k >= 1"):
+        next(census_blocks(0))
 
 
 def test_enumerate_gamma_is_sorted_and_consistent():
@@ -428,6 +470,24 @@ def test_walk_sum_moment_exact_on_banded_rademacher():
     """Exact rational value of the float-level sum, 1.91685, to within 1e-14."""
     prof = VarianceProfile.banded(1, 0.25, 0.05)
     assert abs(walk_sum_moment(EntryLaw.rademacher(), prof, 4, 8) - 1.91685) <= 1e-14
+
+
+def test_walk_sum_moment_builds_each_census_block_once(monkeypatch):
+    """Oracle calls at n = 4, then n = 5, both at k = 8, share one census per (k, t)."""
+    built = []
+    build = walk_combinatorics._rgs_block
+
+    def counting(k, t):
+        built.append((k, t))
+        return build(k, t)
+
+    walk_combinatorics._oracle_classes.cache_clear()
+    monkeypatch.setattr(walk_combinatorics, "_rgs_block", counting)
+    prof = VarianceProfile.banded(1, 0.25, 0.05)
+    for n in (4, 5):
+        walk_sum_moment(EntryLaw.rademacher(), prof, n, 8)
+    walk_combinatorics._oracle_classes.cache_clear()
+    assert sorted(built) == [(8, t) for t in range(1, 6)]
 
 
 def test_walk_sum_moment_validation():
