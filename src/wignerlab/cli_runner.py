@@ -766,6 +766,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}; try smaller sizes or fewer threads", file=sys.stderr)
         return 3
+    except np.linalg.LinAlgError as exc:
+        print(f"error: eigensolver failed: {exc}", file=sys.stderr)
+        return 3
     names = ", ".join(name for name, _ in manifest.checksums)
     print(
         f"{config.command}: wrote {names} + manifest.json to {config.out_dir} "

@@ -48,6 +48,8 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
+# kinds drawn by one generator call per matrix; see EntryLaw.fills_with
+_ONE_FILL_KINDS = ("gaussian_real", "rademacher_scaled", "uniform_bounded", "gaussian_complex")
 
 
 def _phi(t: float) -> float:
@@ -235,18 +237,51 @@ class EntryLaw:
         return float(math.factorial(fwd)) if fwd == bwd else 0.0
 
     # -- sampling ------------------------------------------------------------
+    def fills_with(self, diagonal: "EntryLaw") -> bool:
+        """Whether ``sample`` draws a matrix under this law and ``diagonal`` in one call.
+
+        True for the four kinds whose draws are one base draw each (two
+        standard normals per complex entry) when the diagonal draws that same
+        base or nothing.  Philox fills compose, so the per-row stream is then
+        exactly one fill.  pareto_symmetric interleaves 64-bit uniforms with
+        32-bit signs, whose spare half word Philox carries across calls, and
+        a mixed diagonal interleaves two kinds; both keep per-row draws.
+        """
+        if self.kind not in _ONE_FILL_KINDS:
+            return False
+        base = "gaussian_real" if self.is_complex else self.kind
+        return diagonal.kind in (base, "constant_zero")
+
+    def _fill(self, rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``count`` base draws of a one-fill kind from one generator call, in ``out[:count]``.
+
+        Normals are drawn straight into ``out``.  ``Generator.integers`` and
+        ``Generator.uniform`` take no ``out``, so rademacher signs and uniform
+        draws pass through one temporary of ``count`` 8-byte values.
+        """
+        dest = np.empty(count) if out is None else out[:count]
+        if self.kind == "rademacher_scaled":
+            np.multiply(rng.integers(0, 2, count), 2.0, out=dest)
+            dest -= 1.0
+        elif self.kind == "uniform_bounded":
+            dest[...] = rng.uniform(-_SQRT3, _SQRT3, count)
+        else:
+            rng.standard_normal(count, out=dest)
+        return dest
+
+    def _entries(self, base: np.ndarray) -> np.ndarray:
+        """Standard draws from base draws; a complex block is all real parts, then all imaginary parts."""
+        if not self.is_complex:
+            return base
+        m = base.size // 2
+        return (base[:m] + 1j * base[m:]) / math.sqrt(2.0)
+
     def standard_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         k = self.kind
         if k == "constant_zero":
             return np.zeros(size)
-        if k == "rademacher_scaled":
-            return rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
-        if k == "gaussian_real":
-            return rng.standard_normal(size)
-        if k == "gaussian_complex":
-            return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-        if k == "uniform_bounded":
-            return rng.uniform(-_SQRT3, _SQRT3, size)
+        if k in _ONE_FILL_KINDS:
+            return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
         t = self.scale * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
         sign = rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
         x = sign * t
@@ -367,10 +402,21 @@ class VarianceProfile:
         r = np.arange(n)
         return self.levels[self._level_of(r[:, None], r[None, :])]
 
+    def _row_tails(self, values: np.ndarray, n: int):
+        """i -> ``values[level of (i, j)]`` for j = i..n-1, one entry of ``values`` per level.
+
+        Uniform and banded levels depend only on j - i, so every row's tail
+        is a prefix view of one table; explicit profiles gather row i.
+        """
+        self.check_dimension(n)
+        if self.kind == "explicit":
+            return lambda i: values[self._index[i, i:]]
+        by_offset = values[self._level_of(0, np.arange(n))]
+        return lambda i: by_offset[: n - i]
+
     def row_tail(self, i: int, n: int) -> np.ndarray:
         """Profile values sigma^2_ij for j = i..n-1."""
-        self.check_dimension(n)
-        return self.levels[self._level_of(i, np.arange(i, n))]
+        return self._row_tails(self.levels, n)(i)
 
     def row_sums(self, n: int) -> np.ndarray:
         return self._row_sums_of(lambda v: v, n)
@@ -422,22 +468,54 @@ class EnsembleSpec:
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     """One matrix draw; upper triangle independent, lower mirrored by conjugation.
 
-    Per row i the stream is consumed in a fixed order (diagonal draw, then
-    the off-diagonal tail), so a given generator state always yields the
-    same matrix.
+    Stream layout: the upper triangle row by row, i = 0..n-1.  Row i takes
+    its diagonal draw (none for a constant_zero diagonal), then its n-i-1
+    entries j > i in column order; a complex row takes all real parts of
+    that tail, then all imaginary parts.  A given generator state therefore
+    always yields the same matrix.
+
+    When ``law.fills_with(diagonal law)`` holds (gaussian_real,
+    gaussian_complex, rademacher_scaled and uniform_bounded, with the same
+    base law or constant_zero on the diagonal), that whole stream is one
+    generator call; otherwise each row makes its own calls.  Both consume
+    the stream in the layout above and give the same bytes.  Normals are
+    drawn into the matrix's own buffer; rademacher and uniform fills pass
+    through one temporary of n(n+1)/2 values (8 bytes each).
     """
-    n, prof = spec.n, spec.profile
-    law, dlaw = spec.law, spec.effective_diagonal_law
-    sd_levels, cols = np.sqrt(prof.levels), np.arange(n)
+    n, law, dlaw = spec.n, spec.law, spec.effective_diagonal_law
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
-    for i in range(n):
-        sd = sd_levels[prof._level_of(i, cols[i:])]  # row_tail(i, n), square-rooted
-        w[i, i] = float(np.real(dlaw.standard_sample(rng, 1)[0])) * sd[0]
-        if i + 1 < n:
-            off = law.standard_sample(rng, n - i - 1) * sd[1:]
-            w[i, i + 1 :] = off
-            w[i + 1 :, i] = np.conj(off)
+    sd_tail = spec.profile._row_tails(np.sqrt(spec.profile.levels), n)
+    rows = _filled_rows(law, dlaw, rng, w) if law.fills_with(dlaw) else _drawn_rows(law, dlaw, rng, n)
+    for i, diag, tail in rows:
+        sd = sd_tail(i)
+        np.multiply(tail, sd[1:], out=w[i, i + 1 :])
+        w[i, i] = diag * sd[0]
+        np.conjugate(w[i, i + 1 :], out=w[i + 1 :, i])
     return HermitianMatrix._trusted(w)
+
+
+def _drawn_rows(law: EntryLaw, dlaw: EntryLaw, rng: np.random.Generator, n: int):
+    """(i, diagonal draw, standard tail) for rows 0..n-1, each row drawn by its own calls."""
+    for i in range(n):
+        yield i, float(dlaw.standard_sample(rng, 1)[0]), law.standard_sample(rng, n - i - 1)
+
+
+def _filled_rows(law: EntryLaw, dlaw: EntryLaw, rng: np.random.Generator, w: np.ndarray):
+    """(i, diagonal draw, standard tail) for rows n-1..0, cut from one fill.
+
+    The fill is packed at the front of ``w``'s buffer (its float view when
+    complex).  Row i's packed draws start no later than the spot where row i
+    lands, and a row's writes reach only itself and the rows below it, so
+    walking bottom-up never overwrites a row that is still packed.
+    """
+    n = w.shape[0]
+    lead = 0 if dlaw.kind == "constant_zero" else 1  # base draws on the diagonal
+    width = 2 if law.is_complex else 1  # base draws per off-diagonal entry
+    base = law._fill(rng, lead * n + width * (n * (n - 1) // 2), w.reshape(-1).view(np.float64))
+    for i in range(n - 1, -1, -1):
+        start = lead * i + width * (i * (2 * n - i - 1) // 2)
+        diag = float(base[start]) if lead else 0.0
+        yield i, diag, law._entries(base[start + lead : start + lead + width * (n - i - 1)])
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:

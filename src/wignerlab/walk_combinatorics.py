@@ -82,6 +82,18 @@ class CanonicalWalk:
                 raise ValueError("labels must satisfy the restricted-growth condition")
             mx = max(mx, v)
 
+    @classmethod
+    def _trusted(cls, sequence: tuple[int, ...]) -> "CanonicalWalk":
+        """Wrap ``sequence`` without the restricted-growth re-check.
+
+        For in-package producers only, as ``HermitianMatrix._trusted``:
+        ``sequence`` must be a tuple of ints that is already a canonical walk,
+        as every row of ``_rgs_block`` is by construction.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "sequence", sequence)
+        return self
+
     @property
     def k(self) -> int:
         return len(self.sequence) - 1
@@ -223,7 +235,7 @@ def enumerate_gamma(k: int, t: int) -> list[CanonicalWalk]:
         raise ValueError("need k >= 1 and t >= 1")
     if t > k + 1:
         return []
-    return [CanonicalWalk(tuple(row)) for row in _rgs_block(k, t).tolist()]
+    return [CanonicalWalk._trusted(tuple(row)) for row in _rgs_block(k, t).tolist()]
 
 
 def enumerate_canonical_walks(k: int) -> list[CanonicalWalk]:

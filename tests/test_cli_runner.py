@@ -829,6 +829,19 @@ def test_main_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, exc):
     assert "Traceback" not in err
 
 
+def test_main_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """A LAPACK convergence failure inside a trial is an error line, not a traceback."""
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    assert main(["simulate", "--config", str(write_config(tmp_path))]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: eigensolver failed: Eigenvalues did not converge\n"
+    assert not (tmp_path / "results" / "manifest.json").exists()
+
+
 def test_run_reduce_builds_rescale_table_once_per_size(tmp_path, monkeypatch):
     """pipeline takes the table from the command instead of rebuilding it per trial."""
     from wignerlab import reductions
