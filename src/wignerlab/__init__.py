@@ -70,13 +70,11 @@ from .streams import derive_rng
 from .walk_combinatorics import (
     CanonicalWalk,
     DyckPath,
-    Tree,
     WalkClass,
     all_dyck_paths,
     classify,
     dyck_of,
     enumerate_canonical_walks,
     enumerate_gamma,
-    tree_product_sum,
     walk_sum_moment,
 )

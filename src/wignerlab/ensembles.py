@@ -163,8 +163,9 @@ class EntryLaw:
             # |X|^2 ~ Exp(1)
             return 1.0 - (t * t + 1.0) * math.exp(-t * t)
         if k == "uniform_bounded":
-            u = min(t, _SQRT3)
-            return u**3 / (3.0 * _SQRT3)
+            if t >= _SQRT3:
+                return 1.0
+            return t**3 / (3.0 * _SQRT3)
         # pareto
         if self.has_finite_variance:
             c = self._pareto_norm()
@@ -221,7 +222,7 @@ class EntryLaw:
         if k == "gaussian_real":
             return float(math.prod(range(m - 1, 0, -2)))  # (m-1)!!
         if k == "uniform_bounded":
-            return _SQRT3**m / (m + 1)
+            return 3 ** (m // 2) / (m + 1)  # sqrt(3)^m / (m + 1), one rounding
         if not self.has_moments_to(m):
             raise ValueError(f"pareto_symmetric(alpha={self.alpha}) lacks moments of order {m}")
         raw = self.alpha * self.scale**m / (self.alpha - m)  # E[T^m]

@@ -4,28 +4,25 @@
 into isomorphism classes represented by canonical walks (first-appearance
 relabelings, a restricted-growth condition).  Without its closing 1 a
 canonical walk of length k is a restricted-growth string of k items, so the
-census is the partition lattice of k items, counted by Bell numbers; it also
-supplies the vertex partitions of the tree sums.  The census is built as one
-int8 array per (k, t), a row per walk and no object per walk; the CLI and the
-exact oracle read these blocks, and ``enumerate_gamma`` wraps their rows in
-``CanonicalWalk`` for per-walk callers.  Every walk is read through one
-crossing table, how often it steps a -> b.  Classes split into those with an
-edge traversed exactly once (expectation zero for centered entries), double
-trees (each edge exactly twice, t = k/2 + 1 vertices, counted by Catalan
-numbers via a height bijection with Dyck paths), and the rest (vanishing
-weight in the limit).  ``classify`` is the per-walk reference rule; the census
-classifies a whole block at once from sorted crossing codes, and a test ties
-that block rule to ``classify`` on every walk up to k = 10.  Tree-product
-sums evaluate the variance weight of a tree class exactly, including the
-injectivity correction: Moebius inversion over the vertex partitions, each
-quotient one einsum contraction of profile tables.
+census is the partition lattice of k items, counted by Bell numbers.  The
+census is built as one int8 array per (k, t), a row per walk and no object
+per walk; the CLI and the exact oracle read these blocks, and
+``enumerate_gamma`` wraps their rows in ``CanonicalWalk`` for per-walk
+callers.  Every walk is read through one crossing table, how often it steps
+a -> b.  Classes split into those with an edge traversed exactly once
+(expectation zero for centered entries), double trees (each edge exactly
+twice, t = k/2 + 1 vertices, counted by Catalan numbers via a height
+bijection with Dyck paths), and the rest (vanishing weight in the limit).
+``classify`` is the per-walk reference rule; the census classifies a whole
+block at once from sorted crossing codes, and a test ties that block rule to
+``classify`` on every walk up to k = 10.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -38,16 +35,13 @@ __all__ = [
     "CanonicalWalk",
     "WalkClass",
     "DyckPath",
-    "Tree",
     "enumerate_gamma",
     "enumerate_canonical_walks",
     "census_blocks",
     "classify",
     "dyck_of",
     "all_dyck_paths",
-    "tree_product_sum",
     "walk_sum_moment",
-    "class_walk_sum",
 ]
 
 # run-time policy caps for the exact trace-moment oracle (cost: see walk_sum_moment)
@@ -106,26 +100,6 @@ class CanonicalWalk:
 def _crossings(seq: Sequence[int]) -> Counter:
     """The crossing table of a walk: how often it steps a -> b."""
     return Counter(zip(seq, seq[1:]))
-
-
-def _distances(vertices, edges, root: int) -> dict[int, int]:
-    """Edge-count distance from root to every vertex it reaches (BFS).
-
-    The graph is connected exactly when every vertex is reached.
-    """
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
 
 
 class WalkClass(Enum):
@@ -312,129 +286,17 @@ def all_dyck_paths(k: int) -> list[DyckPath]:
     return out
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Undirected tree given by vertices and edges; no loops, connected."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        verts = tuple(sorted(set(int(v) for v in self.vertices)))
-        edges = tuple(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in self.edges
-        )
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
-        if not verts:
-            raise ValueError("tree needs at least one vertex")
-        if any(a == b for a, b in edges):
-            raise ValueError("tree has a loop")
-        for a, b in edges:
-            if a not in verts or b not in verts:
-                raise ValueError("edge endpoint outside the vertex set")
-        if len(edges) != len(verts) - 1:
-            raise ValueError("not a tree: |E| must equal |V| - 1")
-        if len(_distances(verts, edges, verts[0])) != len(verts):
-            raise ValueError("not a tree: graph is disconnected")
-
-    @classmethod
-    def from_walk(cls, walk: CanonicalWalk) -> "Tree":
-        """The walk's skeleton; a ValueError unless that skeleton is a tree."""
-        seq = walk.sequence
-        return cls(set(seq), sorted({(min(a, b), max(a, b)) for a, b in _crossings(seq)}))
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-
-def _partition_moebius(block_of: Sequence[int]) -> int:
-    """mu(0, pi) on the partition lattice: prod over blocks of (-1)^(b-1) (b-1)!."""
-    return math.prod(
-        (-1) ** (b - 1) * math.factorial(b - 1) for b in Counter(block_of).values()
-    )
-
-
-def _hom_sum(
-    block_edges: list[tuple[int, int]],
-    n_blocks: int,
-    p: np.ndarray,
-    clamp: dict[int, int],
-) -> float:
-    """Sum over all (not necessarily injective) block labelings of the edge product.
-
-    One einsum contraction: each edge contributes the profile table with its
-    blocks as subscripts (a loop is the subscript pair [a, a], its diagonal),
-    a clamped block indexes the table instead, and a free block that no edge
-    touches is a free choice among the n labels.
-    """
-    n = p.shape[0]
-    operands = []
-    for edge in block_edges:
-        operands.append(p[tuple(clamp.get(v, slice(None)) for v in edge)])
-        operands.append([v for v in edge if v not in clamp])
-    touched = {v for edge in block_edges for v in edge}
-    untouched = sum(1 for v in range(n_blocks) if v not in clamp and v not in touched)
-    contracted = np.einsum(*operands, [], optimize="greedy") if operands else 1.0
-    return float(n) ** untouched * float(contracted)
-
-
-def tree_product_sum(
-    tree: Tree,
-    profile: VarianceProfile,
-    n: int,
-    pin: tuple[int, int] | None = None,
-) -> float:
-    """Sum over injections F: V(tree) -> {0..n-1} of prod_edges sigma^2_{F(u)F(v)}.
-
-    ``pin=(vertex, index)`` restricts to injections with F(vertex) = index.
-    Uniform profiles use the falling-factorial closed form; otherwise the
-    injectivity constraint is unwound by Moebius inversion on the partition
-    lattice of the vertex set, with each quotient evaluated by one einsum
-    contraction.  Partitions that merge adjacent vertices create loops whose
-    weight is the diagonal of the profile.
-    """
-    t = len(tree.vertices)
-    if n < 1:
-        raise ValueError("n must be positive")
-    if t > n:
-        return 0.0
-    if pin is not None:
-        pv, pi = pin
-        if pv not in tree.vertices:
-            raise ValueError("pinned vertex is not in the tree")
-        if not 0 <= pi < n:
-            raise ValueError("pinned index out of range")
-    if profile.kind == "uniform":
-        weight = profile.v ** tree.m
-        if pin is None:
-            return weight * math.perm(n, t)
-        return weight * math.perm(n - 1, t - 1)
-    p = profile.matrix(n)
-    index_of = {v: i for i, v in enumerate(tree.vertices)}
-    edges = [(index_of[a], index_of[b]) for a, b in tree.edges]
-    total = 0.0
-    # the canonical walks of length t are the set partitions of the t vertices
-    for walk in enumerate_canonical_walks(t):
-        block_of = [c - 1 for c in walk.sequence[:-1]]
-        clamp = {} if pin is None else {block_of[index_of[pin[0]]]: pin[1]}
-        qedges = [(block_of[a], block_of[b]) for a, b in edges]
-        total += _partition_moebius(block_of) * _hom_sum(qedges, walk.t, p, clamp)
-    return total
-
-
 @functools.lru_cache(maxsize=ORACLE_MAX_K * ORACLE_MAX_N)
-def _oracle_classes(k: int, t: int) -> tuple[CanonicalWalk, ...]:
+def _oracle_classes(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     """The classes of length k on t labels that can weigh non-zero: all but single_edge.
 
-    Cached for the process: ``walk_sum_moment`` needs the same classes at
-    every n, and its caps bound the cache to k <= ORACLE_MAX_K and
-    t <= ORACLE_MAX_N.
+    Plain int rows of the census block, canonical by construction.  Cached
+    for the process: ``walk_sum_moment`` needs the same classes at every n,
+    and its caps bound the cache to k <= ORACLE_MAX_K and t <= ORACLE_MAX_N.
     """
     rows = _rgs_block(k, t)
     keep = _classify_block(rows, t) != _CLASS_CODE[WalkClass.SINGLE_EDGE]
-    return tuple(CanonicalWalk(tuple(row)) for row in rows[keep].tolist())
+    return tuple(map(tuple, rows[keep].tolist()))
 
 
 def walk_sum_moment(
@@ -457,36 +319,24 @@ def walk_sum_moment(
     sig = profile.matrix(n)
     dlaw = diagonal_law_for(law, diagonal_law)
     return math.fsum(
-        _class_sum(walk, law, dlaw, sig)
+        _class_sum(seq, t, law, dlaw, sig)
         for t in range(1, n + 1)
-        for walk in _oracle_classes(k, t)
+        for seq in _oracle_classes(k, t)
     ) / n
 
 
-def class_walk_sum(
-    walk: CanonicalWalk,
-    law: EntryLaw,
-    profile: VarianceProfile,
-    n: int,
-    diagonal_law: EntryLaw | None = None,
-) -> float:
-    """Sum of E[prod w] over all walks in {0..n-1} isomorphic to the class.
+def _class_sum(seq: Sequence[int], t: int, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarray) -> float:
+    """Sum of E[prod w] over all walks in {0..n-1} isomorphic to the canonical walk ``seq``.
 
-    Members of the class are exactly the injective relabelings of the
-    canonical walk, so this is the walk-class weight in the trace expansion,
-    its terms summed by ``math.fsum``.  Per unordered pair a <= b the
-    crossing table gives f steps a -> b and r steps b -> a (r = 0 for a
-    loop).  The law's (direction-aware, for complex laws) mixed moment of
-    (f, r) does not depend on the labels, so it is read once; each
-    relabeling only looks up the profile scales.  ``diagonal_law`` overrides
-    the diagonal entries' law as in ``EnsembleSpec``.
+    Members of the class are exactly the injective relabelings of the t
+    labels, so this is the walk-class weight in the trace expansion, its terms
+    summed by ``math.fsum``.  Per unordered pair a <= b the crossing table
+    gives f steps a -> b and r steps b -> a (r = 0 for a loop).  The law's
+    (direction-aware, for complex laws) mixed moment of (f, r), ``dlaw``'s on
+    the diagonal, does not depend on the labels, so it is read once; each
+    relabeling only looks up the n x n profile table ``sig``.
     """
-    return _class_sum(walk, law, diagonal_law_for(law, diagonal_law), profile.matrix(n))
-
-
-def _class_sum(walk: CanonicalWalk, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarray) -> float:
-    """``class_walk_sum`` with the diagonal law resolved and the n x n profile table built."""
-    steps = _crossings([c - 1 for c in walk.sequence])
+    steps = _crossings([c - 1 for c in seq])
     factors = []
     for a, b in {(min(e), max(e)) for e in steps}:
         f, r = steps[a, b], (steps[b, a] if a != b else 0)
@@ -503,4 +353,4 @@ def _class_sum(walk: CanonicalWalk, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarr
             out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
         return out
 
-    return math.fsum(expectation(image) for image in itertools.permutations(range(len(sig)), walk.t))
+    return math.fsum(expectation(image) for image in itertools.permutations(range(len(sig)), t))

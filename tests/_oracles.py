@@ -2,14 +2,13 @@
 
 Every oracle recomputes its quantity by a different route than the library:
 characteristic-polynomial roots instead of the symmetric eigensolver,
-brute-force feasibility scans instead of bisection, direct injection
-enumeration instead of Moebius inversion, exhaustive sign assignments
-instead of moment bookkeeping, all n^k index walks instead of walk classes,
-a BFS tree test instead of the vertex-count argument, first-appearance
-relabelling instead of restricted-growth enumeration, sampled tail
-contributions instead of closed-form truncated moments, the Harer-Zagier
-recursion instead of walk classes, and raw per-row generator calls instead
-of the one-fill sampler.
+brute-force feasibility scans instead of bisection, exhaustive sign
+assignments instead of moment bookkeeping, all n^k index walks instead of
+walk classes, an edge-count tree test instead of the vertex-count argument,
+first-appearance relabelling instead of restricted-growth enumeration,
+sampled tail contributions instead of closed-form truncated moments, the
+Harer-Zagier recursion instead of walk classes, and raw per-row generator
+calls instead of the one-fill sampler.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from wignerlab.ensembles import EntryLaw, VarianceProfile, diagonal_law_for
-from wignerlab.walk_combinatorics import Tree, WalkClass
+from wignerlab.walk_combinatorics import WalkClass
 
 
 def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -100,22 +99,6 @@ def step_kolmogorov_gap(eigenvalues: np.ndarray, g) -> float:
     return float(max(np.abs(at - gx).max(), np.abs(before - gx).max()))
 
 
-def direct_tree_sum(tree, profile: VarianceProfile, n: int, pin=None) -> float:
-    """Sum over injections of the edge product, by explicit enumeration."""
-    sig = profile.matrix(n)
-    verts = tree.vertices
-    total = 0.0
-    for image in itertools.permutations(range(n), len(verts)):
-        assign = dict(zip(verts, image))
-        if pin is not None and assign[pin[0]] != pin[1]:
-            continue
-        prod = 1.0
-        for a, b in tree.edges:
-            prod *= sig[assign[a], assign[b]]
-        total += prod
-    return total
-
-
 def first_appearance_relabelling(walk) -> tuple[int, ...]:
     """Relabel a closed walk's vertices 1, 2, ... in order of first appearance.
 
@@ -127,13 +110,14 @@ def first_appearance_relabelling(walk) -> tuple[int, ...]:
 
 
 def graph_classify(walk) -> WalkClass:
-    """Walk class from the walk's multigraph, with double trees found by BFS.
+    """Walk class from the walk's multigraph, with double trees found by an edge count.
 
     Counts undirected multiplicities and directed crossings step by step.  A
-    double tree is a walk whose skeleton is accepted by ``Tree``, which
-    checks loops, the edge count and connectivity by BFS, and that crosses
-    every edge exactly once in each direction; t = k/2 + 1 is never
-    consulted.
+    double tree is a walk whose skeleton is a tree, crossing every edge
+    exactly once in each direction; t = k/2 + 1 is never consulted.  The
+    skeleton of a closed walk is connected, since the walk itself joins every
+    vertex it visits, so it is a tree exactly when it has no loop and
+    |E| = |V| - 1; no BFS is needed.
     """
     seq = walk.sequence
     mult: dict[tuple[int, int], int] = {}
@@ -144,9 +128,7 @@ def graph_classify(walk) -> WalkClass:
         directed[a, b] = directed.get((a, b), 0) + 1
     if 1 in mult.values():
         return WalkClass.SINGLE_EDGE
-    try:
-        Tree(tuple(set(seq)), tuple(mult))
-    except ValueError:
+    if any(a == b for a, b in mult) or len(mult) != len(set(seq)) - 1:
         return WalkClass.MULTI_OTHER
     once_each_way = all(directed.get((a, b)) == directed.get((b, a)) == 1 for a, b in mult)
     return WalkClass.DOUBLE_TREE if once_each_way else WalkClass.MULTI_OTHER

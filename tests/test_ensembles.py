@@ -111,8 +111,9 @@ def test_moment_closed_forms():
     assert g.moment(6) == 15.0
     assert g.moment(8) == 105.0
     u = EntryLaw.uniform_bounded()
-    for m in (2, 4, 6):
-        assert u.moment(m) == pytest.approx(3.0 ** (m // 2) / (m + 1), rel=1e-14)
+    for m in range(2, 13, 2):
+        # sqrt(3)^m / (m + 1) is the rational 3^(m/2) / (m + 1), rounded once
+        assert u.moment(m) == 3 ** (m // 2) / (m + 1), m
     r = EntryLaw.rademacher()
     assert r.moment(2) == 1.0 and r.moment(10) == 1.0
     for law in FINITE_REAL_LAWS:
@@ -166,7 +167,8 @@ def test_truncated_moment_closed_forms():
         assert g.m2_below(t) == pytest.approx(expect, rel=1e-14)
         assert g.m2_below(t) + g.m2_tail(t) == pytest.approx(1.0, abs=1e-15)
     u = EntryLaw.uniform_bounded()
-    assert u.m2_below(math.sqrt(3.0)) == pytest.approx(1.0, rel=1e-14)
+    assert u.m2_below(math.sqrt(3.0)) == u.m2_below(2.0) == 1.0
+    assert u.m2_tail(math.sqrt(3.0)) == 0.0
     assert u.m2_below(1.0) == pytest.approx(1.0 / (3.0 * math.sqrt(3.0)), rel=1e-14)
     r = EntryLaw.rademacher()
     assert r.m2_below(0.999) == 0.0
@@ -612,6 +614,13 @@ def test_condition_sums_unit_profile_is_exact():
     assert tight.row_excess_stat == pytest.approx(64 * 0.5, rel=1e-14)
 
 
+def test_condition_sums_uniform_bounded_lindeberg_vanishes_above_entry_bound():
+    """|w| <= sqrt(3/64) < 0.25 at n = 64, so no entry has a tail above eps >= 0.25."""
+    spec = wigner_unit_spec(64, EntryLaw.uniform_bounded())
+    report = condition_sums(spec, C=1.0, epsilons=(0.25, 0.5, 1.0))
+    assert [s for _, s in report.lindeberg] == [0.0, 0.0, 0.0]
+
+
 def test_condition_sums_rademacher_lindeberg_is_binary():
     """Entries have |w| = 1/sqrt(n) exactly: the tail sum is all-or-nothing."""
     n = 16
@@ -711,6 +720,12 @@ def test_gaussian_row_check_unit_gaussian():
         assert tail_sum <= 1e-10
     assert gauss.truncated_mean_sum == 0.0
     assert gauss.truncated_variance_sum == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gaussian_row_check_uniform_bounded_truncated_variance_is_one():
+    """Truncation at 1 keeps every entry of |w| <= sqrt(3/64): the row variance, exactly 1."""
+    report = gaussian_row_check(wigner_unit_spec(64, EntryLaw.uniform_bounded()), epsilons=(0.5,))
+    assert report.gauss_conditions.truncated_variance_sum == 1.0
 
 
 def test_gaussian_row_check_tail_condition_closed_form():

@@ -1,9 +1,10 @@
-"""Canonical closed walks, their census, the Dyck bijection, tree sums.
+"""Canonical closed walks, their census, the Dyck bijection, the moment oracle.
 
 Independent oracles: a brute-force canonicalization of every closed walk on
 a small alphabet, the falling-factorial census identity
-sum_t |Gamma(k,t)| (v)_t = v^k, permutation-enumerated tree sums, and an
-exhaustive sign-assignment trace moment.
+sum_t |Gamma(k,t)| (v)_t = v^k, an edge-count graph classifier, all n^k
+index walks, the Harer-Zagier recursion, and an exhaustive sign-assignment
+trace moment.
 """
 from __future__ import annotations
 
@@ -21,22 +22,18 @@ from wignerlab.walk_combinatorics import (
     ORACLE_MAX_N,
     CanonicalWalk,
     DyckPath,
-    Tree,
     WalkClass,
     all_dyck_paths,
     census_blocks,
-    class_walk_sum,
     classify,
     dyck_of,
     enumerate_canonical_walks,
     enumerate_gamma,
-    tree_product_sum,
     walk_sum_moment,
 )
 
 from _oracles import (
     brute_walk_sum_moment,
-    direct_tree_sum,
     exhaustive_rademacher_moment,
     first_appearance_relabelling,
     graph_classify,
@@ -56,12 +53,6 @@ def _falling(v: int, t: int) -> int:
     for j in range(t):
         out *= v - j
     return out
-
-
-def _random_tree(rng, t: int) -> Tree:
-    """Uniform-ish random tree on vertices 1..t: attach each to an earlier one."""
-    edges = [(int(rng.integers(1, v)), v) for v in range(2, t + 1)]
-    return Tree(tuple(range(1, t + 1)), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -289,141 +280,6 @@ def test_double_tree_count_length_twelve():
 
 
 # ---------------------------------------------------------------------------
-# trees and tree-product sums
-# ---------------------------------------------------------------------------
-
-
-def test_tree_validation():
-    with pytest.raises(ValueError, match="has a loop"):
-        Tree((1, 2), ((1, 1),))
-    with pytest.raises(ValueError, match=r"\|E\| must equal \|V\| - 1"):
-        Tree((1, 2, 3), ((1, 2), (2, 3), (1, 3)))
-    with pytest.raises(ValueError, match="disconnected"):
-        Tree((1, 2, 3, 4), ((1, 2), (3, 4), (1, 2)))
-    with pytest.raises(ValueError, match="endpoint outside"):
-        Tree((1, 2), ((1, 3),))
-    with pytest.raises(ValueError, match="at least one vertex"):
-        Tree((), ())
-
-
-def test_tree_from_walk():
-    t = Tree.from_walk(CanonicalWalk((1, 2, 1, 3, 1)))
-    assert t.vertices == (1, 2, 3)
-    assert t.edges == ((1, 2), (1, 3))
-    assert t.m == 2
-    for not_a_tree in ((1, 2, 3, 1), (1, 1), (1, 2, 2, 1)):
-        with pytest.raises(ValueError, match="not a tree|loop"):
-            Tree.from_walk(CanonicalWalk(not_a_tree))
-
-
-def test_tree_product_sum_uniform_closed_forms():
-    single = Tree((1,), ())
-    assert tree_product_sum(single, VarianceProfile.uniform(0.3), 7) == pytest.approx(7.0)
-    assert tree_product_sum(single, VarianceProfile.uniform(0.3), 7, pin=(1, 2)) == pytest.approx(1.0)
-    pair = Tree((1, 2), ((1, 2),))
-    n = 10
-    prof = VarianceProfile.uniform(1.0 / n)
-    assert tree_product_sum(pair, prof, n) == pytest.approx(n - 1)
-    assert tree_product_sum(pair, prof, n, pin=(1, 0)) == pytest.approx((n - 1) / n)
-
-
-def test_tree_product_sum_validation():
-    pair = Tree((1, 2), ((1, 2),))
-    prof = VarianceProfile.uniform(1.0)
-    with pytest.raises(ValueError, match="n must be positive"):
-        tree_product_sum(pair, prof, 0)
-    with pytest.raises(ValueError, match="pinned vertex"):
-        tree_product_sum(pair, prof, 4, pin=(9, 0))
-    with pytest.raises(ValueError, match="pinned index"):
-        tree_product_sum(pair, prof, 4, pin=(1, 4))
-    # more vertices than available indices: no injections exist
-    assert tree_product_sum(Tree((1, 2, 3), ((1, 2), (1, 3))), prof, 2) == 0.0
-
-
-def test_tree_product_sum_matches_direct_enumeration(rng):
-    """General-profile path vs brute-force enumeration of injections."""
-    for _ in range(12):
-        t = int(rng.integers(1, 5))
-        tree = _random_tree(rng, t) if t > 1 else Tree((1,), ())
-        n = int(rng.integers(t, 8))
-        a = rng.uniform(0.0, 2.0, (n, n))
-        profile = VarianceProfile.explicit((a + a.T) / 2.0)
-        expect = direct_tree_sum(tree, profile, n)
-        assert tree_product_sum(tree, profile, n) == pytest.approx(expect, rel=1e-9, abs=1e-12)
-        pin = (int(tree.vertices[rng.integers(0, t)]), int(rng.integers(0, n)))
-        expect_pin = direct_tree_sum(tree, profile, n, pin=pin)
-        assert tree_product_sum(tree, profile, n, pin=pin) == pytest.approx(
-            expect_pin, rel=1e-9, abs=1e-12
-        )
-    # t = 6 (203 vertex partitions): a path, a star and a caterpillar
-    n = 7
-    a = rng.uniform(0.0, 2.0, (n, n))
-    profiles = (VarianceProfile.explicit((a + a.T) / 2.0), VarianceProfile.banded(1, 0.5, 0.1))
-    for edges in (
-        ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)),
-        ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6)),
-        ((1, 2), (2, 3), (3, 4), (2, 5), (3, 6)),
-    ):
-        tree = Tree(tuple(range(1, 7)), edges)
-        for profile in profiles:
-            for pin in (None, (1, 0), (6, 4)):
-                expect = direct_tree_sum(tree, profile, n, pin=pin)
-                assert tree_product_sum(tree, profile, n, pin=pin) == pytest.approx(
-                    expect, rel=1e-9, abs=1e-12
-                ), (edges, profile.kind, pin)
-
-
-def test_tree_product_sum_banded_profile(rng):
-    tree = Tree((1, 2, 3), ((1, 2), (2, 3)))
-    profile = VarianceProfile.banded(1, 0.5, 0.1)
-    n = 6
-    expect = direct_tree_sum(tree, profile, n)
-    assert tree_product_sum(tree, profile, n) == pytest.approx(expect, rel=1e-9)
-
-
-def test_tree_product_sum_uniform_fast_path_agrees_with_general():
-    """An explicit constant profile must reproduce the falling-factorial form."""
-    tree = Tree((1, 2, 3, 4), ((1, 2), (1, 3), (3, 4)))
-    n, v = 7, 0.35
-    uni = tree_product_sum(tree, VarianceProfile.uniform(v), n)
-    expl = tree_product_sum(tree, VarianceProfile.explicit(np.full((n, n), v)), n)
-    assert expl == pytest.approx(uni, rel=1e-9)
-    uni_pin = tree_product_sum(tree, VarianceProfile.uniform(v), n, pin=(3, 5))
-    expl_pin = tree_product_sum(
-        tree, VarianceProfile.explicit(np.full((n, n), v)), n, pin=(3, 5)
-    )
-    assert expl_pin == pytest.approx(uni_pin, rel=1e-9)
-
-
-def test_pinned_tree_sum_bounded_by_row_bound_power(rng):
-    """Row sums <= C force every pinned tree sum below C^m."""
-    C = 1.0
-    for _ in range(10):
-        t = int(rng.integers(2, 6))
-        tree = _random_tree(rng, t)
-        n = int(rng.integers(8, 64))
-        a = rng.uniform(0.0, 1.0, (n, n))
-        sig = (a + a.T) / 2.0
-        scale = sig.sum(axis=1).max()
-        sig *= C / scale  # every row sum now at most C
-        profile = VarianceProfile.explicit(sig)
-        for idx in (0, n // 2, n - 1):
-            val = tree_product_sum(tree, profile, n, pin=(1, idx))
-            assert val <= C**tree.m + 1e-12
-
-
-def test_unpinned_tree_sum_approaches_unit_weight(rng):
-    """Uniform 1/n profile: the tree sum over n is 1 + O(m^2/n)."""
-    n = 2048
-    prof = VarianceProfile.uniform(1.0 / n)
-    for t in (2, 3, 4, 5, 6):
-        tree = _random_tree(rng, t)
-        m = tree.m
-        val = tree_product_sum(tree, prof, n) / n
-        assert abs(val - 1.0) <= m * (m + 1) / (2 * n) + 1e-12
-
-
-# ---------------------------------------------------------------------------
 # the exact trace-moment oracle
 # ---------------------------------------------------------------------------
 
@@ -465,11 +321,17 @@ def test_harer_zagier_oracle_small_values():
 def test_walk_sum_moment_small_exact_values():
     one = VarianceProfile.uniform(1.0)
     assert walk_sum_moment(EntryLaw.rademacher(), one, 1, 2) == pytest.approx(1.0)
-    # unit ensembles have (1/n) E tr W^2 = 1 exactly at every size
-    for n in (2, 3, 4):
+    # unit ensembles have (1/n) E tr W^2 = 1 exactly at every size, bit for bit
+    laws = (
+        EntryLaw.gaussian_real(),
+        EntryLaw.rademacher(),
+        EntryLaw.gaussian_complex(),
+        EntryLaw.uniform_bounded(),
+    )
+    for n in range(1, 7):
         prof = VarianceProfile.uniform(1.0 / n)
-        for law in (EntryLaw.gaussian_real(), EntryLaw.rademacher(), EntryLaw.gaussian_complex()):
-            assert walk_sum_moment(law, prof, n, 2) == pytest.approx(1.0, rel=1e-12)
+        for law in laws:
+            assert walk_sum_moment(law, prof, n, 2) == 1.0, (law.kind, n)
     # odd moments vanish for symmetric laws
     assert walk_sum_moment(EntryLaw.gaussian_real(), one, 3, 3) == 0.0
     # a zero diagonal leaves only off-diagonal walks: 30/9 summed, 10/9 per row
@@ -556,51 +418,3 @@ def test_walk_sum_moment_matches_monte_carlo(rng):
             exact = walk_sum_moment(law, prof, n, k)
             mean, se = mc[k]
             assert abs(exact - mean) <= 4.0 * se, (law.kind, k)
-
-
-# ---------------------------------------------------------------------------
-# class weights
-# ---------------------------------------------------------------------------
-
-
-def test_class_walk_sum_single_edge_is_zero():
-    prof = VarianceProfile.uniform(0.5)
-    walk = CanonicalWalk((1, 2, 3, 1))
-    for law in (EntryLaw.gaussian_real(), EntryLaw.rademacher()):
-        assert class_walk_sum(walk, law, prof, 4) == 0.0
-
-
-def test_class_walk_sum_pair_class_closed_form():
-    # (1,2,1) over n labels: n(n-1) ordered pairs, each contributing sigma^2
-    prof = VarianceProfile.uniform(0.2)
-    val = class_walk_sum(CanonicalWalk((1, 2, 1)), EntryLaw.gaussian_real(), prof, 5)
-    assert val == pytest.approx(5 * 4 * 0.2, rel=1e-12)
-
-
-def test_class_decomposition_recovers_trace_moment():
-    """Summing every class weight reproduces the brute-force n^k walk sum."""
-    laws = (EntryLaw.gaussian_real(), EntryLaw.rademacher(), EntryLaw.gaussian_complex())
-    for law in laws:
-        for diag in (None, EntryLaw.constant_zero()):
-            for n, k in ((3, 4), (4, 4), (3, 6)):
-                prof = VarianceProfile.uniform(1.0 / n)
-                total = sum(
-                    class_walk_sum(w, law, prof, n, diag) for w in enumerate_canonical_walks(k)
-                )
-                assert total / n == pytest.approx(
-                    brute_walk_sum_moment(law, prof, n, k, diag), rel=1e-10, abs=1e-12
-                )
-
-
-def test_double_tree_class_weight_is_tree_product_sum(rng):
-    """For doubled trees the class weight is exactly the injective tree sum."""
-    n = 5
-    a = rng.uniform(0.1, 1.0, (n, n))
-    profile = VarianceProfile.explicit((a + a.T) / 2.0)
-    doubles = [w for w in enumerate_canonical_walks(6) if classify(w) is WalkClass.DOUBLE_TREE]
-    assert len(doubles) == 5
-    for law in (EntryLaw.gaussian_real(), EntryLaw.gaussian_complex()):
-        for w in doubles:
-            tree = Tree.from_walk(w)
-            expect = tree_product_sum(tree, profile, n)
-            assert class_walk_sum(w, law, profile, n) == pytest.approx(expect, rel=1e-9)
