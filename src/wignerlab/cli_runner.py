@@ -49,7 +49,7 @@ from .spectral_measures import (
     semicircle_moment,
 )
 from .stieltjes import invert_on_grid, semicircle_stieltjes, stieltjes_atomic
-from .streams import parallel_map
+from .streams import STREAM_LAYOUT, parallel_map
 from .walk_combinatorics import (
     ORACLE_MAX_K,
     ORACLE_MAX_N,
@@ -282,7 +282,7 @@ PRESET_FIELDS = {"wigner_unit": ("preset", "law_kind", "alpha", "scale"), "heavy
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record: config echo, seed, checksums, wall time, version."""
+    """Provenance record: config echo, seed, checksums, wall time, version, stream layout."""
 
     command: str
     master_seed: int
@@ -290,6 +290,7 @@ class RunManifest:
     checksums: tuple[tuple[str, str], ...]
     wall_time_s: float
     version: str
+    stream_layout: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -300,6 +301,7 @@ class RunManifest:
                 "checksums": dict(self.checksums),
                 "wall_time_s": self.wall_time_s,
                 "version": self.version,
+                "stream_layout": self.stream_layout,
             },
             indent=2,
             sort_keys=True,
@@ -707,6 +709,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         checksums=checksums,
         wall_time_s=time.perf_counter() - t0,
         version=__version__,
+        stream_layout=STREAM_LAYOUT,
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

@@ -48,8 +48,13 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
-# kinds drawn by one generator call per matrix; see EntryLaw.fills_with
-_ONE_FILL_KINDS = ("gaussian_real", "rademacher_scaled", "uniform_bounded", "gaussian_complex")
+# kinds drawn by one fill per matrix; see EntryLaw.fills_with
+_ONE_FILL_KINDS = ("gaussian_real", "rademacher_scaled", "uniform_bounded", "gaussian_complex", "pareto_symmetric")
+# bytes of a row per band of the lower-triangle mirror in sample: 64 real or
+# 32 complex columns, the fastest band widths measured at n = 1024, 2048, 4096
+_MIRROR_BAND_BYTES = 512
+# strictly lower triangle of the widest band's diagonal block (64 float64 columns)
+_BELOW_DIAGONAL = np.tri(_MIRROR_BAND_BYTES // 8, k=-1, dtype=bool)
 
 
 def _phi(t: float) -> float:
@@ -239,26 +244,28 @@ class EntryLaw:
 
     # -- sampling ------------------------------------------------------------
     def fills_with(self, diagonal: "EntryLaw") -> bool:
-        """Whether ``sample`` draws a matrix under this law and ``diagonal`` in one call.
+        """Whether ``sample`` draws a matrix under this law and ``diagonal`` in one fill.
 
-        True for the four kinds whose draws are one base draw each (two
-        standard normals per complex entry) when the diagonal draws that same
-        base or nothing.  Philox fills compose, so the per-row stream is then
-        exactly one fill.  pareto_symmetric interleaves 64-bit uniforms with
-        32-bit signs, whose spare half word Philox carries across calls, and
-        a mixed diagonal interleaves two kinds; both keep per-row draws.
+        True for the five one-fill kinds when the diagonal draws the same base
+        law (two standard normals per complex entry; for pareto_symmetric the
+        same alpha and scale) or nothing.  A fill is one generator call, or
+        for pareto_symmetric two: all uniforms, then all signs.  Philox fills
+        of one kind compose, so the four base laws' one fill is exactly the
+        per-row stream; Pareto's fill is stream layout 2 (see ``sample``).  A
+        mixed diagonal interleaves two kinds and keeps per-row draws.
         """
         if self.kind not in _ONE_FILL_KINDS:
             return False
-        base = "gaussian_real" if self.is_complex else self.kind
-        return diagonal.kind in (base, "constant_zero")
+        base = EntryLaw.gaussian_real() if self.is_complex else self
+        return diagonal.kind == "constant_zero" or diagonal == base
 
     def _fill(self, rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``count`` base draws of a one-fill kind from one generator call, in ``out[:count]``.
+        """``count`` base draws of a one-fill kind, in ``out[:count]``.
 
-        Normals are drawn straight into ``out``.  ``Generator.integers`` and
-        ``Generator.uniform`` take no ``out``, so rademacher signs and uniform
-        draws pass through one temporary of ``count`` 8-byte values.
+        Normals and Pareto uniforms are drawn straight into ``out``.
+        ``Generator.integers`` and ``Generator.uniform`` take no ``out``, so
+        rademacher signs, Pareto signs and uniform draws pass through one
+        temporary of ``count`` 8-byte values.
         """
         dest = np.empty(count) if out is None else out[:count]
         if self.kind == "rademacher_scaled":
@@ -266,6 +273,17 @@ class EntryLaw:
             dest -= 1.0
         elif self.kind == "uniform_bounded":
             dest[...] = rng.uniform(-_SQRT3, _SQRT3, count)
+        elif self.kind == "pareto_symmetric":
+            rng.random(count, out=dest)
+            np.subtract(1.0, dest, out=dest)
+            dest **= -1.0 / self.alpha
+            dest *= self.scale
+            sign = rng.integers(0, 2, count)
+            sign <<= 1
+            sign -= 1  # +-1 in place; the product below casts it chunk by chunk
+            np.multiply(dest, sign, out=dest)
+            if self.has_finite_variance:
+                dest /= self._pareto_norm()
         else:
             rng.standard_normal(count, out=dest)
         return dest
@@ -278,17 +296,9 @@ class EntryLaw:
         return (base[:m] + 1j * base[m:]) / math.sqrt(2.0)
 
     def standard_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        k = self.kind
-        if k == "constant_zero":
+        if self.kind == "constant_zero":
             return np.zeros(size)
-        if k in _ONE_FILL_KINDS:
-            return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
-        t = self.scale * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
-        sign = rng.integers(0, 2, size).astype(np.float64) * 2.0 - 1.0
-        x = sign * t
-        if self.has_finite_variance:
-            x /= self._pareto_norm()
-        return x
+        return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
 
 
 @dataclass(frozen=True)
@@ -469,19 +479,25 @@ class EnsembleSpec:
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     """One matrix draw; upper triangle independent, lower mirrored by conjugation.
 
-    Stream layout: the upper triangle row by row, i = 0..n-1.  Row i takes
-    its diagonal draw (none for a constant_zero diagonal), then its n-i-1
-    entries j > i in column order; a complex row takes all real parts of
-    that tail, then all imaginary parts.  A given generator state therefore
-    always yields the same matrix.
+    Stream layout 2 (``streams.STREAM_LAYOUT``): the upper triangle row by
+    row, i = 0..n-1.  Row i takes its diagonal draw (none for a
+    constant_zero diagonal), then its n-i-1 entries j > i in column order; a
+    complex row takes all real parts of that tail, then all imaginary parts.
+    A given generator state therefore always yields the same matrix.
 
-    When ``law.fills_with(diagonal law)`` holds (gaussian_real,
-    gaussian_complex, rademacher_scaled and uniform_bounded, with the same
-    base law or constant_zero on the diagonal), that whole stream is one
-    generator call; otherwise each row makes its own calls.  Both consume
-    the stream in the layout above and give the same bytes.  Normals are
-    drawn into the matrix's own buffer; rademacher and uniform fills pass
-    through one temporary of n(n+1)/2 values (8 bytes each).
+    When ``law.fills_with(diagonal law)`` holds, that whole packed triangle
+    is one fill; otherwise each row makes its own calls.  For gaussian_real,
+    gaussian_complex, rademacher_scaled and uniform_bounded both consume the
+    stream in the layout above and give the same bytes.  A pareto_symmetric
+    fill draws all uniforms of the packed triangle, then all its signs; that
+    is the one change from layout 1, and it applies only under a Pareto
+    diagonal of the same law or a constant_zero one.  Normals and Pareto
+    uniforms are drawn into the matrix's own buffer; rademacher, uniform and
+    Pareto sign fills pass through one temporary of n(n+1)/2 values (8 bytes
+    each).
+
+    The upper triangle and diagonal are written first; ``_mirror_lower`` then
+    writes the lower triangle a band of columns at a time.
     """
     n, law, dlaw = spec.n, spec.law, spec.effective_diagonal_law
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
@@ -491,8 +507,24 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
         sd = sd_tail(i)
         np.multiply(tail, sd[1:], out=w[i, i + 1 :])
         w[i, i] = diag * sd[0]
-        np.conjugate(w[i, i + 1 :], out=w[i + 1 :, i])
+    _mirror_lower(w)
     return HermitianMatrix._trusted(w)
+
+
+def _mirror_lower(w: np.ndarray) -> None:
+    """Overwrite ``w``'s strictly lower triangle with the conjugate of its upper one.
+
+    Band [a, b) of ``_MIRROR_BAND_BYTES`` worth of columns takes rows b..
+    from the conjugate transpose of rows a..b-1 right of column b.  The two
+    regions span disjoint memory ranges, so the ufunc writes in place with
+    no temporary.  The band's own diagonal block then takes its lower part.
+    """
+    n, band = w.shape[0], _MIRROR_BAND_BYTES // w.itemsize
+    for a in range(0, n, band):
+        b = min(a + band, n)
+        np.conjugate(w[a:b, b:].T, out=w[b:, a:b])
+        block = w[a:b, a:b]
+        np.copyto(block, np.conjugate(block.T), where=_BELOW_DIAGONAL[: b - a, : b - a])
 
 
 def _drawn_rows(law: EntryLaw, dlaw: EntryLaw, rng: np.random.Generator, n: int):
@@ -506,8 +538,8 @@ def _filled_rows(law: EntryLaw, dlaw: EntryLaw, rng: np.random.Generator, w: np.
 
     The fill is packed at the front of ``w``'s buffer (its float view when
     complex).  Row i's packed draws start no later than the spot where row i
-    lands, and a row's writes reach only itself and the rows below it, so
-    walking bottom-up never overwrites a row that is still packed.
+    lands, and a row writes only its own upper part, so walking bottom-up
+    never overwrites a row that is still packed.
     """
     n = w.shape[0]
     lead = 0 if dlaw.kind == "constant_zero" else 1  # base draws on the diagonal

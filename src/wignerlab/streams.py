@@ -13,6 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# version of the sampler's stream layout (ensembles.sample); 1 is every
+# release before Pareto matrices were drawn in one fill
+STREAM_LAYOUT = 2
+
 # domain tags keep unrelated consumers of the same master seed independent
 DOMAIN_SAMPLE = 0      # ensemble matrix sampling, path (DOMAIN_SAMPLE, trial)
 DOMAIN_REPLACE = 1     # unit-variance replacement draws

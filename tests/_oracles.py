@@ -202,15 +202,29 @@ def per_row_sample(
 
     Row i draws its diagonal entry, then its n-i-1 entries right of the
     diagonal (a complex tail as all real parts, then all imaginary parts),
-    and writes their conjugates below the diagonal.
+    and writes their conjugates below the diagonal.  Stream layout 2 draws a
+    pareto_symmetric law under the same diagonal law or a constant_zero one
+    as one ``_row_draws`` call over the whole packed triangle, placed row by
+    row.
     """
     sd = np.sqrt(profile.matrix(n))
     dlaw = diagonal_law_for(law, diagonal_law)
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
+    fused = law.kind == "pareto_symmetric" and dlaw in (law, EntryLaw.constant_zero())
+    lead = 0 if dlaw.kind == "constant_zero" else 1
+    packed = _row_draws(law, rng, lead * n + n * (n - 1) // 2) if fused else None
+    at = 0
     for i in range(n):
-        w[i, i] = float(np.real(_row_draws(dlaw, rng, 1)[0])) * sd[i, i]
+        if fused:
+            diag = packed[at] if lead else 0.0
+            off = packed[at + lead : at + lead + n - i - 1]
+            at += lead + n - i - 1
+        else:
+            diag = _row_draws(dlaw, rng, 1)[0]
+            off = _row_draws(law, rng, n - i - 1)
+        w[i, i] = float(np.real(diag)) * sd[i, i]
         if i + 1 < n:
-            off = _row_draws(law, rng, n - i - 1) * sd[i, i + 1 :]
+            off = off * sd[i, i + 1 :]
             w[i, i + 1 :] = off
             w[i + 1 :, i] = np.conj(off)
     # Hermitian storage keeps a complex matrix with no imaginary part as real

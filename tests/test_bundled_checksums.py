@@ -20,7 +20,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     "conditions.cfg": ("conditions.csv", "4a8ad23e446837bc2d02539caa7c0c02c3f8ff337fa80ffca51e020d831a6baa"),
     "conditions_heavy.cfg": ("conditions.csv", "7f7e956b7352e2d412700896ba28ad85dbf4d145780dae2749b516138678cdb6"),
-    "reduce.cfg": ("reduce.csv", "d8d1c0ab449addfb4e3ffde94894b9dab284162cf7ada0d8294ebe9ebcdb0b09"),
+    "reduce.cfg": ("reduce.csv", "295521e95e418b95f0f69355701f8499464276793ac7c1b8f51ee744735eea9c"),
     "walks.cfg": ("walks.csv", "2b269424e28dfa6f32cd4b957b81c0b50c196fbcbbe7172cd4c115cdd74058bf"),
 }
 

@@ -28,6 +28,7 @@ from wignerlab.ensembles import sample_trial
 from wignerlab.hermitian_core import eigenvalues_desc
 from wignerlab.spectral_measures import SemicircleLaw, esd, levy_distance
 from wignerlab.stieltjes import recursion_residual
+from wignerlab.streams import STREAM_LAYOUT
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -520,6 +521,7 @@ def test_run_manifest_contents(tmp_path):
     assert on_disk["config"] == dict(config.raw)
     assert on_disk["wall_time_s"] >= 0
     assert on_disk["version"] == manifest.version
+    assert on_disk["stream_layout"] == manifest.stream_layout == STREAM_LAYOUT
     digest = hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest()
     assert on_disk["checksums"] == {"simulate.csv": digest}
 

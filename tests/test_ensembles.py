@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wignerlab.ensembles import (
+    _MIRROR_BAND_BYTES,
     EnsembleSpec,
     EntryLaw,
     VarianceProfile,
@@ -500,6 +501,8 @@ ONE_FILL_LAWS = (
     EntryLaw.gaussian_complex(),
 )
 LAYOUT_DIAGONALS = (None, EntryLaw.constant_zero(), EntryLaw.gaussian_real(), EntryLaw.rademacher())
+# real columns per band of the lower-triangle mirror (complex bands are half as wide)
+MIRROR_BAND = _MIRROR_BAND_BYTES // 8
 
 
 def _layout_profiles(n: int) -> tuple[VarianceProfile, ...]:
@@ -520,8 +523,11 @@ def _layout_profiles(n: int) -> tuple[VarianceProfile, ...]:
     ids=lambda law: f"{law.kind}{law.alpha or ''}",
 )
 def test_sample_matches_per_row_reference_layout(law, diagonal):
-    """Every trial's bytes and dtype equal the per-row stream, fill or no fill."""
-    for n in (1, 2, 3, 17, 64):
+    """Every trial's bytes and dtype equal the per-row stream, fill or no fill.
+
+    The last n spans three mirror bands and a partial fourth.
+    """
+    for n in (1, 2, 3, 17, 64, 3 * MIRROR_BAND + 9):
         for profile in _layout_profiles(n):
             spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=31)
             for trial in (0, 5):
@@ -548,30 +554,38 @@ class _CountingGenerator:
 
 
 @pytest.mark.parametrize(
-    "diagonal", LAYOUT_DIAGONALS + (EntryLaw.uniform_bounded(),), ids=lambda d: d.kind if d else "default"
+    "diagonal",
+    LAYOUT_DIAGONALS + (EntryLaw.uniform_bounded(), EntryLaw.pareto_symmetric(1.5, 0.5)),
+    ids=lambda d: f"{d.kind}{d.alpha or ''}" if d else "default",
 )
 @pytest.mark.parametrize(
     "law", ONE_FILL_LAWS + (EntryLaw.pareto_symmetric(2.5, 1.0),), ids=lambda law: law.kind
 )
 def test_one_fill_laws_draw_a_matrix_in_one_call(law, diagonal):
-    """The four base laws under their own base or a zero diagonal take one call; the rest go per row."""
-    base = "gaussian_real" if law.is_complex else law.kind
-    dlaw = diagonal or (EntryLaw.gaussian_real() if law.is_complex else law)
-    one_fill = law in ONE_FILL_LAWS and dlaw.kind in (base, "constant_zero")
+    """Under their own base law or a zero diagonal the four base laws take one
+    call and Pareto two, at any n; every other pairing goes per row."""
+    base = EntryLaw.gaussian_real() if law.is_complex else law
+    dlaw = diagonal or base
+    one_fill = dlaw in (base, EntryLaw.constant_zero())
     assert law.fills_with(dlaw) == one_fill
-    n = 9
-    rng = _CountingGenerator(np.random.Generator(np.random.Philox(5)))
-    sample(EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=diagonal), rng)
-    if one_fill:
-        assert rng.calls == 1
-    else:
-        assert rng.calls >= n
+    for n in (9, MIRROR_BAND + 9):
+        rng = _CountingGenerator(np.random.Generator(np.random.Philox(5)))
+        sample(EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=diagonal), rng)
+        if one_fill:
+            assert rng.calls == (2 if law.kind == "pareto_symmetric" else 1), n
+        else:
+            assert rng.calls >= n
 
 
 @pytest.mark.parametrize(
     "law, limit",
-    [(EntryLaw.gaussian_real(), 1.15), (EntryLaw.gaussian_complex(), 1.15), (EntryLaw.rademacher(), 1.65)],
-    ids=["gaussian_real", "gaussian_complex", "rademacher"],
+    [
+        (EntryLaw.gaussian_real(), 1.15),
+        (EntryLaw.gaussian_complex(), 1.15),
+        (EntryLaw.rademacher(), 1.65),
+        (EntryLaw.pareto_symmetric(2.5, 1.0), 1.65),
+    ],
+    ids=["gaussian_real", "gaussian_complex", "rademacher", "pareto_symmetric"],
 )
 def test_sample_peak_memory_is_one_matrix(law, limit):
     """Normals are drawn into the matrix's own buffer: the peak is the matrix plus
@@ -579,8 +593,10 @@ def test_sample_peak_memory_is_one_matrix(law, limit):
 
     Measured at n = 512: 1.128 x the matrix's bytes for gaussian_real and
     1.066 x for gaussian_complex; filling a separate array instead measured
-    1.63 x and 1.51 x.  Rademacher signs pass through an int64 temporary of
-    n(n+1)/2 values, half the real matrix: 1.536 x.
+    1.63 x and 1.51 x.  Rademacher and Pareto signs pass through an int64
+    temporary of n(n+1)/2 values, half the real matrix: 1.536 x for both.
+    Pareto turns its signs into +-1 in place; a float copy of them measured
+    2.0 x.
     """
     import tracemalloc
 
