@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .concentration import bernstein_tail_check, empirical_tail
+from .concentration import MIN_TAIL_TRIALS, bernstein_tail_check, empirical_tail
 from .ensembles import (
     EnsembleSpec,
     EntryLaw,
@@ -394,8 +394,8 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append("concentration.t must be positive")
         if config.ramp_p >= config.ramp_q:
             diags.append("concentration ramp requires ramp_p < ramp_q")
-        if config.trials < 100:
-            diags.append("concentration needs at least 100 trials")
+        if config.trials < MIN_TAIL_TRIALS:
+            diags.append(f"concentration needs at least {MIN_TAIL_TRIALS} trials")
         if config.bernoulli_count and not (0 <= config.bernoulli_p <= 1):
             diags.append("concentration.bernoulli_p must lie in [0, 1]")
     if cmd == "reduce":

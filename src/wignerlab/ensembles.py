@@ -48,8 +48,6 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
-# kinds drawn by one fill per matrix; see EntryLaw.fills_with
-_ONE_FILL_KINDS = ("gaussian_real", "rademacher_scaled", "uniform_bounded", "gaussian_complex", "pareto_symmetric")
 # bytes of a row per band of the lower-triangle mirror in sample: 64 real or
 # 32 complex columns, the fastest band widths measured at n = 1024, 2048, 4096
 _MIRROR_BAND_BYTES = 512
@@ -243,32 +241,19 @@ class EntryLaw:
         return float(math.factorial(fwd)) if fwd == bwd else 0.0
 
     # -- sampling ------------------------------------------------------------
-    def fills_with(self, diagonal: "EntryLaw") -> bool:
-        """Whether ``sample`` draws a matrix under this law and ``diagonal`` in one fill.
-
-        True for the five one-fill kinds when the diagonal draws the same base
-        law (two standard normals per complex entry; for pareto_symmetric the
-        same alpha and scale) or nothing.  A fill is one generator call, or
-        for pareto_symmetric two: all uniforms, then all signs.  Philox fills
-        of one kind compose, so the four base laws' one fill is exactly the
-        per-row stream; Pareto's fill is stream layout 2 (see ``sample``).  A
-        mixed diagonal interleaves two kinds and keeps per-row draws.
-        """
-        if self.kind not in _ONE_FILL_KINDS:
-            return False
-        base = EntryLaw.gaussian_real() if self.is_complex else self
-        return diagonal.kind == "constant_zero" or diagonal == base
-
     def _fill(self, rng: np.random.Generator, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``count`` base draws of a one-fill kind, in ``out[:count]``.
+        """``count`` base draws, in ``out[:count]``: one generator call, two for Pareto.
 
-        Normals and Pareto uniforms are drawn straight into ``out``.
-        ``Generator.integers`` and ``Generator.uniform`` take no ``out``, so
-        rademacher signs, Pareto signs and uniform draws pass through one
-        temporary of ``count`` 8-byte values.
+        A Pareto fill draws all its uniforms, then all its signs; constant_zero
+        writes zeros and draws nothing.  Normals and Pareto uniforms are drawn
+        straight into ``out``.  ``Generator.integers`` and ``Generator.uniform``
+        take no ``out``, so rademacher signs, Pareto signs and uniform draws
+        pass through one temporary of ``count`` 8-byte values.
         """
         dest = np.empty(count) if out is None else out[:count]
-        if self.kind == "rademacher_scaled":
+        if self.kind == "constant_zero":
+            dest[...] = 0.0
+        elif self.kind == "rademacher_scaled":
             np.multiply(rng.integers(0, 2, count), 2.0, out=dest)
             dest -= 1.0
         elif self.kind == "uniform_bounded":
@@ -296,8 +281,6 @@ class EntryLaw:
         return (base[:m] + 1j * base[m:]) / math.sqrt(2.0)
 
     def standard_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "constant_zero":
-            return np.zeros(size)
         return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
 
 
@@ -479,34 +462,41 @@ class EnsembleSpec:
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     """One matrix draw; upper triangle independent, lower mirrored by conjugation.
 
-    Stream layout 2 (``streams.STREAM_LAYOUT``): the upper triangle row by
-    row, i = 0..n-1.  Row i takes its diagonal draw (none for a
-    constant_zero diagonal), then its n-i-1 entries j > i in column order; a
-    complex row takes all real parts of that tail, then all imaginary parts.
-    A given generator state therefore always yields the same matrix.
+    Stream layout 3 (``streams.STREAM_LAYOUT``) packs the upper triangle row
+    by row, i = 0..n-1: row i's n-i-1 entries j > i in column order, a
+    complex row taking all real parts of that tail, then all imaginary parts.
+    Under the default diagonal law, ``diagonal_law_for(law)``, each row's
+    diagonal draw leads its row inside the packed fill.  Any other diagonal
+    law is drawn first, as one fill of n values (none for constant_zero), and
+    the packed strict upper triangle follows as a fill of its own.  A given
+    generator state therefore always yields the same matrix.
 
-    When ``law.fills_with(diagonal law)`` holds, that whole packed triangle
-    is one fill; otherwise each row makes its own calls.  For gaussian_real,
-    gaussian_complex, rademacher_scaled and uniform_bounded both consume the
-    stream in the layout above and give the same bytes.  A pareto_symmetric
-    fill draws all uniforms of the packed triangle, then all its signs; that
-    is the one change from layout 1, and it applies only under a Pareto
-    diagonal of the same law or a constant_zero one.  Normals and Pareto
+    Philox fills of one kind compose, so a gaussian, rademacher or uniform
+    fill gives the bytes of per-row draws; a pareto_symmetric fill draws all
+    uniforms, then all signs (``EntryLaw._fill``).  Normals and Pareto
     uniforms are drawn into the matrix's own buffer; rademacher, uniform and
     Pareto sign fills pass through one temporary of n(n+1)/2 values (8 bytes
     each).
 
-    The upper triangle and diagonal are written first; ``_mirror_lower`` then
-    writes the lower triangle a band of columns at a time.
+    The fill is packed at the front of ``w``'s buffer (its float view when
+    complex).  Rows are placed bottom-up: row i's packed draws start no later
+    than the spot where row i lands, and a row writes only its own upper
+    part, so no row that is still packed is overwritten.  ``_mirror_lower``
+    then writes the lower triangle a band of columns at a time.
     """
     n, law, dlaw = spec.n, spec.law, spec.effective_diagonal_law
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
+    lead = int(dlaw == diagonal_law_for(law))  # base draws on the diagonal inside the packed fill
+    diag = None if lead else dlaw._fill(rng, n)
+    width = 2 if law.is_complex else 1  # base draws per off-diagonal entry
+    base = law._fill(rng, lead * n + width * (n * (n - 1) // 2), w.reshape(-1).view(np.float64))
     sd_tail = spec.profile._row_tails(np.sqrt(spec.profile.levels), n)
-    rows = _filled_rows(law, dlaw, rng, w) if law.fills_with(dlaw) else _drawn_rows(law, dlaw, rng, n)
-    for i, diag, tail in rows:
+    for i in range(n - 1, -1, -1):
+        start = lead * i + width * (i * (2 * n - i - 1) // 2)
         sd = sd_tail(i)
+        tail = law._entries(base[start + lead : start + lead + width * (n - i - 1)])
         np.multiply(tail, sd[1:], out=w[i, i + 1 :])
-        w[i, i] = diag * sd[0]
+        w[i, i] = (base[start] if lead else diag[i]) * sd[0]
     _mirror_lower(w)
     return HermitianMatrix._trusted(w)
 
@@ -525,30 +515,6 @@ def _mirror_lower(w: np.ndarray) -> None:
         np.conjugate(w[a:b, b:].T, out=w[b:, a:b])
         block = w[a:b, a:b]
         np.copyto(block, np.conjugate(block.T), where=_BELOW_DIAGONAL[: b - a, : b - a])
-
-
-def _drawn_rows(law: EntryLaw, dlaw: EntryLaw, rng: np.random.Generator, n: int):
-    """(i, diagonal draw, standard tail) for rows 0..n-1, each row drawn by its own calls."""
-    for i in range(n):
-        yield i, float(dlaw.standard_sample(rng, 1)[0]), law.standard_sample(rng, n - i - 1)
-
-
-def _filled_rows(law: EntryLaw, dlaw: EntryLaw, rng: np.random.Generator, w: np.ndarray):
-    """(i, diagonal draw, standard tail) for rows n-1..0, cut from one fill.
-
-    The fill is packed at the front of ``w``'s buffer (its float view when
-    complex).  Row i's packed draws start no later than the spot where row i
-    lands, and a row writes only its own upper part, so walking bottom-up
-    never overwrites a row that is still packed.
-    """
-    n = w.shape[0]
-    lead = 0 if dlaw.kind == "constant_zero" else 1  # base draws on the diagonal
-    width = 2 if law.is_complex else 1  # base draws per off-diagonal entry
-    base = law._fill(rng, lead * n + width * (n * (n - 1) // 2), w.reshape(-1).view(np.float64))
-    for i in range(n - 1, -1, -1):
-        start = lead * i + width * (i * (2 * n - i - 1) // 2)
-        diag = float(base[start]) if lead else 0.0
-        yield i, diag, law._entries(base[start + lead : start + lead + width * (n - i - 1)])
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:

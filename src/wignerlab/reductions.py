@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian_core import HermitianMatrix
-from .ensembles import EnsembleSpec, VarianceProfile
+from .ensembles import EnsembleSpec, EntryLaw, VarianceProfile
 
 __all__ = [
     "ReductionTrace",
@@ -154,8 +154,7 @@ def unit_variance_replace(
     out = w.entries * plan.scale
     iu, ju = np.where(np.triu(plan.replace_mask, 1))
     if iu.size:
-        signs = rng.integers(0, 2, iu.size).astype(np.float64) * 2.0 - 1.0
-        vals = signs / math.sqrt(n)
+        vals = EntryLaw.rademacher().standard_sample(rng, iu.size) / math.sqrt(n)
         out[iu, ju] = vals
         out[ju, iu] = vals  # real, so the conjugate mirror is the value itself
     return HermitianMatrix._trusted(out)

@@ -14,8 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 # version of the sampler's stream layout (ensembles.sample); 1 is every
-# release before Pareto matrices were drawn in one fill
-STREAM_LAYOUT = 2
+# release before Pareto matrices were drawn in one fill, 2 every release
+# before a non-default diagonal law was drawn as one fill ahead of the rest
+STREAM_LAYOUT = 3
 
 # domain tags keep unrelated consumers of the same master seed independent
 DOMAIN_SAMPLE = 0      # ensemble matrix sampling, path (DOMAIN_SAMPLE, trial)

@@ -200,27 +200,29 @@ def per_row_sample(
 ) -> np.ndarray:
     """The sampler's stream layout drawn the plain way: each row by its own calls.
 
-    Row i draws its diagonal entry, then its n-i-1 entries right of the
-    diagonal (a complex tail as all real parts, then all imaginary parts),
-    and writes their conjugates below the diagonal.  Stream layout 2 draws a
-    pareto_symmetric law under the same diagonal law or a constant_zero one
-    as one ``_row_draws`` call over the whole packed triangle, placed row by
-    row.
+    Under the default diagonal law row i draws its diagonal entry, then its
+    n-i-1 entries right of the diagonal (a complex tail as all real parts,
+    then all imaginary parts).  Stream layout 3 draws any other diagonal law
+    first, as one ``_row_draws`` call of n values, and then the rows' tails.
+    A pareto_symmetric law draws its whole packed triangle (diagonal
+    included only under the default diagonal) as one ``_row_draws`` call,
+    placed row by row.  Each entry's conjugate is written below the diagonal.
     """
     sd = np.sqrt(profile.matrix(n))
     dlaw = diagonal_law_for(law, diagonal_law)
+    lead = int(dlaw == diagonal_law_for(law))
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
-    fused = law.kind == "pareto_symmetric" and dlaw in (law, EntryLaw.constant_zero())
-    lead = 0 if dlaw.kind == "constant_zero" else 1
+    diags = None if lead else _row_draws(dlaw, rng, n)
+    fused = law.kind == "pareto_symmetric"
     packed = _row_draws(law, rng, lead * n + n * (n - 1) // 2) if fused else None
     at = 0
     for i in range(n):
         if fused:
-            diag = packed[at] if lead else 0.0
+            diag = packed[at] if lead else diags[i]
             off = packed[at + lead : at + lead + n - i - 1]
             at += lead + n - i - 1
         else:
-            diag = _row_draws(dlaw, rng, 1)[0]
+            diag = _row_draws(dlaw, rng, 1)[0] if lead else diags[i]
             off = _row_draws(law, rng, n - i - 1)
         w[i, i] = float(np.real(diag)) * sd[i, i]
         if i + 1 < n:
@@ -288,8 +290,8 @@ def mc_trace_moments(
     sd = np.sqrt(profile.matrix(n))
     dtype = np.complex128 if law.is_complex else np.float64
     w = np.zeros((trials, n, n), dtype=dtype)
+    diag_law = diagonal_law_for(law)
     for i in range(n):
-        diag_law = EntryLaw.gaussian_real() if law.is_complex else law
         w[:, i, i] = np.real(diag_law.standard_sample(rng, trials)) * sd[i, i]
         for j in range(i + 1, n):
             x = law.standard_sample(rng, trials) * sd[i, j]

@@ -20,6 +20,7 @@ from wignerlab.ensembles import (
     EntryLaw,
     VarianceProfile,
     condition_sums,
+    diagonal_law_for,
     gaussian_row_check,
     heavy_tail_spec,
     sample,
@@ -500,7 +501,14 @@ ONE_FILL_LAWS = (
     EntryLaw.uniform_bounded(),
     EntryLaw.gaussian_complex(),
 )
-LAYOUT_DIAGONALS = (None, EntryLaw.constant_zero(), EntryLaw.gaussian_real(), EntryLaw.rademacher())
+LAYOUT_DIAGONALS = (
+    None,
+    EntryLaw.constant_zero(),
+    EntryLaw.gaussian_real(),
+    EntryLaw.rademacher(),
+    EntryLaw.uniform_bounded(),
+    EntryLaw.pareto_symmetric(1.5, 0.5),
+)
 # real columns per band of the lower-triangle mirror (complex bands are half as wide)
 MIRROR_BAND = _MIRROR_BAND_BYTES // 8
 
@@ -516,14 +524,19 @@ def _layout_profiles(n: int) -> tuple[VarianceProfile, ...]:
     )
 
 
-@pytest.mark.parametrize("diagonal", LAYOUT_DIAGONALS, ids=lambda d: d.kind if d else "default")
+def _diagonal_id(diagonal: EntryLaw | None) -> str:
+    return f"{diagonal.kind}{diagonal.alpha or ''}" if diagonal else "default"
+
+
+@pytest.mark.parametrize("diagonal", LAYOUT_DIAGONALS, ids=_diagonal_id)
 @pytest.mark.parametrize(
     "law",
-    ONE_FILL_LAWS + (EntryLaw.pareto_symmetric(2.5, 1.0), EntryLaw.pareto_symmetric(1.5, 0.5)),
+    ONE_FILL_LAWS
+    + (EntryLaw.pareto_symmetric(2.5, 1.0), EntryLaw.pareto_symmetric(1.5, 0.5), EntryLaw.constant_zero()),
     ids=lambda law: f"{law.kind}{law.alpha or ''}",
 )
 def test_sample_matches_per_row_reference_layout(law, diagonal):
-    """Every trial's bytes and dtype equal the per-row stream, fill or no fill.
+    """Every trial's bytes and dtype equal the per-row stream of layout 3.
 
     The last n spans three mirror bands and a partial fourth.
     """
@@ -553,41 +566,40 @@ class _CountingGenerator:
         return counted
 
 
+def _fill_calls(law: EntryLaw) -> int:
+    """Generator calls in one fill: none for constant_zero, uniforms then signs for Pareto."""
+    return {"constant_zero": 0, "pareto_symmetric": 2}.get(law.kind, 1)
+
+
+@pytest.mark.parametrize("diagonal", LAYOUT_DIAGONALS, ids=_diagonal_id)
 @pytest.mark.parametrize(
-    "diagonal",
-    LAYOUT_DIAGONALS + (EntryLaw.uniform_bounded(), EntryLaw.pareto_symmetric(1.5, 0.5)),
-    ids=lambda d: f"{d.kind}{d.alpha or ''}" if d else "default",
-)
-@pytest.mark.parametrize(
-    "law", ONE_FILL_LAWS + (EntryLaw.pareto_symmetric(2.5, 1.0),), ids=lambda law: law.kind
+    "law",
+    ONE_FILL_LAWS + (EntryLaw.pareto_symmetric(2.5, 1.0), EntryLaw.constant_zero()),
+    ids=lambda law: law.kind,
 )
 def test_one_fill_laws_draw_a_matrix_in_one_call(law, diagonal):
-    """Under their own base law or a zero diagonal the four base laws take one
-    call and Pareto two, at any n; every other pairing goes per row."""
-    base = EntryLaw.gaussian_real() if law.is_complex else law
-    dlaw = diagonal or base
-    one_fill = dlaw in (base, EntryLaw.constant_zero())
-    assert law.fills_with(dlaw) == one_fill
+    """A matrix is one fill of its law, after one fill of n values for a diagonal
+    law other than the default; the call count does not grow with n."""
+    dlaw = diagonal_law_for(law, diagonal)
+    want = _fill_calls(law) + (0 if dlaw == diagonal_law_for(law) else _fill_calls(dlaw))
     for n in (9, MIRROR_BAND + 9):
         rng = _CountingGenerator(np.random.Generator(np.random.Philox(5)))
         sample(EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=diagonal), rng)
-        if one_fill:
-            assert rng.calls == (2 if law.kind == "pareto_symmetric" else 1), n
-        else:
-            assert rng.calls >= n
+        assert rng.calls == want, n
 
 
 @pytest.mark.parametrize(
-    "law, limit",
+    "law, diagonal, limit",
     [
-        (EntryLaw.gaussian_real(), 1.15),
-        (EntryLaw.gaussian_complex(), 1.15),
-        (EntryLaw.rademacher(), 1.65),
-        (EntryLaw.pareto_symmetric(2.5, 1.0), 1.65),
+        (EntryLaw.gaussian_real(), None, 1.15),
+        (EntryLaw.gaussian_complex(), None, 1.15),
+        (EntryLaw.rademacher(), None, 1.65),
+        (EntryLaw.pareto_symmetric(2.5, 1.0), None, 1.65),
+        (EntryLaw.gaussian_real(), EntryLaw.rademacher(), 1.15),
     ],
-    ids=["gaussian_real", "gaussian_complex", "rademacher", "pareto_symmetric"],
+    ids=["gaussian_real", "gaussian_complex", "rademacher", "pareto_symmetric", "gaussian_real_rademacher_diagonal"],
 )
-def test_sample_peak_memory_is_one_matrix(law, limit):
+def test_sample_peak_memory_is_one_matrix(law, diagonal, limit):
     """Normals are drawn into the matrix's own buffer: the peak is the matrix plus
     the n^2-byte finiteness mask of ``HermitianMatrix._trusted``.
 
@@ -596,12 +608,13 @@ def test_sample_peak_memory_is_one_matrix(law, limit):
     1.63 x and 1.51 x.  Rademacher and Pareto signs pass through an int64
     temporary of n(n+1)/2 values, half the real matrix: 1.536 x for both.
     Pareto turns its signs into +-1 in place; a float copy of them measured
-    2.0 x.
+    2.0 x.  A rademacher diagonal under gaussian_real adds only its fill of n
+    values ahead of the matrix: 1.130 x.
     """
     import tracemalloc
 
     n = 512
-    spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n))
+    spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=diagonal)
     matrix_bytes = n * n * (16 if law.is_complex else 8)
     sample_trial(spec, 1)  # the first draw in a process also allocates one-time state
     tracemalloc.start()

@@ -273,9 +273,13 @@ def test_dyck_bijection_on_double_trees():
 
 
 def test_double_tree_count_length_twelve():
-    """Only t = 7 can host a length-12 double tree; the count is Catalan(6)."""
-    walks = enumerate_gamma(12, 7)
-    count = sum(1 for w in walks if classify(w) is WalkClass.DOUBLE_TREE)
+    """Only t = 7 can host a length-12 double tree; the count is Catalan(6).
+
+    Read from the census's k = 12, t = 7 block (627,396 rows) and its class
+    codes, with no walk object built.
+    """
+    codes = walk_combinatorics._classify_block(walk_combinatorics._rgs_block(12, 7), 7)
+    count = int(np.count_nonzero(codes == list(WalkClass).index(WalkClass.DOUBLE_TREE)))
     assert count == _catalan(6) == 132
 
 
