@@ -61,6 +61,7 @@ from .concentration import (
 from .stieltjes import (
     GridDensity,
     UpperHalfPoint,
+    atomic_density,
     invert_on_grid,
     recursion_residual,
     semicircle_stieltjes,

@@ -13,9 +13,11 @@ invalid config, or a run that runs out of memory, 4 unwritable output path.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -48,7 +50,7 @@ from .spectral_measures import (
     levy_distance,
     semicircle_moment,
 )
-from .stieltjes import invert_on_grid, semicircle_stieltjes, stieltjes_atomic
+from .stieltjes import atomic_density, semicircle_stieltjes, stieltjes_atomic
 from .streams import STREAM_LAYOUT, parallel_map
 from .walk_combinatorics import (
     ORACLE_MAX_K,
@@ -280,9 +282,31 @@ CONFIG_KEYS = {
 PRESET_FIELDS = {"wigner_unit": ("preset", "law_kind", "alpha", "scale"), "heavy_tail": ("preset",)}
 
 
+# thread-count variables of the BLAS libraries numpy may link
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _machine_state(threads: int) -> tuple[tuple[str, object], ...]:
+    """What the run's numbers may depend on beyond config and seed.
+
+    numpy and its BLAS, the BLAS thread variables ("unset" when absent),
+    the CPU count and the worker threads: eigenvalues can differ in the last
+    bits between BLAS builds and BLAS thread counts.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return (
+        ("numpy", np.__version__),
+        ("blas_name", blas.get("name")),
+        ("blas_version", blas.get("version")),
+        *((var, os.environ.get(var, "unset")) for var in _BLAS_THREAD_VARS),
+        ("cpu_count", os.cpu_count()),
+        ("threads", threads),
+    )
+
+
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record: config echo, seed, checksums, wall time, version, stream layout."""
+    """Provenance record: config echo, seed, checksums, wall time, version, stream layout, machine."""
 
     command: str
     master_seed: int
@@ -291,6 +315,7 @@ class RunManifest:
     wall_time_s: float
     version: str
     stream_layout: int
+    machine: tuple[tuple[str, object], ...]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -302,6 +327,7 @@ class RunManifest:
                 "wall_time_s": self.wall_time_s,
                 "version": self.version,
                 "stream_layout": self.stream_layout,
+                "machine": dict(self.machine),
             },
             indent=2,
             sort_keys=True,
@@ -374,13 +400,19 @@ def validate(config: ExperimentConfig) -> list[str]:
     if cmd == "stieltjes":
         if not config.z_list:
             diags.append("stieltjes.z must be nonempty")
+        elif not all(cmath.isfinite(z) for z in config.z_list):
+            diags.append("stieltjes.z points must have finite real and imaginary parts")
         elif any(z.imag <= 0 for z in config.z_list):
             diags.append("stieltjes points must lie in the upper half plane")
         if config.grid is not None:
             lo, hi, step = config.grid
-            if not (step > 0 and hi > lo):
+            if not all(math.isfinite(v) for v in config.grid):
+                diags.append("stieltjes.grid min, max and step must be finite")
+            elif not (step > 0 and hi > lo):
                 diags.append("stieltjes.grid must satisfy min < max and step > 0")
-        if config.bandwidth <= 0:
+        if not math.isfinite(config.bandwidth):
+            diags.append("stieltjes.bandwidth must be finite")
+        elif config.bandwidth <= 0:
             diags.append("stieltjes.bandwidth must be positive")
     if cmd == "conditions":
         if config.c_bound <= 0:
@@ -532,9 +564,7 @@ def _cmd_stieltjes(config: ExperimentConfig, out: Path) -> list[Path]:
             lo, hi, step = config.grid
             pts = np.arange(lo, hi + 0.5 * step, step)
             try:
-                dens = invert_on_grid(
-                    lambda zz: stieltjes_atomic(pooled, zz), config.bandwidth, pts
-                )
+                dens = atomic_density(pooled, config.bandwidth, pts, config.threads)
             except ValueError as exc:  # the grid undersamples a sharp density
                 raise ConfigError(
                     f"stieltjes.grid step {step:g} is too coarse for "
@@ -710,6 +740,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         wall_time_s=time.perf_counter() - t0,
         version=__version__,
         stream_layout=STREAM_LAYOUT,
+        machine=_machine_state(config.threads),
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest

@@ -7,8 +7,9 @@ assignments instead of moment bookkeeping, all n^k index walks instead of
 walk classes, an edge-count tree test instead of the vertex-count argument,
 first-appearance relabelling instead of restricted-growth enumeration,
 sampled tail contributions instead of closed-form truncated moments, the
-Harer-Zagier recursion instead of walk classes, and raw per-row generator
-calls instead of the one-fill sampler.
+Harer-Zagier recursion instead of walk classes, raw per-row generator
+calls instead of the one-fill sampler, and rational Poisson-kernel sums
+instead of blocked float ones.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
@@ -322,6 +323,21 @@ def semicircle_quantile_atoms(count: int) -> np.ndarray:
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def exact_poisson_density(atoms, weights, bandwidth: float, grid) -> np.ndarray:
+    """(b/pi) sum_i w_i / ((x_i - a)^2 + b^2) in exact rationals, rounded once per point.
+
+    Every input, the float pi included, is taken exactly as its float value.
+    """
+    b = Fraction(bandwidth)
+    pairs = [(Fraction(float(x)), Fraction(float(w))) for x, w in zip(atoms, weights)]
+    out = []
+    for a in grid:
+        a = Fraction(float(a))
+        total = sum(w / ((x - a) ** 2 + b * b) for x, w in pairs)
+        out.append(float(b * total / Fraction(math.pi)))
+    return np.array(out)
 
 
 def quad_semicircle(f, a: float = -2.0, b: float = 2.0) -> float:

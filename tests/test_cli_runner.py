@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -492,6 +493,27 @@ def test_run_thread_count_does_not_change_bytes(tmp_path):
     ).read_bytes()
 
 
+def test_main_stieltjes_bytes_do_not_depend_on_threads(tmp_path):
+    """512 pooled atoms at n = 64 split the 601-point grid into three density blocks."""
+    path = write_config(
+        tmp_path,
+        **{
+            "sizes": "16, 64",
+            "trials": "8",
+            "stieltjes.z": "1j, 0.5+1j",
+            "stieltjes.grid": "-3, 3, 0.01",
+            "stieltjes.bandwidth": "0.05",
+        },
+    )
+    outputs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"threads{threads}"
+        assert main(["stieltjes", "--config", str(path), "--out", str(out), "--threads", str(threads)]) == 0
+        names = ("stieltjes.csv", "density_n16.csv", "density_n64.csv")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_run_simulate_csv_round_trips_doubles(tmp_path):
     config = make_config("simulate", str(tmp_path), sizes="16", trials="2")
     run(config)
@@ -522,6 +544,15 @@ def test_run_manifest_contents(tmp_path):
     assert on_disk["wall_time_s"] >= 0
     assert on_disk["version"] == manifest.version
     assert on_disk["stream_layout"] == manifest.stream_layout == STREAM_LAYOUT
+    machine = on_disk["machine"]
+    assert machine == dict(manifest.machine)
+    assert machine["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (machine["blas_name"], machine["blas_version"]) == (blas["name"], blas["version"])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert machine[var] == os.environ.get(var, "unset")
+    assert machine["cpu_count"] == os.cpu_count()
+    assert machine["threads"] == config.threads == 1
     digest = hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest()
     assert on_disk["checksums"] == {"simulate.csv": digest}
 
@@ -783,6 +814,28 @@ def test_main_grid_too_coarse_for_bandwidth_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
     assert "stieltjes.grid step 0.5 is too coarse for stieltjes.bandwidth 0.01" in err
     assert "trapezoid mass" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("stieltjes.grid", "-inf, 3, 0.01", "stieltjes.grid min, max and step must be finite"),
+        ("stieltjes.z", "1+nanj", "stieltjes.z points must have finite real and imaginary parts"),
+        ("stieltjes.z", "infj", "stieltjes.z points must have finite real and imaginary parts"),
+        ("stieltjes.bandwidth", "nan", "stieltjes.bandwidth must be finite"),
+        ("stieltjes.bandwidth", "inf", "stieltjes.bandwidth must be finite"),
+    ],
+    ids=["grid_min_inf", "z_im_nan", "z_im_inf", "bandwidth_nan", "bandwidth_inf"],
+)
+def test_main_non_finite_stieltjes_input_exits_3(tmp_path, capsys, key, value, message):
+    settings = {"stieltjes.z": "1j", "stieltjes.grid": "-3, 3, 0.01", key: value}
+    path = write_config(tmp_path, **settings)
+    assert main(["stieltjes", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_main_unknown_key_exits_3(tmp_path, capsys):

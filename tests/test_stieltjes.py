@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wignerlab import stieltjes
 from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, sample_trial, wigner_unit_spec
 from wignerlab.hermitian_core import eigenvalues_desc
-from wignerlab.spectral_measures import SemicircleLaw, esd
+from wignerlab.spectral_measures import SemicircleLaw, StepDistribution, esd
 from wignerlab.stieltjes import (
     MASS_CAP,
     GridDensity,
     UpperHalfPoint,
+    atomic_density,
     invert_on_grid,
     recursion_residual,
     semicircle_stieltjes,
@@ -27,7 +30,7 @@ from wignerlab.stieltjes import (
     stieltjes_atomic,
 )
 
-from _oracles import quad_semicircle, semicircle_quantile_atoms
+from _oracles import exact_poisson_density, quad_semicircle, semicircle_quantile_atoms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -70,6 +73,21 @@ def test_grid_density_validation():
         GridDensity(grid, np.zeros(5), 0.0)
     with pytest.raises(ValueError, match=f"exceeds {MASS_CAP}"):
         GridDensity(grid, np.full(5, 10.0), 0.1)
+
+
+@pytest.mark.parametrize(
+    "grid, values, bandwidth, message",
+    [
+        ([0.0, 1.0], [math.nan, 1.0], 0.1, "density values must be finite"),
+        ([0.0, 1.0], [0.0, math.inf], 0.1, "density values must be finite"),
+        ([math.nan], [1.0], 0.1, "grid must be finite"),
+        ([-math.inf, 0.0], [0.0, 0.0], 0.1, "grid must be finite"),
+        ([0.0, 1.0], [0.5, 0.5], math.inf, "bandwidth must be positive and finite"),
+    ],
+)
+def test_grid_density_rejects_non_finite(grid, values, bandwidth, message):
+    with pytest.raises(ValueError, match=message):
+        GridDensity(np.array(grid), np.array(values), bandwidth)
 
 
 def test_grid_density_mass():
@@ -191,6 +209,11 @@ def test_invert_on_grid_validation():
         invert_on_grid(semicircle_stieltjes, 0.1, [1.0, 0.0])
 
 
+def test_invert_on_grid_rejects_a_nan_transform():
+    with pytest.raises(ValueError, match="density values must be finite"):
+        invert_on_grid(lambda z: complex(0.0, math.nan), 0.1, [0.0, 1.0])
+
+
 def test_invert_semicircle_center_value():
     d = invert_on_grid(semicircle_stieltjes, 1e-3, [0.0])
     assert d.values[0] == pytest.approx(1.0 / math.pi, abs=2e-3)
@@ -221,6 +244,79 @@ def test_invert_semicircle_density_l1_error_small():
     true_vals = np.array([law.density(a) for a in grid])
     l1 = float(np.trapezoid(np.abs(d.values - true_vals), grid))
     assert l1 <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# the blocked atomic density
+# ---------------------------------------------------------------------------
+
+DENSITY_CASES = {
+    "distinct": esd(np.random.default_rng(71).standard_normal(256)),
+    "merged": StepDistribution([0.5, -1.25, 0.5, 2.0, -1.25, 0.5], [0.05, 0.1, 0.2, 0.15, 0.3, 0.2]),
+    "single": esd([0.25]),  # the Cauchy kernel of scale b
+}
+
+BLOCK_ATOMS = 4096
+BLOCK_ROWS = stieltjes._DENSITY_BLOCK_BYTES // (8 * BLOCK_ATOMS)
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+def test_atomic_density_matches_exact_poisson_sum(case):
+    dist = DENSITY_CASES[case]
+    grid = np.linspace(-3.0, 3.0, 41)
+    for b in (0.05, 0.5):
+        got = atomic_density(dist, b, grid).values
+        exact = exact_poisson_density(dist.atoms, dist.weights, b, grid)
+        assert np.all(np.abs(got - exact) <= 1e-15 * exact), (case, b)
+
+
+@pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+def test_atomic_density_matches_pointwise_inversion(case):
+    dist = DENSITY_CASES[case]
+    grid = np.linspace(-3.0, 3.0, 121)
+    got = atomic_density(dist, 0.05, grid)
+    ref = invert_on_grid(lambda z: stieltjes_atomic(dist, z), 0.05, grid)
+    assert np.array_equal(got.grid, ref.grid) and got.bandwidth == ref.bandwidth
+    assert np.all(np.abs(got.values - ref.values) <= 1e-14 * ref.values)
+
+
+@pytest.mark.parametrize("size", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_atomic_density_bytes_do_not_depend_on_threads_or_blocks(size, monkeypatch):
+    dist = esd(np.random.default_rng(73).standard_normal(BLOCK_ATOMS))
+    grid = np.linspace(-2.5, 2.5, size)
+    ref = atomic_density(dist, 0.02, grid).values
+    for threads in (1, 2, 3):
+        assert atomic_density(dist, 0.02, grid, threads).values.tobytes() == ref.tobytes()
+    for block in (1, 2, 5):
+        monkeypatch.setattr(stieltjes, "_DENSITY_BLOCK_BYTES", block * 8 * BLOCK_ATOMS)
+        for threads in (1, 3):
+            assert atomic_density(dist, 0.02, grid, threads).values.tobytes() == ref.tobytes()
+
+
+def test_atomic_density_peak_memory_is_one_block():
+    """6,001 points x 16,384 atoms in one 2-d pass would take 786 MB."""
+    dist = esd(np.linspace(-2.0, 2.0, 16384))
+    grid = np.arange(-3.0, 3.0 + 5e-4, 1e-3)
+    assert grid.size == 6001
+    tracemalloc.start()
+    try:
+        atomic_density(dist, 0.02, grid, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_atomic_density_validation():
+    delta = esd([0.0])
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        atomic_density(delta, 0.0, [0.0, 1.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        atomic_density(delta, 0.1, [])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        atomic_density(delta, 0.1, [1.0, 0.0])
+    with pytest.raises(ValueError, match=f"exceeds {MASS_CAP}"):
+        atomic_density(delta, 0.01, [-1.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
