@@ -60,7 +60,6 @@ from .concentration import (
 )
 from .stieltjes import (
     GridDensity,
-    UpperHalfPoint,
     atomic_density,
     invert_on_grid,
     recursion_residual,

@@ -17,7 +17,6 @@ import cmath
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -69,16 +68,6 @@ __all__ = [
     "run",
     "main",
 ]
-
-COMMANDS = (
-    "simulate",
-    "moments",
-    "walks",
-    "stieltjes",
-    "concentration",
-    "reduce",
-    "conditions",
-)
 
 # commands that sample one n x n matrix per trial
 SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduce")
@@ -135,6 +124,7 @@ def _grid(text: str) -> tuple[float, ...]:
 
 
 # Readers: a parse that raises ValueError on a bad value, and what it expects.
+# `_read` applies one, and rejects a NaN or infinite number from any of them.
 _TEXT = (str, "text")
 _INT = (int, "integer")
 _NUMBER = (float, "number")
@@ -144,6 +134,19 @@ _NUMBERS = (_list(float), "numbers")
 _COMPLEXES = (_list(lambda p: complex(p.replace(" ", ""))), "complex numbers")
 _GRID = (_grid, "'min, max, step'")
 _ETA = (lambda text: None if text == "auto" else float(text), "number or 'auto'")
+
+
+def _read(key: str, text: str, reader: tuple[Callable[[str], object], str]):
+    """``text`` through ``reader``: a ConfigError names ``key`` if the parse fails or is not finite."""
+    read, expected = reader
+    try:
+        value = read(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from exc
+    items = value if isinstance(value, tuple) else (value,)
+    if not all(cmath.isfinite(v) for v in items if isinstance(v, (float, complex))):
+        raise ConfigError(f"{key}: expected finite {expected}, got {text!r}")
+    return value
 
 
 def _key(keys: str | tuple[str, ...], reader: tuple[Callable[[str], object], str], default):
@@ -174,14 +177,13 @@ class EnsembleConfig:
             return LAW_BUILDERS[self.law_kind]()
         raise ConfigError(f"unknown entry law {self.law_kind!r}")
 
-    @staticmethod
-    def _value(expr: str, n: int) -> float:
+    def _value(self, name: str, n: int) -> float:
+        """Field ``name`` at size n: '1/n', or a finite number."""
+        expr = getattr(self, name)
         if expr == "1/n":
             return 1.0 / n
-        try:
-            return float(expr)
-        except ValueError as exc:
-            raise ConfigError(f"expected number or '1/n', got {expr!r}") from exc
+        key = self.__dataclass_fields__[name].metadata["keys"][0]
+        return _read(key, expr, (float, "number or '1/n'"))
 
     def build(self, n: int, seed: int) -> EnsembleSpec:
         if self.preset == "wigner_unit":
@@ -191,12 +193,12 @@ class EnsembleConfig:
         if self.preset is not None:
             raise ConfigError(f"unknown ensemble preset {self.preset!r}")
         if self.profile_kind == "uniform":
-            profile = VarianceProfile.uniform(self._value(self.variance, n))
+            profile = VarianceProfile.uniform(self._value("variance", n))
         elif self.profile_kind == "banded":
             profile = VarianceProfile.banded(
                 self.band_width,
-                self._value(self.band_inside, n),
-                self._value(self.band_outside, n),
+                self._value("band_inside", n),
+                self._value("band_outside", n),
             )
         else:
             raise ConfigError(f"unknown profile kind {self.profile_kind!r}")
@@ -250,11 +252,7 @@ class ExperimentConfig:
         for key, (owner, f) in CONFIG_KEYS.items():
             if key not in m:
                 continue
-            read, expected = f.metadata["reader"]
-            try:
-                value = read(m[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected {expected}, got {m[key]!r}") from exc
+            value = _read(key, m[key], f.metadata["reader"])
             if value != ():
                 values[owner][f.name] = value
         preset = values[EnsembleConfig].get("preset")
@@ -400,19 +398,13 @@ def validate(config: ExperimentConfig) -> list[str]:
     if cmd == "stieltjes":
         if not config.z_list:
             diags.append("stieltjes.z must be nonempty")
-        elif not all(cmath.isfinite(z) for z in config.z_list):
-            diags.append("stieltjes.z points must have finite real and imaginary parts")
         elif any(z.imag <= 0 for z in config.z_list):
             diags.append("stieltjes points must lie in the upper half plane")
         if config.grid is not None:
             lo, hi, step = config.grid
-            if not all(math.isfinite(v) for v in config.grid):
-                diags.append("stieltjes.grid min, max and step must be finite")
-            elif not (step > 0 and hi > lo):
+            if not (step > 0 and hi > lo):
                 diags.append("stieltjes.grid must satisfy min < max and step > 0")
-        if not math.isfinite(config.bandwidth):
-            diags.append("stieltjes.bandwidth must be finite")
-        elif config.bandwidth <= 0:
+        if config.bandwidth <= 0:
             diags.append("stieltjes.bandwidth must be positive")
     if cmd == "conditions":
         if config.c_bound <= 0:
@@ -589,7 +581,7 @@ def _cmd_conditions(config: ExperimentConfig, out: Path) -> list[Path]:
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
         base = condition_sums(spec, config.c_bound, config.eps_list)
-        gauss = gaussian_row_check(spec, config.eps_list).gauss_conditions
+        gauss = gaussian_row_check(spec, config.eps_list)
         tail_by_eps = dict(gauss.tail_prob_sums)
         lind_by_eps = dict(base.lindeberg)
         for eps in config.eps_list:
@@ -703,15 +695,17 @@ def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
+# in the order --help lists them
 _COMMAND_FNS = {
     "simulate": _cmd_simulate,
     "moments": _cmd_moments,
     "walks": _cmd_walks,
     "stieltjes": _cmd_stieltjes,
-    "conditions": _cmd_conditions,
     "concentration": _cmd_concentration,
     "reduce": _cmd_reduce,
+    "conditions": _cmd_conditions,
 }
+COMMANDS = tuple(_COMMAND_FNS)
 
 
 def _sha256(path: Path) -> str:

@@ -408,13 +408,6 @@ class VarianceProfile:
         by_offset = values[self._level_of(0, np.arange(n))]
         return lambda i: by_offset[: n - i]
 
-    def row_tail(self, i: int, n: int) -> np.ndarray:
-        """Profile values sigma^2_ij for j = i..n-1."""
-        return self._row_tails(self.levels, n)(i)
-
-    def row_sums(self, n: int) -> np.ndarray:
-        return self._row_sums_of(lambda v: v, n)
-
     def unique_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Profile levels with their ordered-pair counts over the n x n grid.
 
@@ -559,7 +552,6 @@ class ConditionReport:
     var_row_sum_stat: float
     row_excess_stat: float
     lindeberg: tuple[tuple[float, float], ...]
-    gauss_conditions: GaussConditions | None = None
     finite_variance: bool = True
 
     @property
@@ -575,16 +567,38 @@ class ConditionReport:
         return tuple((eps, val / self.n) for eps, val in self.lindeberg)
 
 
-def _per_value_sum(vals: np.ndarray, counts: np.ndarray, term) -> float:
+def _diagonal_swap(spec: EnsembleSpec, term) -> np.ndarray | float:
+    """Per row i, term(dlaw, sigma^2_ii) - term(law, sigma^2_ii); 0.0 when the two laws are one.
+
+    Added to sums of term(``spec.law``, sigma^2_ij), it puts the diagonal law
+    on the diagonal, in O(n) through ``_level_of(i, i)``.  ``term`` is never
+    called on a zero level.
+    """
+    law, dlaw, prof = spec.law, spec.effective_diagonal_law, spec.profile
+    if dlaw == law:
+        return 0.0
+    swap = np.array([term(dlaw, float(v)) - term(law, float(v)) if v > 0 else 0.0 for v in prof.levels])
+    r = np.arange(spec.n)
+    return swap[prof._level_of(r, r)]
+
+
+def _entry_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
+    """Per row i, sum_j term(law of w_ij, sigma^2_ij), the diagonal entry under the diagonal law."""
+    return spec.profile._row_sums_of(lambda v: term(spec.law, v), spec.n) + _diagonal_swap(spec, term)
+
+
+def _entry_total(spec: EnsembleSpec, term, vals: np.ndarray, counts: np.ndarray) -> float:
+    """sum_ij term(law of w_ij, sigma^2_ij), the diagonal under the diagonal law.
+
+    ``vals`` and ``counts`` are the profile's ``unique_values``: one term per
+    level, times its count, then the diagonal swap.
+    """
     total = 0.0
     for v, c in zip(vals, counts):
         if v == 0.0:
             continue
-        t = term(float(v))
-        if math.isinf(t):
-            return math.inf
-        total += float(c) * t
-    return total
+        total += float(c) * term(spec.law, float(v))
+    return total + float(np.sum(_diagonal_swap(spec, term)))
 
 
 def condition_sums(
@@ -598,62 +612,49 @@ def condition_sums(
     row_excess_stat  = sum_i (sum_j Var w_ij - C)_+
     lindeberg(eps)   = sum_ij E[|w_ij|^2; |w_ij| > eps]
 
-    Infinite-variance laws report inf for all three (flagged via
-    finite_variance); their truncated statistics live in gaussian_row_check.
+    Diagonal entries follow the diagonal law.  An infinite-variance law on
+    or off the diagonal makes all three inf (flagged via finite_variance);
+    the truncated statistics live in gaussian_row_check.
     """
     if C <= 0:
         raise ValueError("row bound C must be positive")
     eps_list = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_list):
         raise ValueError("epsilons must be positive")
-    n, law = spec.n, spec.law
-    if not law.has_finite_variance:
+    n = spec.n
+    if not (spec.law.has_finite_variance and spec.effective_diagonal_law.has_finite_variance):
         lind = tuple((e, math.inf) for e in eps_list)
-        return ConditionReport(n, C, math.inf, math.inf, lind, None, False)
+        return ConditionReport(n, C, math.inf, math.inf, lind, False)
 
-    unit = law.standard_variance  # 1.0, or 0.0 for constant_zero
-    rows = spec.profile.row_sums(n) * unit
+    rows = _entry_row_sums(spec, lambda law, v: v * law.standard_variance)
     var_row = float(np.sum(np.abs(rows - 1.0)))
     excess = float(np.sum(np.clip(rows - C, 0.0, None)))
     vals, counts = spec.profile.unique_values(n)
     lind = []
     for eps in eps_list:
-        if unit == 0.0:
-            lind.append((eps, 0.0))
-            continue
-        s = _per_value_sum(vals, counts, lambda v: v * law.m2_tail(eps / math.sqrt(v)))
-        lind.append((eps, s))
-    return ConditionReport(n, C, var_row, excess, tuple(lind), None, True)
+        tail = _entry_total(spec, lambda law, v: v * law.m2_tail(eps / math.sqrt(v)), vals, counts)
+        lind.append((eps, tail))
+    return ConditionReport(n, C, var_row, excess, tuple(lind), True)
 
 
-def gaussian_row_check(spec: EnsembleSpec, epsilons: Sequence[float]) -> ConditionReport:
+def gaussian_row_check(spec: EnsembleSpec, epsilons: Sequence[float]) -> GaussConditions:
     """Worst-row triangular-array conditions at truncation level 1.
 
     Every entry law is symmetric, so condition (ii) is exactly 0.  The
     worst row is taken per condition: the largest tail-probability sum for
     (i), and the truncated-variance sum farthest from 1 for (iii).
+    Diagonal entries follow the diagonal law.
     """
     eps_list = [float(e) for e in epsilons]
     if any(e <= 0 for e in eps_list):
         raise ValueError("epsilons must be positive")
-    n, law, prof = spec.n, spec.law, spec.profile
     tail_sums = []
     for eps in eps_list:
-        per_row = prof._row_sums_of(lambda v: law.tail_prob(eps / math.sqrt(v)), n)
+        per_row = _entry_row_sums(spec, lambda law, v: law.tail_prob(eps / math.sqrt(v)))
         tail_sums.append((eps, float(per_row.max())))
-    trunc_var = prof._row_sums_of(lambda v: v * law.m2_below(1.0 / math.sqrt(v)), n)
+    trunc_var = _entry_row_sums(spec, lambda law, v: v * law.m2_below(1.0 / math.sqrt(v)))
     worst = float(trunc_var[np.argmax(np.abs(trunc_var - 1.0))])
-    gauss = GaussConditions(tuple(tail_sums), 0.0, worst)
-    base = condition_sums(spec, C=1.0, epsilons=eps_list)
-    return ConditionReport(
-        spec.n,
-        base.C,
-        base.var_row_sum_stat,
-        base.row_excess_stat,
-        base.lindeberg,
-        gauss,
-        base.finite_variance,
-    )
+    return GaussConditions(tuple(tail_sums), 0.0, worst)
 
 
 def wigner_unit_spec(n: int, law: EntryLaw | None = None, seed: int = 0) -> EnsembleSpec:

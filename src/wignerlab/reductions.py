@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian_core import HermitianMatrix
-from .ensembles import EnsembleSpec, EntryLaw, VarianceProfile
+from .ensembles import EnsembleSpec, EntryLaw, VarianceProfile, condition_sums
 
 __all__ = [
     "ReductionTrace",
@@ -218,8 +218,6 @@ def auto_eta(spec: EnsembleSpec, grid: tuple[float, ...] = (0.0625, 0.125, 0.25,
     The normalized Lindeberg sum is (1/n) sum_ij E[|w|^2; |w| > eps]; when no
     grid point satisfies the bound the largest one is used.
     """
-    from .ensembles import condition_sums
-
     eps_sorted = sorted(float(e) for e in grid)
     if not eps_sorted or eps_sorted[0] <= 0:
         raise ValueError("grid must contain positive thresholds")

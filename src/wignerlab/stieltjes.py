@@ -25,7 +25,6 @@ from .spectral_measures import StepDistribution, esd, expected_esd
 from .streams import parallel_map
 
 __all__ = [
-    "UpperHalfPoint",
     "GridDensity",
     "sqrt_z2_minus_4",
     "stieltjes_atomic",
@@ -41,27 +40,7 @@ MASS_CAP = 1.05
 _DENSITY_BLOCK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
-    """A point z = re + i*im with im > 0."""
-
-    re: float
-    im: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", float(self.re))
-        object.__setattr__(self, "im", float(self.im))
-        if not self.im > 0.0:
-            raise ValueError("point must lie in the open upper half plane")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.re, self.im)
-
-
-def _as_z(z: "complex | UpperHalfPoint") -> complex:
-    if isinstance(z, UpperHalfPoint):
-        return z.z
+def _as_z(z: complex) -> complex:
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("point must lie in the open upper half plane")
@@ -109,26 +88,24 @@ class GridDensity:
         return float(np.trapezoid(self.values, self.grid)) if self.grid.size > 1 else 0.0
 
 
-def sqrt_z2_minus_4(z: "complex | UpperHalfPoint") -> complex:
+def sqrt_z2_minus_4(z: complex) -> complex:
     """sqrt(z^2 - 4) on the branch sqrt(z-2)*sqrt(z+2).
 
     Both principal square roots have nonnegative imaginary part for z in the
     closed upper half plane, so the product is continuous there, including
     across Re z = +-2 on the real axis.
     """
-    if isinstance(z, UpperHalfPoint):
-        z = z.z
     z = complex(z)
     return cmath.sqrt(z - 2.0) * cmath.sqrt(z + 2.0)
 
 
-def stieltjes_atomic(dist: StepDistribution, z: "complex | UpperHalfPoint") -> complex:
+def stieltjes_atomic(dist: StepDistribution, z: complex) -> complex:
     """s_F(z) = sum_atoms w/(x - z); Im > 0 and |s| <= 1/Im z."""
     zz = _as_z(z)
     return complex(np.sum(dist.weights / (dist.atoms - zz)))
 
 
-def semicircle_stieltjes(z: "complex | UpperHalfPoint") -> complex:
+def semicircle_stieltjes(z: complex) -> complex:
     """Transform of the semicircle: (-z + sqrt(z^2-4))/2 on the Herglotz branch.
 
     Satisfies s + 1/(z + s) = 0, i.e. s is the fixed point of the
@@ -194,7 +171,7 @@ def atomic_density(
 
 
 def recursion_residual(
-    spec: EnsembleSpec, z: "complex | UpperHalfPoint", trials: int
+    spec: EnsembleSpec, z: complex, trials: int
 ) -> float:
     """|s_n + 1/(z + s_n)| with s_n the transform of the trials' pooled ESD.
 

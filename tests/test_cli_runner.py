@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignerlab import cli_runner
+from wignerlab import cli_runner, ensembles
 from wignerlab.cli_runner import (
     COMMANDS,
     CONFIG_KEYS,
@@ -661,6 +661,22 @@ def test_run_conditions_row_per_size_and_eps(tmp_path):
         assert row[9] == "1"  # booleans serialize as 0/1
 
 
+def test_run_conditions_computes_each_report_once_per_size(tmp_path, monkeypatch):
+    calls = {"condition_sums": [], "gaussian_row_check": []}
+    for name in calls:
+        real = getattr(ensembles, name)
+
+        def counted(spec, *args, real=real, name=name, **kwargs):
+            calls[name].append(spec.n)
+            return real(spec, *args, **kwargs)
+
+        # a call from the library resolves the name in ensembles, one from the runner in cli_runner
+        monkeypatch.setattr(ensembles, name, counted)
+        monkeypatch.setattr(cli_runner, name, counted)
+    run(make_config("conditions", str(tmp_path), sizes="8, 16, 32"))
+    assert calls == {"condition_sums": [8, 16, 32], "gaussian_row_check": [8, 16, 32]}
+
+
 def test_run_concentration_rows_and_bernoulli(tmp_path):
     config = make_config(
         "concentration",
@@ -819,17 +835,33 @@ def test_main_grid_too_coarse_for_bandwidth_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("stieltjes.grid", "-inf, 3, 0.01", "stieltjes.grid min, max and step must be finite"),
-        ("stieltjes.z", "1+nanj", "stieltjes.z points must have finite real and imaginary parts"),
-        ("stieltjes.z", "infj", "stieltjes.z points must have finite real and imaginary parts"),
-        ("stieltjes.bandwidth", "nan", "stieltjes.bandwidth must be finite"),
-        ("stieltjes.bandwidth", "inf", "stieltjes.bandwidth must be finite"),
+        ("stieltjes.grid", "-inf, 3, 0.01", "stieltjes.grid: expected finite 'min, max, step', got '-inf, 3, 0.01'"),
+        ("stieltjes.z", "1+nanj", "stieltjes.z: expected finite complex numbers, got '1+nanj'"),
+        ("stieltjes.z", "infj", "stieltjes.z: expected finite complex numbers, got 'infj'"),
+        ("stieltjes.bandwidth", "nan", "stieltjes.bandwidth: expected finite number, got 'nan'"),
+        ("stieltjes.bandwidth", "inf", "stieltjes.bandwidth: expected finite number, got 'inf'"),
+        ("concentration.t", "0.5, nan", "concentration.t: expected finite numbers, got '0.5, nan'"),
+        ("concentration.ramp_p", "nan", "concentration.ramp_p: expected finite number, got 'nan'"),
+        ("concentration.bernoulli_x", "inf", "concentration.bernoulli_x: expected finite number, got 'inf'"),
+        ("reduce.eta", "nan", "reduce.eta: expected finite number or 'auto', got 'nan'"),
+        ("reduce.c", "inf", "reduce.c: expected finite number, got 'inf'"),
+        ("conditions.c", "nan", "conditions.c: expected finite number, got 'nan'"),
+        ("conditions.eps", "nan, 0.5", "conditions.eps: expected finite numbers, got 'nan, 0.5'"),
+        ("ensemble.variance", "nan", "ensemble.variance: expected finite number or '1/n', got 'nan'"),
+        ("ensemble.variance", "inf", "ensemble.variance: expected finite number or '1/n', got 'inf'"),
+        ("ensemble.band_outside", "inf", "ensemble.band_outside: expected finite number or '1/n', got 'inf'"),
     ],
-    ids=["grid_min_inf", "z_im_nan", "z_im_inf", "bandwidth_nan", "bandwidth_inf"],
+    ids=["grid_min_inf", "z_im_nan", "z_im_inf", "bandwidth_nan", "bandwidth_inf", "t_nan", "ramp_p_nan",
+         "bernoulli_x_inf", "eta_nan", "reduce_c_inf", "conditions_c_nan", "eps_nan", "variance_nan",
+         "variance_inf", "band_outside_inf"],
 )
 def test_main_non_finite_stieltjes_input_exits_3(tmp_path, capsys, key, value, message):
     settings = {"stieltjes.z": "1j", "stieltjes.grid": "-3, 3, 0.01", key: value}
+    if key == "ensemble.band_outside":
+        settings["ensemble.profile"] = "banded"
     path = write_config(tmp_path, **settings)
+    if key.startswith("ensemble."):  # the preset reads no profile key
+        path.write_text(path.read_text().replace("ensemble.preset = wigner_unit\n", ""))
     assert main(["stieltjes", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -329,28 +329,48 @@ def test_profile_matrix_values():
     assert np.array_equal(VarianceProfile.explicit(m).matrix(2), m)
 
 
-PROFILE_CASES = pytest.mark.parametrize(
-    "profile",
-    (
-        VarianceProfile.uniform(0.2),
-        VarianceProfile.banded(2, 1.5, 0.25),
-        VarianceProfile.banded(0, 1.0),
-        VarianceProfile.banded(10, 0.5, 0.25),
-        VarianceProfile.explicit(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0], [2.0, 1.0, 0.0]])),
-    ),
-    ids=("uniform", "banded", "band0", "wide", "explicit"),
+PROFILES = {
+    "uniform": VarianceProfile.uniform(0.2),
+    "banded": VarianceProfile.banded(2, 1.5, 0.25),
+    "band0": VarianceProfile.banded(0, 1.0),
+    "wide": VarianceProfile.banded(10, 0.5, 0.25),
+    "explicit": VarianceProfile.explicit(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0], [2.0, 1.0, 0.0]])),
+}
+PROFILE_CASES = pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES.keys())
+
+# (profile, law, diagonal law): every profile under the gaussian law, then a
+# complex law under its default real gaussian diagonal, and non-default diagonals
+ENTRY_LAW_CASES = pytest.mark.parametrize(
+    "profile, law, diagonal_law",
+    [(p, EntryLaw.gaussian_real(), None) for p in PROFILES.values()]
+    + [
+        (PROFILES["banded"], EntryLaw.gaussian_complex(), None),
+        (PROFILES["uniform"], EntryLaw.gaussian_complex(), EntryLaw.uniform_bounded()),
+        (PROFILES["uniform"], EntryLaw.gaussian_real(), EntryLaw.constant_zero()),
+        (PROFILES["wide"], EntryLaw.rademacher(), EntryLaw.gaussian_real()),
+        (PROFILES["explicit"], EntryLaw.uniform_bounded(), EntryLaw.rademacher()),
+        (PROFILES["band0"], EntryLaw.constant_zero(), EntryLaw.gaussian_real()),
+    ],
+    ids=[*PROFILES, "complex-banded", "complex-uniform_diag", "zero_diag", "rademacher-gauss_diag",
+         "uniform-rademacher_diag-explicit", "zero-gauss_diag-band0"],
 )
+
+
+def _entrywise_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
+    """Per row, sum_j term(law of (i, j), sigma^2_ij) over the positive entries of matrix()."""
+    dlaw = spec.effective_diagonal_law
+    return np.array([
+        sum(term(dlaw if i == j else spec.law, v) for j, v in enumerate(row) if v > 0)
+        for i, row in enumerate(spec.profile.matrix(spec.n))
+    ])
 
 
 @PROFILE_CASES
 def test_profile_views_agree_with_matrix(profile):
-    """row_tail, row_sums, unique_values and map_levels all re-derive from matrix()."""
+    """unique_values and map_levels re-derive from matrix()."""
     n = 3 if profile.kind == "explicit" else 6
     m = profile.matrix(n)
     assert np.array_equal(m, m.T)
-    assert np.allclose(profile.row_sums(n), m.sum(axis=1))
-    for i in range(n):
-        assert np.array_equal(profile.row_tail(i, n), m[i, i:])
     vals, counts = profile.unique_values(n)
     assert counts.sum() == n * n
     for v, c in zip(vals, counts):
@@ -360,24 +380,32 @@ def test_profile_views_agree_with_matrix(profile):
     assert np.array_equal(mapped.matrix(n), 2.0 * m + 1.0)
 
 
-@PROFILE_CASES
-def test_gaussian_row_check_matches_entrywise_row_sums(profile):
-    """The per-level row sums equal sums over the entries of matrix()."""
+@ENTRY_LAW_CASES
+def test_gaussian_row_check_matches_entrywise_row_sums(profile, law, diagonal_law):
+    """The per-level row sums equal sums over the entries of matrix(), the diagonal under its own law."""
     n = 3 if profile.kind == "explicit" else 6
-    law = EntryLaw.gaussian_real()
-    spec = EnsembleSpec(n, law, profile)
-    m = profile.matrix(n)
-
-    def row_sums(term):
-        return np.array([sum(term(v) for v in row if v > 0) for row in m])
-
+    spec = EnsembleSpec(n, law, profile, diagonal_law)
     eps = 0.75
-    gauss = gaussian_row_check(spec, epsilons=(eps,)).gauss_conditions
-    tail = row_sums(lambda v: law.tail_prob(eps / math.sqrt(v)))
+    gauss = gaussian_row_check(spec, epsilons=(eps,))
+    tail = _entrywise_row_sums(spec, lambda law, v: law.tail_prob(eps / math.sqrt(v)))
     assert gauss.tail_prob_sums[0][1] == pytest.approx(tail.max(), rel=1e-14)
-    trunc_var = row_sums(lambda v: v * law.m2_below(1.0 / math.sqrt(v)))
+    trunc_var = _entrywise_row_sums(spec, lambda law, v: v * law.m2_below(1.0 / math.sqrt(v)))
     worst = trunc_var[np.argmax(np.abs(trunc_var - 1.0))]
     assert gauss.truncated_variance_sum == pytest.approx(worst, rel=1e-14)
+
+
+@ENTRY_LAW_CASES
+def test_condition_sums_matches_entrywise_row_sums(profile, law, diagonal_law):
+    """The three hypothesis sums equal sums over the entries of matrix(), the diagonal under its own law."""
+    n = 3 if profile.kind == "explicit" else 6
+    spec = EnsembleSpec(n, law, profile, diagonal_law)
+    C, eps = 0.5, 0.75
+    report = condition_sums(spec, C, epsilons=(eps,))
+    rows = _entrywise_row_sums(spec, lambda law, v: v * law.standard_variance)
+    assert report.var_row_sum_stat == pytest.approx(np.abs(rows - 1.0).sum(), rel=1e-14)
+    assert report.row_excess_stat == pytest.approx(np.clip(rows - C, 0.0, None).sum(), rel=1e-14)
+    lind = _entrywise_row_sums(spec, lambda law, v: v * law.m2_tail(eps / math.sqrt(v)))
+    assert report.lindeberg[0][1] == pytest.approx(lind.sum(), rel=1e-14)
 
 
 def test_profile_dimension_check():
@@ -709,7 +737,12 @@ def test_condition_sums_infinite_variance_flagged():
     assert report.var_row_sum_stat == math.inf
     assert report.row_excess_stat == math.inf
     assert all(v == math.inf for _, v in report.lindeberg)
-    assert report.gauss_conditions is None
+    # an infinite-variance diagonal law alone makes the sums infinite too
+    heavy_diagonal = EnsembleSpec(8, EntryLaw.gaussian_real(), VarianceProfile.uniform(0.125),
+                                  EntryLaw.pareto_symmetric(1.5, 1.0))
+    report = condition_sums(heavy_diagonal, C=1.0, epsilons=(0.5,))
+    assert not report.finite_variance
+    assert report.var_row_sum_stat == report.lindeberg[0][1] == math.inf
 
 
 def test_lindeberg_normalized_decreases_with_n():
@@ -742,9 +775,7 @@ def test_report_normalization_properties():
 
 def test_gaussian_row_check_unit_gaussian():
     """Unit gaussian ensemble: all three row conditions essentially vanish."""
-    report = gaussian_row_check(wigner_unit_spec(256), epsilons=(0.5, 1.0))
-    gauss = report.gauss_conditions
-    assert gauss is not None
+    gauss = gaussian_row_check(wigner_unit_spec(256), epsilons=(0.5, 1.0))
     for _, tail_sum in gauss.tail_prob_sums:
         assert tail_sum <= 1e-10
     assert gauss.truncated_mean_sum == 0.0
@@ -753,36 +784,33 @@ def test_gaussian_row_check_unit_gaussian():
 
 def test_gaussian_row_check_uniform_bounded_truncated_variance_is_one():
     """Truncation at 1 keeps every entry of |w| <= sqrt(3/64): the row variance, exactly 1."""
-    report = gaussian_row_check(wigner_unit_spec(64, EntryLaw.uniform_bounded()), epsilons=(0.5,))
-    assert report.gauss_conditions.truncated_variance_sum == 1.0
+    gauss = gaussian_row_check(wigner_unit_spec(64, EntryLaw.uniform_bounded()), epsilons=(0.5,))
+    assert gauss.truncated_variance_sum == 1.0
 
 
 def test_gaussian_row_check_tail_condition_closed_form():
     """Condition (i) for the unit gaussian is n * erfc(eps sqrt(n/2))."""
     n, eps = 16, 0.5
-    report = gaussian_row_check(wigner_unit_spec(n), epsilons=(eps,))
+    gauss = gaussian_row_check(wigner_unit_spec(n), epsilons=(eps,))
     expect = n * math.erfc(eps * math.sqrt(n) / math.sqrt(2.0))
-    assert report.gauss_conditions.tail_prob_sums[0] == (eps, pytest.approx(expect, rel=1e-12))
+    assert gauss.tail_prob_sums[0] == (eps, pytest.approx(expect, rel=1e-12))
 
 
 def test_gaussian_row_check_heavy_tail_calibration():
     """The heavy-tail family pins the truncated-variance row sum at exactly 1."""
     for n in (2048, 10_000):
-        report = gaussian_row_check(heavy_tail_spec(n), epsilons=(1.0,))
-        gauss = report.gauss_conditions
+        gauss = gaussian_row_check(heavy_tail_spec(n), epsilons=(1.0,))
         assert gauss.truncated_variance_sum == pytest.approx(1.0, abs=1e-9)
         assert gauss.truncated_mean_sum == 0.0
         eps, tail = gauss.tail_prob_sums[0]
         assert eps == 1.0
         assert 0.0 < tail <= 0.11
-        assert not report.finite_variance
 
 
 def test_heavy_tail_tail_condition_decreases_with_n():
     tails = []
     for n in (2048, 10_000, 100_000):
-        report = gaussian_row_check(heavy_tail_spec(n), epsilons=(1.0,))
-        tails.append(report.gauss_conditions.tail_prob_sums[0][1])
+        tails.append(gaussian_row_check(heavy_tail_spec(n), epsilons=(1.0,)).tail_prob_sums[0][1])
     assert tails[0] > tails[1] > tails[2] > 0.0
 
 

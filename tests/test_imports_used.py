@@ -1,4 +1,8 @@
-"""Every name a library module imports is read in that module: an unused-import check in the standard library alone."""
+"""Unused-code checks in the standard library alone.
+
+Every name a library module imports is read in that module, and every
+private ``_name`` a library module defines is read somewhere in the library.
+"""
 from __future__ import annotations
 
 import ast
@@ -8,8 +12,9 @@ import pytest
 
 import wignerlab
 
+SOURCES = sorted(Path(wignerlab.__file__).parent.glob("*.py"))
 # the package's own imports are its exports, which test_public_names checks
-MODULES = sorted(p for p in Path(wignerlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -31,3 +36,42 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """``_name`` (not dunder) -> line for every function, class and assignment target."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in out.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read, attributes, imported names and string constants (``getattr`` targets)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = set().union(*map(_references, trees.values()))
+    unused = {
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in used
+    }
+    assert not unused, f"private names defined but never read in the library: {sorted(unused)}"

@@ -299,7 +299,7 @@ def test_truncated_profile_heavy_tail_rows_are_unit():
     for n in (64, 2048):
         spec = heavy_tail_spec(n)
         prof = truncated_profile(spec, 1.0)
-        assert np.allclose(prof.row_sums(n), 1.0, atol=1e-9)
+        assert np.allclose(prof.matrix(n).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_truncated_profile_preserves_kind():

@@ -21,7 +21,6 @@ from wignerlab.spectral_measures import SemicircleLaw, StepDistribution, esd
 from wignerlab.stieltjes import (
     MASS_CAP,
     GridDensity,
-    UpperHalfPoint,
     atomic_density,
     invert_on_grid,
     recursion_residual,
@@ -40,24 +39,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # ---------------------------------------------------------------------------
 
 
-def test_upper_half_point_validation():
-    p = UpperHalfPoint(0.5, 2.0)
-    assert p.z == 0.5 + 2.0j
-    with pytest.raises(ValueError, match="upper half plane"):
-        UpperHalfPoint(0.0, 0.0)
-    with pytest.raises(ValueError, match="upper half plane"):
-        UpperHalfPoint(1.0, -1.0)
-
-
 def test_transform_rejects_lower_half_plane():
     with pytest.raises(ValueError, match="upper half plane"):
         semicircle_stieltjes(1.0 - 0.5j)
     with pytest.raises(ValueError, match="upper half plane"):
         stieltjes_atomic(esd([0.0]), 2.0 + 0.0j)
-
-
-def test_point_and_complex_arguments_agree():
-    assert semicircle_stieltjes(UpperHalfPoint(0.3, 0.7)) == semicircle_stieltjes(0.3 + 0.7j)
 
 
 def test_grid_density_validation():
