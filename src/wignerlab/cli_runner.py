@@ -39,6 +39,7 @@ from .ensembles import (
     trial_eigenvalues,
     wigner_unit_spec,
 )
+from .hermitian_core import blas_runtime_threads
 from .reductions import auto_eta, pipeline, rescale_to_row_bound, truncated_profile
 from .spectral_measures import (
     RampFunction,
@@ -288,8 +289,10 @@ def _machine_state(threads: int) -> tuple[tuple[str, object], ...]:
     """What the run's numbers may depend on beyond config and seed.
 
     numpy and its BLAS, the BLAS thread variables ("unset" when absent),
-    the CPU count and the worker threads: eigenvalues can differ in the last
-    bits between BLAS builds and BLAS thread counts.
+    OpenBLAS's runtime thread count outside the trial fan-out (None when it
+    cannot be read), the CPU count and the worker threads.  Eigenvalues can
+    differ in the last bits between BLAS builds, and from n = 512 up between
+    BLAS thread counts; below 512 the trial fan-out runs one BLAS thread.
     """
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return (
@@ -297,6 +300,7 @@ def _machine_state(threads: int) -> tuple[tuple[str, object], ...]:
         ("blas_name", blas.get("name")),
         ("blas_version", blas.get("version")),
         *((var, os.environ.get(var, "unset")) for var in _BLAS_THREAD_VARS),
+        ("blas_runtime_threads", blas_runtime_threads()),
         ("cpu_count", os.cpu_count()),
         ("threads", threads),
     )

@@ -12,13 +12,14 @@ and the three row conditions behind the gaussian-convergence theorem.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .hermitian_core import HermitianMatrix, eigenvalues_desc
+from .hermitian_core import HermitianMatrix, eigenvalues_desc, eigenvalues_desc_stacked, single_blas_thread
 from .streams import DOMAIN_SAMPLE, derive_rng, parallel_map
 
 __all__ = [
@@ -48,6 +49,11 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
+# below this size the trial path runs in blocks: trial_eigenvalues solves a
+# stack of trials per eigvalsh call and sample places short rows in bands
+SMALL_N = 512
+# base draws per multi-row band of sample's fill placement
+_BAND_VALUES = 1024
 # bytes of a row per band of the lower-triangle mirror in sample: 64 real or
 # 32 complex columns, the fastest band widths measured at n = 1024, 2048, 4096
 _MIRROR_BAND_BYTES = 512
@@ -472,26 +478,116 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     each).
 
     The fill is packed at the front of ``w``'s buffer (its float view when
-    complex).  Rows are placed bottom-up: row i's packed draws start no later
-    than the spot where row i lands, and a row writes only its own upper
-    part, so no row that is still packed is overwritten.  ``_mirror_lower``
-    then writes the lower triangle a band of columns at a time.
+    complex) and placed a band of rows at a time, bottom-up (``_row_bands``):
+    band [a, b)'s packed draws start no later than the spot where row a
+    lands, and a band writes only its own rows' upper parts, so no row that
+    is still packed is overwritten.  A one-row band is a slice write; below
+    ``SMALL_N``, runs of short rows share one cached fancy-index assignment.
+    A real row under the default diagonal law is packed as its upper part in
+    column order, so it is placed whole; otherwise the diagonal goes in after
+    the rows.  ``_mirror_lower`` then writes the lower triangle a band of
+    columns at a time.
     """
-    n, law, dlaw = spec.n, spec.law, spec.effective_diagonal_law
+    n, law, dlaw, prof = spec.n, spec.law, spec.effective_diagonal_law, spec.profile
     w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
-    lead = int(dlaw == diagonal_law_for(law))  # base draws on the diagonal inside the packed fill
+    width, lead, whole = _packing(spec)
     diag = None if lead else dlaw._fill(rng, n)
-    width = 2 if law.is_complex else 1  # base draws per off-diagonal entry
     base = law._fill(rng, lead * n + width * (n * (n - 1) // 2), w.reshape(-1).view(np.float64))
-    sd_tail = spec.profile._row_tails(np.sqrt(spec.profile.levels), n)
-    for i in range(n - 1, -1, -1):
-        start = lead * i + width * (i * (2 * n - i - 1) // 2)
-        sd = sd_tail(i)
-        tail = law._entries(base[start + lead : start + lead + width * (n - i - 1)])
-        np.multiply(tail, sd[1:], out=w[i, i + 1 :])
-        w[i, i] = (base[start] if lead else diag[i]) * sd[0]
+    bands, starts, src, dest, rows, cols = _row_bands(n, width, lead, whole)
+    if lead and not whole:
+        diag = base[starts]  # a copy: the rows placed below overwrite the fill
+    sd = np.sqrt(prof.levels)
+    sd_entries = sd[prof._level_of(rows, cols)]
+    sd_rows = None  # the profile's sd along each row, built at the first one-row band
+    flat = w.reshape(-1)
+    for i, lo, hi in bands:
+        if lo is None:  # a one-row band: a slice write
+            sd_rows = sd_rows or prof._row_tails(sd, n)
+            start = starts[i] + lead - whole
+            draws = base[start : start + whole + width * (n - i - 1)]
+            np.multiply(law._entries(draws), sd_rows(i)[1 - whole :], out=w[i, i + 1 - whole :])
+        else:
+            draws = base[starts[i] : starts[i] + hi - lo] if width == 1 else base[src[2 * lo : 2 * hi]]
+            flat[dest[lo:hi]] = law._entries(draws) * sd_entries[lo:hi]
+    if not whole:
+        r = np.arange(n)
+        flat[:: n + 1] = diag * sd[prof._level_of(r, r)]
     _mirror_lower(w)
     return HermitianMatrix._trusted(w)
+
+
+def _packing(spec: EnsembleSpec) -> tuple[int, int, int]:
+    """How ``sample`` packs a matrix's draws: (width, lead, whole).
+
+    ``width`` base draws per off-diagonal entry; ``lead`` 1 if each row's
+    diagonal draw leads it in the packed fill; ``whole`` 1 if a row's packed
+    draws are its upper part in column order (a real law on its default
+    diagonal).
+    """
+    width = 2 if spec.law.is_complex else 1
+    lead = int(spec.effective_diagonal_law == diagonal_law_for(spec.law))
+    return width, lead, lead if width == 1 else 0
+
+
+_NO_ENTRIES = np.zeros(0, dtype=np.intp)
+
+
+def _row_bands(n: int, width: int, lead: int, whole: int):
+    """How ``sample`` places the packed fill: (bands, starts, src, dest, rows, cols).
+
+    ``starts[i]`` is where row i's packed draws begin.  ``bands`` lists
+    (first row, lo, hi) bottom-up.  From ``SMALL_N`` up every row is its own
+    band, with lo = hi = None, placed by a slice write.  Below it, the tables
+    are cached, and consecutive rows whose packed draws number at most
+    ``_BAND_VALUES`` share a band; a row too long to share stays alone.  A
+    shared band owns entries lo..hi-1 of the other arrays, which run band by
+    band, each band row by row: ``dest``, ``rows`` and ``cols`` give each
+    entry's flat position, row and column in the matrix.  A band's entries
+    are those of its rows right of the diagonal, and on it when ``whole``.
+    A real band's entries are then its packed draws in order, the hi - lo
+    draws from its first row's start on.  For a complex band,
+    ``src[2 * lo : 2 * hi]`` gives its draws' positions in the packed fill,
+    all real parts, then all imaginary parts.
+    """
+    if n < SMALL_N:
+        return _small_row_bands(n, width, lead, whole)
+    bands = ((i, None, None) for i in range(n - 1, -1, -1))
+    return bands, _row_starts(np.arange(n), n, width, lead), _NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES
+
+
+def _row_starts(i: np.ndarray, n: int, width: int, lead: int) -> np.ndarray:
+    """Position of row i's first packed draw."""
+    return lead * i + width * (i * (2 * n - i - 1) // 2)
+
+
+@functools.lru_cache(maxsize=4)
+def _small_row_bands(n: int, width: int, lead: int, whole: int) -> tuple:
+    bands, srcs, rows, cols = [], [], [], []
+    b, count = n, 0
+    while b > 0:
+        a = b - 1
+        size = lead + width * (n - 1 - a)  # packed draws of rows a..b-1
+        while a > 0 and size + lead + width * (n - a) <= _BAND_VALUES:
+            a -= 1
+            size += lead + width * (n - 1 - a)
+        if b - a == 1:
+            bands.append((a, None, None))
+        else:
+            i = np.repeat(np.arange(a, b), n - 1 + whole - np.arange(a, b))
+            j = np.concatenate([np.arange(k + 1 - whole, n) for k in range(a, b)])
+            if width == 2:
+                start = _row_starts(i, n, width, lead) + lead + j - i - 1
+                srcs += [start, start + (n - 1 - i)]
+            rows.append(i)
+            cols.append(j)
+            bands.append((a, count, count + i.size))
+            count += i.size
+        b = a
+    rows, cols = (np.concatenate(x) if x else _NO_ENTRIES for x in (rows, cols))
+    src = np.concatenate(srcs) if srcs else _NO_ENTRIES
+    starts = _row_starts(np.arange(n), n, width, lead)
+    # rows and columns below SMALL_N fit in int16; positions stay intp for fast indexing
+    return tuple(bands), starts, src, rows * n + cols, rows.astype(np.int16), cols.astype(np.int16)
 
 
 def _mirror_lower(w: np.ndarray) -> None:
@@ -518,10 +614,30 @@ def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
 
 
 def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list[np.ndarray]:
-    """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`."""
-    return parallel_map(
-        lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads
-    )
+    """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`.
+
+    Below ``SMALL_N`` the trials run in fixed blocks of ceil(SMALL_N / n)
+    consecutive indices, each block one stacked ``eigvalsh`` call that
+    releases the GIL (``eigenvalues_desc_stacked``), with OpenBLAS on one
+    thread (``single_blas_thread``).  Block boundaries depend only on n and
+    the trial index, and each spectrum has the bytes of
+    ``eigenvalues_desc(sample_trial(spec, t))`` under one BLAS thread, so
+    the result depends neither on `threads` nor on the BLAS thread count.
+    From ``SMALL_N`` up each trial is its own ``eigenvalues_desc`` call and
+    the BLAS threading is left alone.
+    """
+    if spec.n >= SMALL_N:
+        return parallel_map(lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads)
+    block = -(-SMALL_N // spec.n)
+    # sample's band tables live on; built in a worker, they would pin its malloc arena
+    _row_bands(spec.n, *_packing(spec))
+
+    def solve(first: int) -> list[np.ndarray]:
+        return eigenvalues_desc_stacked([sample_trial(spec, t) for t in range(first, min(first + block, trials))])
+
+    with single_blas_thread():
+        blocks = parallel_map(solve, range(0, trials, block), threads)
+    return [lam for lams in blocks for lam in lams]
 
 
 @dataclass(frozen=True)

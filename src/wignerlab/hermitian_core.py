@@ -1,9 +1,11 @@
 """Dense Hermitian matrices and their spectra.
 
 The substrate for everything downstream: validated construction, descending
-eigenvalues, Frobenius norm, numeric rank and principal minors.
-Instances are immutable and all operations are pure functions of their
-arguments, so they are safe to share across threads.
+eigenvalues (one matrix or a stack), Frobenius norm, numeric rank and
+principal minors.  Instances are immutable and all operations are pure
+functions of their arguments, so they are safe to share across threads.
+``single_blas_thread`` runs a section with OpenBLAS on one thread, whose
+eigenvalue bytes then do not depend on the process's BLAS thread count.
 
 Trust boundary: ``HermitianMatrix(x)`` is the checked constructor for any
 caller.  It copies ``x``, rejects asymmetry beyond ``SYMMETRY_TOL`` and
@@ -17,6 +19,10 @@ with no imaginary part to real, and makes the array read-only.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -25,6 +31,9 @@ import numpy as np
 __all__ = [
     "HermitianMatrix",
     "eigenvalues_desc",
+    "eigenvalues_desc_stacked",
+    "blas_runtime_threads",
+    "single_blas_thread",
     "frobenius_norm",
     "numeric_rank",
     "principal_minor",
@@ -122,6 +131,88 @@ class HermitianMatrix:
 def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
     """All eigenvalues of ``a``, repeated by multiplicity, descending."""
     return _readonly(np.linalg.eigvalsh(a.entries)[::-1].copy())
+
+
+def eigenvalues_desc_stacked(mats: Sequence[HermitianMatrix]) -> list[np.ndarray]:
+    """``eigenvalues_desc`` of each matrix, from one stacked ``eigvalsh`` call.
+
+    The matrices share n and dtype.  LAPACK solves a stack one matrix at a
+    time with the routine and workspace of a single call, so each spectrum
+    has the single call's bytes; numpy releases the GIL for the whole stack
+    once its length times n reaches 512.
+    """
+    lam = _readonly(np.linalg.eigvalsh(np.stack([a.entries for a in mats]))[:, ::-1].copy())
+    return list(lam)
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None.
+
+    Looked up once, on first use, among the symbols numpy's core extension
+    reaches: the OpenBLAS bundled with numpy's wheels exports them with a
+    ``scipy_`` prefix and a ``64_`` suffix, a system OpenBLAS without.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for stem in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+        get, put = (getattr(lib, stem.format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _SingleThreadSection:
+    """Reference count of the callers inside ``single_blas_thread``.
+
+    The first to enter saves OpenBLAS's thread count and sets 1; the last to
+    leave restores the saved count.
+    """
+
+    lock = threading.Lock()
+    inside = 0
+    saved: int | None = None
+
+
+def blas_runtime_threads() -> int | None:
+    """OpenBLAS's thread count outside ``single_blas_thread``; None if it cannot be read."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        return None
+    with _SingleThreadSection.lock:
+        return _SingleThreadSection.saved if _SingleThreadSection.inside else calls[0]()
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count.
+
+    The count is process-global, so concurrent sections share one saved
+    count and the last to leave restores it, also on an exception.  Without
+    the OpenBLAS symbols the BLAS is left alone.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    section = _SingleThreadSection
+    with section.lock:
+        if not section.inside:
+            section.saved = get()
+            put(1)
+        section.inside += 1
+    try:
+        yield
+    finally:
+        with section.lock:
+            section.inside -= 1
+            if not section.inside:
+                put(section.saved)
 
 
 def frobenius_norm(a: HermitianMatrix) -> float:

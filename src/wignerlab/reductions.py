@@ -164,12 +164,24 @@ def truncated_profile(spec: EnsembleSpec, eta: float) -> VarianceProfile:
     """Variance profile of the truncated (and centralized) entries.
 
     Var[w 1(|w| <= eta)] = sigma^2 E[X^2; |X| <= eta/sigma] for symmetric
-    laws; finite even when the raw variance is infinite.
+    laws; finite even when the raw variance is infinite.  Diagonal entries
+    follow the effective diagonal law; when it differs from ``spec.law``
+    the result is an explicit profile.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    law = spec.law
-    return spec.profile.map_levels(lambda v: v * law.m2_below(eta / math.sqrt(v)) if v > 0 else 0.0)
+
+    def truncated(law: EntryLaw, v: float) -> float:
+        return v * law.m2_below(eta / math.sqrt(v)) if v > 0 else 0.0
+
+    law, dlaw, prof = spec.law, spec.effective_diagonal_law, spec.profile
+    off = prof.map_levels(lambda v: truncated(law, v))
+    if dlaw == law:
+        return off
+    m = off.matrix(spec.n)
+    r = np.arange(spec.n)
+    m[r, r] = np.array([truncated(dlaw, float(v)) for v in prof.levels])[prof._level_of(r, r)]
+    return VarianceProfile.explicit(m)
 
 
 def pipeline(

@@ -26,7 +26,7 @@ from wignerlab.cli_runner import (
     validate,
 )
 from wignerlab.ensembles import sample_trial
-from wignerlab.hermitian_core import eigenvalues_desc
+from wignerlab.hermitian_core import blas_runtime_threads, eigenvalues_desc
 from wignerlab.spectral_measures import SemicircleLaw, esd, levy_distance
 from wignerlab.stieltjes import recursion_residual
 from wignerlab.streams import STREAM_LAYOUT
@@ -551,6 +551,7 @@ def test_run_manifest_contents(tmp_path):
     assert (machine["blas_name"], machine["blas_version"]) == (blas["name"], blas["version"])
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert machine[var] == os.environ.get(var, "unset")
+    assert machine["blas_runtime_threads"] == blas_runtime_threads()
     assert machine["cpu_count"] == os.cpu_count()
     assert machine["threads"] == config.threads == 1
     digest = hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest()

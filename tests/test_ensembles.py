@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from wignerlab import ensembles, hermitian_core
 from wignerlab.ensembles import (
     _MIRROR_BAND_BYTES,
+    SMALL_N,
     EnsembleSpec,
     EntryLaw,
     VarianceProfile,
@@ -25,8 +27,10 @@ from wignerlab.ensembles import (
     heavy_tail_spec,
     sample,
     sample_trial,
+    trial_eigenvalues,
     wigner_unit_spec,
 )
+from wignerlab.hermitian_core import _openblas_thread_calls, eigenvalues_desc, single_blas_thread
 from wignerlab.streams import DOMAIN_SAMPLE, derive_rng
 
 from _oracles import monte_carlo_lindeberg_term, per_row_sample
@@ -523,6 +527,98 @@ def test_sample_trial_rejects_negative_index():
         sample_trial(wigner_unit_spec(4), -1)
 
 
+# ---------------------------------------------------------------------------
+# trial_eigenvalues: stacked blocks below SMALL_N
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("law", (EntryLaw.gaussian_real(), EntryLaw.gaussian_complex()), ids=lambda law: law.kind)
+@pytest.mark.parametrize("n", (1, 3, 100, SMALL_N - 1, SMALL_N))
+def test_trial_eigenvalues_equal_per_trial_solves(n, law, threads):
+    """Each spectrum has the bytes of its own eigenvalues_desc call under one BLAS thread.
+
+    Two full blocks of ceil(SMALL_N / n) trials and one more trial (blocks of
+    one from SMALL_N up).
+    """
+    block = -(-SMALL_N // n) if n < SMALL_N else 1
+    trials = 2 * block + 1
+    spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), seed=23)
+    with single_blas_thread():
+        got = trial_eigenvalues(spec, trials, threads)
+        want = [eigenvalues_desc(sample_trial(spec, t)) for t in range(trials)]
+    assert len(got) == trials
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype == np.float64 and not g.flags.writeable, t
+        assert g.tobytes() == w.tobytes(), t
+
+
+def test_trial_fan_out_runs_one_blas_thread_and_restores_the_count(monkeypatch):
+    """One BLAS thread inside the block solves; the count from before after a
+    normal return, after two concurrent fan-outs and after an exception raised
+    inside a trial."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread calls")
+    get, put = calls
+    old = get()
+    put(2)
+    try:
+        outside = get()
+        seen = []
+        stacked = ensembles.eigenvalues_desc_stacked
+        monkeypatch.setattr(ensembles, "eigenvalues_desc_stacked", lambda mats: seen.append(get()) or stacked(mats))
+        spec = wigner_unit_spec(64, seed=3)
+        trial_eigenvalues(spec, 20, threads=2)
+        assert seen and set(seen) == {1}
+        assert get() == hermitian_core.blas_runtime_threads() == outside
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(lambda t: trial_eigenvalues(spec, 40, threads=t), (1, 2)))
+        assert set(seen) == {1}
+        assert get() == outside
+
+        draw = ensembles.sample_trial
+
+        def failing(spec, trial):
+            if trial == 13:
+                raise RuntimeError("trial 13 failed")
+            return draw(spec, trial)
+
+        monkeypatch.setattr(ensembles, "sample_trial", failing)
+        with pytest.raises(RuntimeError, match="trial 13 failed"):
+            trial_eigenvalues(spec, 20, threads=2)
+        assert get() == outside
+    finally:
+        put(old)
+
+
+def test_trial_fan_out_without_blas_thread_calls_leaves_the_blas_alone(monkeypatch):
+    """With no OpenBLAS thread calls the fan-out solves under the BLAS as it is,
+    and the manifest's runtime count reads None."""
+    real = _openblas_thread_calls()
+    seen = []
+    if real is not None:
+        get, put = real
+        old = get()
+        put(2)
+        monkeypatch.setattr(hermitian_core, "_openblas_thread_calls", lambda: None)
+        stacked = ensembles.eigenvalues_desc_stacked
+        monkeypatch.setattr(ensembles, "eigenvalues_desc_stacked", lambda mats: seen.append(get()) or stacked(mats))
+    try:
+        spec = wigner_unit_spec(64, seed=3)
+        assert hermitian_core.blas_runtime_threads() is None
+        got = trial_eigenvalues(spec, 9, threads=2)
+        assert [g.tobytes() for g in got] == [eigenvalues_desc(sample_trial(spec, t)).tobytes() for t in range(9)]
+        if real is not None:
+            assert seen and set(seen) == {get()}
+    finally:
+        if real is not None:
+            put(old)
+
+
 ONE_FILL_LAWS = (
     EntryLaw.gaussian_real(),
     EntryLaw.rademacher(),
@@ -566,10 +662,14 @@ def _diagonal_id(diagonal: EntryLaw | None) -> str:
 def test_sample_matches_per_row_reference_layout(law, diagonal):
     """Every trial's bytes and dtype equal the per-row stream of layout 3.
 
-    The last n spans three mirror bands and a partial fourth.
+    3 * MIRROR_BAND + 9 spans three mirror bands and a partial fourth.
+    SMALL_N - 1 is the largest size placed in multi-row bands, SMALL_N the
+    smallest placed a row at a time.
     """
-    for n in (1, 2, 3, 17, 64, 3 * MIRROR_BAND + 9):
-        for profile in _layout_profiles(n):
+    cases = [(n, _layout_profiles(n)) for n in (1, 2, 3, 17, 64, 3 * MIRROR_BAND + 9)]
+    cases += [(n, _layout_profiles(n)[:2]) for n in (SMALL_N - 1, SMALL_N)]  # uniform and banded
+    for n, profiles in cases:
+        for profile in profiles:
             spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=31)
             for trial in (0, 5):
                 got = sample_trial(spec, trial).entries

@@ -312,6 +312,26 @@ def test_truncated_profile_preserves_kind():
     assert out.values[0, 1] == 0.0
 
 
+def test_truncated_profile_puts_the_diagonal_law_on_the_diagonal():
+    """A constant_zero diagonal truncates to 0: each row keeps only its 63 off-diagonal terms."""
+    n, eta = 64, 0.25
+    law = EntryLaw.gaussian_real()
+    spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=EntryLaw.constant_zero())
+    m = truncated_profile(spec, eta).matrix(n)
+    off = (1.0 / n) * law.m2_below(eta * math.sqrt(n))
+    assert np.all(np.diag(m) == 0.0)
+    assert np.all(m[~np.eye(n, dtype=bool)] == off)
+    assert m.sum(axis=1) == pytest.approx(np.full(n, 0.72700), abs=5e-6)
+    # on its default diagonal law the same spec's rows keep a diagonal term
+    default = truncated_profile(EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n)), eta)
+    assert default.matrix(n).sum(axis=1) == pytest.approx(np.full(n, 0.73854), abs=5e-6)
+    # a complex law's real gaussian diagonal truncates by the real law's moment
+    spec_c = EnsembleSpec(n, EntryLaw.gaussian_complex(), VarianceProfile.uniform(1.0 / n))
+    m_c = truncated_profile(spec_c, eta).matrix(n)
+    assert np.all(np.diag(m_c) == off)
+    assert m_c[0, 1] == (1.0 / n) * EntryLaw.gaussian_complex().m2_below(eta * math.sqrt(n))
+
+
 def test_truncated_profile_validation():
     with pytest.raises(ValueError, match="eta must be positive"):
         truncated_profile(wigner_unit_spec(4), 0.0)
