@@ -474,9 +474,10 @@ def _cmd_moments(config: ExperimentConfig, out: Path) -> list[Path]:
     oracle_rows = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
-        eigs = trial_eigenvalues(spec, config.trials, config.threads)
+        eigs = np.stack(trial_eigenvalues(spec, config.trials, config.threads))
         for k in config.k_list:
-            empirical = float(np.mean([np.mean(lam**k) for lam in eigs]))
+            # the mean of each trial's (1/n) tr W^k, each row summed as np.mean sums one spectrum
+            empirical = float(np.mean(np.mean(eigs**k, axis=1)))
             catalan = semicircle_moment(k)
             rows.append((n, k, config.trials, empirical, catalan, abs(empirical - catalan)))
             if config.exact_oracle:
@@ -660,9 +661,16 @@ def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:
         spec = config.ensemble.build(n, config.seed)
         eta = config.eta if config.eta is not None else auto_eta(spec)
         # one read-only table per size, shared by every trial's thread
-        coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, config.c_bound)
+        profile = truncated_profile(spec, eta)
+        coeffs = rescale_to_row_bound(profile, n, config.c_bound)
         coeffs.setflags(write=False)
-        coeff_range = (float(coeffs.min()), float(coeffs.max()))
+        # the range over entries with variance to rescale: a zero-variance entry's c
+        # rescales nothing; only a profile with a zero level pays for the n x n mask
+        rescaled = coeffs
+        if (profile.levels == 0.0).any():
+            live = profile.matrix(n) > 0.0
+            rescaled = coeffs[live] if live.any() else coeffs
+        coeff_range = (float(rescaled.min()), float(rescaled.max()))
 
         def one(trial: int):
             w = sample_trial(spec, trial)

@@ -283,8 +283,8 @@ class EntryLaw:
         """Standard draws from base draws; a complex block is all real parts, then all imaginary parts."""
         if not self.is_complex:
             return base
-        m = base.size // 2
-        return (base[:m] + 1j * base[m:]) / math.sqrt(2.0)
+        m = base.shape[-1] // 2
+        return (base[..., :m] + 1j * base[..., m:]) / math.sqrt(2.0)
 
     def standard_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
@@ -477,43 +477,70 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     Pareto sign fills pass through one temporary of n(n+1)/2 values (8 bytes
     each).
 
-    The fill is packed at the front of ``w``'s buffer (its float view when
-    complex) and placed a band of rows at a time, bottom-up (``_row_bands``):
-    band [a, b)'s packed draws start no later than the spot where row a
-    lands, and a band writes only its own rows' upper parts, so no row that
-    is still packed is overwritten.  A one-row band is a slice write; below
+    The matrix is a stack of one from ``_sample_stack``, the sampler that
+    ``trial_eigenvalues`` runs on a whole block of trials below ``SMALL_N``.
+    """
+    return HermitianMatrix._trusted(_sample_stack(spec, (rng,))[0])
+
+
+def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """A fresh (len(rngs), n, n) stack of exact conjugate mirrors, slot s drawn from ``rngs[s]``.
+
+    Each slot's draws are ``sample``'s: its fills come from its own
+    generator, packed at the front of the slot's buffer (its float view when
+    complex), with a non-default diagonal law's fill in a row of its own.
+    All the rest runs once for the stack: the fill is placed a band of rows
+    at a time, bottom-up (``_row_bands``), in every slot at once.  Band
+    [a, b)'s packed draws start no later than the spot where row a lands,
+    and a band writes only its own rows' upper parts, so no row that is
+    still packed is overwritten.  A one-row band is a slice write; below
     ``SMALL_N``, runs of short rows share one cached fancy-index assignment.
     A real row under the default diagonal law is packed as its upper part in
     column order, so it is placed whole; otherwise the diagonal goes in after
-    the rows.  ``_mirror_lower`` then writes the lower triangle a band of
-    columns at a time.
+    the rows.  ``_mirror_lower`` then writes the lower triangles a band of
+    columns at a time.  Entries are not checked here: the caller wraps a
+    slot with ``HermitianMatrix._trusted`` or hands the stack to
+    ``eigenvalues_desc_stacked``.
     """
-    n, law, dlaw, prof = spec.n, spec.law, spec.effective_diagonal_law, spec.profile
-    w = np.zeros((n, n), dtype=np.complex128 if law.is_complex else np.float64)
+    n, law, dlaw, prof, count = spec.n, spec.law, spec.effective_diagonal_law, spec.profile, len(rngs)
+    w = np.zeros((count, n, n), dtype=np.complex128 if law.is_complex else np.float64)
     width, lead, whole = _packing(spec)
-    diag = None if lead else dlaw._fill(rng, n)
-    base = law._fill(rng, lead * n + width * (n * (n - 1) // 2), w.reshape(-1).view(np.float64))
+    base = w.reshape(count, -1).view(np.float64)
+    diag = None if lead else np.empty((count, n))
+    for s, rng in enumerate(rngs):
+        if not lead:
+            dlaw._fill(rng, n, diag[s])
+        law._fill(rng, lead * n + width * (n * (n - 1) // 2), base[s])
     bands, starts, src, dest, rows, cols = _row_bands(n, width, lead, whole)
     if lead and not whole:
-        diag = base[starts]  # a copy: the rows placed below overwrite the fill
+        diag = base[:, starts]  # a copy: the rows placed below overwrite the fill
     sd = np.sqrt(prof.levels)
     sd_entries = sd[prof._level_of(rows, cols)]
-    sd_rows = None  # the profile's sd along each row, built at the first one-row band
-    flat = w.reshape(-1)
+    # built at the first one-row band: the profile's sd along each row, and each
+    # slot's (fill, matrix) views, which iterating the stack per row would remake
+    sd_rows = slots = None
+    # a shared band's positions in every slot index the whole stack's buffer at
+    # once (w[:, dest] would copy a slot column per position)
+    offsets = np.arange(count)[:, None]
     for i, lo, hi in bands:
-        if lo is None:  # a one-row band: a slice write
+        if lo is None:  # a one-row band: a slice write per slot, on 1-d views
             sd_rows = sd_rows or prof._row_tails(sd, n)
+            slots = slots or list(zip(base, w))
             start = starts[i] + lead - whole
-            draws = base[start : start + whole + width * (n - i - 1)]
-            np.multiply(law._entries(draws), sd_rows(i)[1 - whole :], out=w[i, i + 1 - whole :])
+            for fill, m in slots:
+                draws = fill[start : start + whole + width * (n - i - 1)]
+                np.multiply(law._entries(draws), sd_rows(i)[1 - whole :], out=m[i, i + 1 - whole :])
         else:
-            draws = base[starts[i] : starts[i] + hi - lo] if width == 1 else base[src[2 * lo : 2 * hi]]
-            flat[dest[lo:hi]] = law._entries(draws) * sd_entries[lo:hi]
+            if width == 1:
+                draws = base[:, starts[i] : starts[i] + hi - lo]
+            else:
+                draws = base.reshape(-1)[offsets * base.shape[1] + src[2 * lo : 2 * hi]]
+            w.reshape(-1)[offsets * (n * n) + dest[lo:hi]] = law._entries(draws) * sd_entries[lo:hi]
     if not whole:
         r = np.arange(n)
-        flat[:: n + 1] = diag * sd[prof._level_of(r, r)]
+        w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
     _mirror_lower(w)
-    return HermitianMatrix._trusted(w)
+    return w
 
 
 def _packing(spec: EnsembleSpec) -> tuple[int, int, int]:
@@ -591,19 +618,20 @@ def _small_row_bands(n: int, width: int, lead: int, whole: int) -> tuple:
 
 
 def _mirror_lower(w: np.ndarray) -> None:
-    """Overwrite ``w``'s strictly lower triangle with the conjugate of its upper one.
+    """Overwrite each matrix's strictly lower triangle with the conjugate of its upper one.
 
-    Band [a, b) of ``_MIRROR_BAND_BYTES`` worth of columns takes rows b..
-    from the conjugate transpose of rows a..b-1 right of column b.  The two
-    regions span disjoint memory ranges, so the ufunc writes in place with
-    no temporary.  The band's own diagonal block then takes its lower part.
+    ``w`` is an (..., n, n) stack.  Band [a, b) of ``_MIRROR_BAND_BYTES``
+    worth of columns takes rows b.. from the conjugate transpose of rows
+    a..b-1 right of column b, in every matrix at once.  The two regions of
+    one matrix are disjoint, so the ufunc writes in place.  The band's own
+    diagonal block then takes its lower part.
     """
-    n, band = w.shape[0], _MIRROR_BAND_BYTES // w.itemsize
+    n, band = w.shape[-1], _MIRROR_BAND_BYTES // w.itemsize
     for a in range(0, n, band):
         b = min(a + band, n)
-        np.conjugate(w[a:b, b:].T, out=w[b:, a:b])
-        block = w[a:b, a:b]
-        np.copyto(block, np.conjugate(block.T), where=_BELOW_DIAGONAL[: b - a, : b - a])
+        np.conjugate(w[..., a:b, b:].swapaxes(-1, -2), out=w[..., b:, a:b])
+        block = w[..., a:b, a:b]
+        np.copyto(block, np.conjugate(block.swapaxes(-1, -2)), where=_BELOW_DIAGONAL[: b - a, : b - a])
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
@@ -617,14 +645,17 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list
     """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`.
 
     Below ``SMALL_N`` the trials run in fixed blocks of ceil(SMALL_N / n)
-    consecutive indices, each block one stacked ``eigvalsh`` call that
-    releases the GIL (``eigenvalues_desc_stacked``), with OpenBLAS on one
-    thread (``single_blas_thread``).  Block boundaries depend only on n and
-    the trial index, and each spectrum has the bytes of
+    consecutive indices.  A block is sampled straight into one (B, n, n)
+    stack by ``_sample_stack``: trial t still draws from its own stream,
+    ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own slot, and the
+    placement, mirror and checks run once for the block.  The stack is then
+    one ``eigvalsh`` call that releases the GIL (``eigenvalues_desc_stacked``),
+    with OpenBLAS on one thread (``single_blas_thread``).  Block boundaries
+    depend only on n and the trial index, and each spectrum has the bytes of
     ``eigenvalues_desc(sample_trial(spec, t))`` under one BLAS thread, so
     the result depends neither on `threads` nor on the BLAS thread count.
-    From ``SMALL_N`` up each trial is its own ``eigenvalues_desc`` call and
-    the BLAS threading is left alone.
+    From ``SMALL_N`` up each trial is its own ``sample_trial`` and
+    ``eigenvalues_desc`` call and the BLAS threading is left alone.
     """
     if spec.n >= SMALL_N:
         return parallel_map(lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads)
@@ -633,7 +664,8 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list
     _row_bands(spec.n, *_packing(spec))
 
     def solve(first: int) -> list[np.ndarray]:
-        return eigenvalues_desc_stacked([sample_trial(spec, t) for t in range(first, min(first + block, trials))])
+        rngs = [derive_rng(spec.seed, DOMAIN_SAMPLE, t) for t in range(first, min(first + block, trials))]
+        return eigenvalues_desc_stacked(_sample_stack(spec, rngs))
 
     with single_blas_thread():
         blocks = parallel_map(solve, range(0, trials, block), threads)

@@ -15,7 +15,11 @@ exact conjugate mirror (``sample``, the reduction stages, ``principal_minor``,
 ``+`` and ``-``) wraps it with ``HermitianMatrix._trusted`` instead, which
 skips the asymmetry pass, the averaging and the copy, but still rejects
 non-finite entries, stores float64 or complex128, demotes complex storage
-with no imaginary part to real, and makes the array read-only.
+with no imaginary part to real, and makes the array read-only.  The block
+sampler behind ``ensembles.trial_eigenvalues`` (``ensembles._sample_stack``)
+produces a fresh (B, n, n) stack of such mirrors and hands it straight to
+``eigenvalues_desc_stacked``, which applies the same checks to the whole
+stack through one shared helper; no ``HermitianMatrix`` is built per trial.
 """
 from __future__ import annotations
 
@@ -46,6 +50,20 @@ SYMMETRY_TOL = 1e-12
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked_fresh(a: np.ndarray) -> np.ndarray:
+    """``_trusted``'s checks on a fresh matrix or stack of them, made read-only.
+
+    Rejects non-finite entries, stores float64 or complex128, and demotes
+    complex storage with no imaginary part anywhere in ``a`` to real.
+    """
+    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real.copy()
+    return _readonly(a)
 
 
 @dataclass(frozen=True)
@@ -99,13 +117,8 @@ class HermitianMatrix:
         exactly, with a real diagonal, and no one else may hold ``a``, which
         becomes read-only in place.  Only finiteness is checked.
         """
-        a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        if np.iscomplexobj(a) and not a.imag.any():
-            a = a.real.copy()
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", _readonly(a))
+        object.__setattr__(self, "entries", _checked_fresh(a))
         return self
 
     @property
@@ -133,15 +146,18 @@ def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
     return _readonly(np.linalg.eigvalsh(a.entries)[::-1].copy())
 
 
-def eigenvalues_desc_stacked(mats: Sequence[HermitianMatrix]) -> list[np.ndarray]:
-    """``eigenvalues_desc`` of each matrix, from one stacked ``eigvalsh`` call.
+def eigenvalues_desc_stacked(stack: np.ndarray) -> list[np.ndarray]:
+    """``eigenvalues_desc`` of each matrix in a fresh (B, n, n) stack, from one ``eigvalsh`` call.
 
-    The matrices share n and dtype.  LAPACK solves a stack one matrix at a
+    For in-package producers only, as ``HermitianMatrix._trusted``: each
+    matrix must be an exact conjugate mirror with a real diagonal, and the
+    stack gets ``_trusted``'s checks (finite entries, real storage when no
+    entry has an imaginary part).  LAPACK solves a stack one matrix at a
     time with the routine and workspace of a single call, so each spectrum
-    has the single call's bytes; numpy releases the GIL for the whole stack
-    once its length times n reaches 512.
+    has the bytes of ``eigenvalues_desc`` on that matrix; numpy releases the
+    GIL for the whole stack once B times n reaches 512.
     """
-    lam = _readonly(np.linalg.eigvalsh(np.stack([a.entries for a in mats]))[:, ::-1].copy())
+    lam = _readonly(np.linalg.eigvalsh(_checked_fresh(stack))[:, ::-1].copy())
     return list(lam)
 
 

@@ -316,25 +316,39 @@ def walk_sum_moment(
         raise ValueError("need n >= 1 and k >= 1")
     if not law.has_moments_to(k):
         raise ValueError("oracle requires finite moments")
-    sig = profile.matrix(n)
+    profile.check_dimension(n)
+    r = np.arange(n)
+    level_of = profile._level_of(r[:, None], r[None, :])
     dlaw = diagonal_law_for(law, diagonal_law)
     return math.fsum(
-        _class_sum(seq, t, law, dlaw, sig)
+        _class_sum(seq, t, law, dlaw, profile.levels, level_of)
         for t in range(1, n + 1)
         for seq in _oracle_classes(k, t)
     ) / n
 
 
-def _class_sum(seq: Sequence[int], t: int, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarray) -> float:
+@functools.lru_cache(maxsize=ORACLE_MAX_N * ORACLE_MAX_N)
+def _images(n: int, t: int) -> np.ndarray:
+    """Every injective map of t labels into {0..n-1}: a row each, in ``itertools.permutations`` order."""
+    return np.array(list(itertools.permutations(range(n), t)), dtype=np.intp).reshape(-1, t)
+
+
+def _class_sum(
+    seq: Sequence[int], t: int, law: EntryLaw, dlaw: EntryLaw, levels: np.ndarray, level_of: np.ndarray
+) -> float:
     """Sum of E[prod w] over all walks in {0..n-1} isomorphic to the canonical walk ``seq``.
 
     Members of the class are exactly the injective relabelings of the t
-    labels, so this is the walk-class weight in the trace expansion, its terms
-    summed by ``math.fsum``.  Per unordered pair a <= b the crossing table
-    gives f steps a -> b and r steps b -> a (r = 0 for a loop).  The law's
-    (direction-aware, for complex laws) mixed moment of (f, r), ``dlaw``'s on
-    the diagonal, does not depend on the labels, so it is read once; each
-    relabeling only looks up the n x n profile table ``sig``.
+    labels (``_images``), so this is the walk-class weight in the trace
+    expansion, its terms summed by ``math.fsum``.  Per unordered pair a <= b
+    the crossing table gives f steps a -> b and r steps b -> a (r = 0 for a
+    loop).  The law's (direction-aware, for complex laws) mixed moment of
+    (f, r), ``dlaw``'s on the diagonal, does not depend on the labels, and
+    the factor's value depends on a relabeling only through the profile
+    level its entry lands on.  So each factor is computed once per entry of
+    ``levels`` and gathered for every relabeling at once through
+    ``level_of``, the n x n table of level indices; the products run in
+    factor order, one relabeling per element.
     """
     steps = _crossings([c - 1 for c in seq])
     factors = []
@@ -344,13 +358,10 @@ def _class_sum(seq: Sequence[int], t: int, law: EntryLaw, dlaw: EntryLaw, sig: n
         if mom == 0.0:
             return 0.0
         factors.append((a, b, mom, f + r))
-
-    def expectation(image) -> float:
-        out = 1.0
-        for a, b, mom, m in factors:
-            s = sig[image[a], image[b]]
-            # symmetric laws leave only even total powers, where sigma^2 is exact
-            out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
-        return out
-
-    return math.fsum(expectation(image) for image in itertools.permutations(range(len(sig)), t))
+    images = _images(len(level_of), t)
+    out = np.ones(len(images))
+    for a, b, mom, m in factors:
+        # symmetric laws leave only even total powers, where sigma^2 is exact
+        value = np.array([mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m) for s in levels])
+        out *= value[level_of[images[:, a], images[:, b]]]
+    return math.fsum(out)

@@ -8,21 +8,23 @@ walk classes, an edge-count tree test instead of the vertex-count argument,
 first-appearance relabelling instead of restricted-growth enumeration,
 sampled tail contributions instead of closed-form truncated moments, the
 Harer-Zagier recursion instead of walk classes, raw per-row generator
-calls instead of the one-fill sampler, and rational Poisson-kernel sums
-instead of blocked float ones.
+calls instead of the one-fill sampler, rational Poisson-kernel sums
+instead of blocked float ones, and one relabeling at a time instead of
+gathered class sums.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 
 from wignerlab.ensembles import EntryLaw, VarianceProfile, diagonal_law_for
-from wignerlab.walk_combinatorics import WalkClass
+from wignerlab.walk_combinatorics import WalkClass, classify, enumerate_gamma
 
 
 def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -158,6 +160,48 @@ def brute_walk_sum_moment(
             prod *= use.pair_moment(f, r) * math.sqrt(sig[a, b]) ** (f + r)
         total += prod
     return total / n
+
+
+def permutation_walk_sum_moment(
+    law: EntryLaw, profile: VarianceProfile, n: int, k: int, diagonal_law: EntryLaw | None = None
+) -> float:
+    """(1/n) E tr W^k class by class, each class relabelled one permutation at a time.
+
+    The per-relabeling loop that ``walk_sum_moment``'s array gathers replaced:
+    the same classes (every canonical walk that is not single_edge), each
+    class's terms summed by ``math.fsum``, then the class sums by
+    ``math.fsum``, so the two agree bit for bit.
+    """
+    sig = profile.matrix(n)
+    dlaw = diagonal_law_for(law, diagonal_law)
+    return math.fsum(
+        permutation_class_sum(walk.sequence, t, law, dlaw, sig)
+        for t in range(1, n + 1)
+        for walk in enumerate_gamma(k, t)
+        if classify(walk) is not WalkClass.SINGLE_EDGE
+    ) / n
+
+
+def permutation_class_sum(seq, t: int, law: EntryLaw, dlaw: EntryLaw, sig: np.ndarray) -> float:
+    """Sum of E[prod w] over every injective relabeling of ``seq``'s t labels into {0..n-1}."""
+    seq = [c - 1 for c in seq]
+    steps = Counter(zip(seq, seq[1:]))
+    factors = []
+    for a, b in {(min(e), max(e)) for e in steps}:
+        f, r = steps[a, b], (steps[b, a] if a != b else 0)
+        mom = (dlaw if a == b else law).pair_moment(f, r)
+        if mom == 0.0:
+            return 0.0
+        factors.append((a, b, mom, f + r))
+
+    def expectation(image) -> float:
+        out = 1.0
+        for a, b, mom, m in factors:
+            s = sig[image[a], image[b]]
+            out *= mom * (s ** (m // 2) if m % 2 == 0 else math.sqrt(s) ** m)
+        return out
+
+    return math.fsum(expectation(image) for image in itertools.permutations(range(len(sig)), t))
 
 
 def harer_zagier(n: int, k: int) -> Fraction:

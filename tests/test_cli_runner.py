@@ -27,6 +27,7 @@ from wignerlab.cli_runner import (
 )
 from wignerlab.ensembles import sample_trial
 from wignerlab.hermitian_core import blas_runtime_threads, eigenvalues_desc
+from wignerlab.reductions import rescale_to_row_bound, truncated_profile
 from wignerlab.spectral_measures import SemicircleLaw, esd, levy_distance
 from wignerlab.stieltjes import recursion_residual
 from wignerlab.streams import STREAM_LAYOUT
@@ -558,6 +559,26 @@ def test_run_manifest_contents(tmp_path):
     assert on_disk["checksums"] == {"simulate.csv": digest}
 
 
+@pytest.mark.parametrize(
+    "n, trials, law",
+    ((3, 2000, "rademacher"), (64, 10, "gaussian_complex")),
+    ids=("n3-rademacher", "n64-complex"),
+)
+def test_run_moments_empirical_equals_per_trial_means(tmp_path, n, trials, law):
+    """moments.csv's empirical has the bytes of the mean of per-trial np.mean calls."""
+    ks = (1, 2, 3, 4, 6, 8)
+    config = make_config(
+        "moments",
+        str(tmp_path),
+        **{"sizes": str(n), "trials": str(trials), "moments.k": ", ".join(map(str, ks)), "ensemble.law": law},
+    )
+    run(config)
+    _, rows = read_csv(tmp_path / "moments.csv")
+    eigs = ensembles.trial_eigenvalues(config.ensemble.build(n, config.seed), trials)
+    want = [float(np.mean([np.mean(lam**k) for lam in eigs])) for k in ks]
+    assert [row[3] for row in rows] == [format(x, ".17g") for x in want]
+
+
 def test_run_moments_oracle_emits_second_csv(tmp_path):
     config = make_config(
         "moments",
@@ -733,6 +754,38 @@ def test_run_reduce_trace_columns(tmp_path):
         assert int(row[3]) >= 0
         assert all(float(x) >= 0 for x in row[4:8])
         assert 0.0 <= float(row[8]) <= float(row[9]) <= 1.0
+
+
+def test_run_reduce_coefficient_range_skips_zero_variance_entries(tmp_path):
+    """coeff_min and coeff_max range over entries whose truncated variance is positive.
+
+    Under a constant_zero diagonal the last row's free part is c[63, 63] alone,
+    which has zero variance and so is never lowered from 1; the largest
+    coefficient on an entry with variance is 0.98126.
+    """
+    config = make_config(
+        "reduce",
+        str(tmp_path),
+        **{
+            "sizes": "64",
+            "trials": "1",
+            "ensemble.preset": None,
+            "ensemble.law": "gaussian_real",
+            "ensemble.variance": "1/n",
+            "ensemble.diagonal_law": "constant_zero",
+            "reduce.eta": "0.25",
+            "reduce.c": "0.7",
+        },
+    )
+    run(config)
+    _, rows = read_csv(tmp_path / "reduce.csv")
+    spec = config.ensemble.build(64, config.seed)
+    profile = truncated_profile(spec, 0.25)
+    coeffs = rescale_to_row_bound(profile, 64, 0.7)
+    live = coeffs[profile.matrix(64) > 0]
+    assert coeffs[63, 63] == 1.0 and profile.matrix(64)[63, 63] == 0.0
+    assert (float(rows[0][8]), float(rows[0][9])) == (float(live.min()), float(live.max()))
+    assert float(rows[0][9]) == pytest.approx(0.98126, abs=1e-5)
 
 
 def test_run_every_command_emits_header_and_manifest(tmp_path):

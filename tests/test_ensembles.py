@@ -532,18 +532,40 @@ def test_sample_trial_rejects_negative_index():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-@pytest.mark.parametrize("law", (EntryLaw.gaussian_real(), EntryLaw.gaussian_complex()), ids=lambda law: law.kind)
-@pytest.mark.parametrize("n", (1, 3, 100, SMALL_N - 1, SMALL_N))
-def test_trial_eigenvalues_equal_per_trial_solves(n, law, threads):
+# (law, diagonal law, banded profile) by id; the block sampler places every law
+TRIAL_CASES = {
+    "gaussian_real": (EntryLaw.gaussian_real(), None, False),
+    "gaussian_complex": (EntryLaw.gaussian_complex(), None, False),
+    "rademacher_scaled": (EntryLaw.rademacher(), None, False),
+    "pareto_symmetric": (EntryLaw.pareto_symmetric(2.5, 1.0), None, False),
+    "gaussian_real-zero_diagonal": (EntryLaw.gaussian_real(), EntryLaw.constant_zero(), False),
+    "gaussian_complex-zero_diagonal": (EntryLaw.gaussian_complex(), EntryLaw.constant_zero(), False),
+    "gaussian_real-banded": (EntryLaw.gaussian_real(), None, True),
+    "gaussian_complex-banded": (EntryLaw.gaussian_complex(), None, True),
+}
+
+
+def _trial_params():
+    for n in (1, 3, 100, SMALL_N - 1, SMALL_N):
+        # SMALL_N runs the per-trial path, which the two gaussian cases cover;
+        # the other cases run on two trial threads, the harder schedule
+        for case in TRIAL_CASES if n < SMALL_N else ("gaussian_real", "gaussian_complex"):
+            for threads in (1, 2) if case in ("gaussian_real", "gaussian_complex") else (2,):
+                yield pytest.param(n, case, threads, id=f"{n}-{case}-{threads}")
+
+
+@pytest.mark.parametrize("n, case, threads", _trial_params())
+def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads):
     """Each spectrum has the bytes of its own eigenvalues_desc call under one BLAS thread.
 
     Two full blocks of ceil(SMALL_N / n) trials and one more trial (blocks of
     one from SMALL_N up).
     """
+    law, diagonal, banded = TRIAL_CASES[case]
     block = -(-SMALL_N // n) if n < SMALL_N else 1
     trials = 2 * block + 1
-    spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), seed=23)
+    profile = VarianceProfile.banded(max(1, n // 8), 1.0 / n, 0.1 / n) if banded else VarianceProfile.uniform(1.0 / n)
+    spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=23)
     with single_blas_thread():
         got = trial_eigenvalues(spec, trials, threads)
         want = [eigenvalues_desc(sample_trial(spec, t)) for t in range(trials)]
@@ -580,14 +602,15 @@ def test_trial_fan_out_runs_one_blas_thread_and_restores_the_count(monkeypatch):
         assert set(seen) == {1}
         assert get() == outside
 
-        draw = ensembles.sample_trial
+        # the block path's per-trial draw starts from the trial's own stream; trial 13's fails
+        derive = ensembles.derive_rng
 
-        def failing(spec, trial):
+        def failing(seed, domain, trial):
             if trial == 13:
                 raise RuntimeError("trial 13 failed")
-            return draw(spec, trial)
+            return derive(seed, domain, trial)
 
-        monkeypatch.setattr(ensembles, "sample_trial", failing)
+        monkeypatch.setattr(ensembles, "derive_rng", failing)
         with pytest.raises(RuntimeError, match="trial 13 failed"):
             trial_eigenvalues(spec, 20, threads=2)
         assert get() == outside

@@ -39,6 +39,7 @@ from _oracles import (
     graph_classify,
     harer_zagier,
     mc_trace_moments,
+    permutation_walk_sum_moment,
 )
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -374,6 +375,32 @@ def test_walk_sum_moment_matches_index_tuple_brute_force(rng):
         expect = brute_walk_sum_moment(law, prof, n, k, diag)
         got = walk_sum_moment(law, prof, n, k, diag)
         assert got == pytest.approx(expect, rel=1e-12, abs=0.0), (law.kind, prof.kind, n, k)
+
+
+def test_walk_sum_moment_equals_permutation_loop_bit_for_bit(rng):
+    """The gathered class sums equal the per-relabeling loop exactly, at every n and k
+    the oracle allows, on uniform and banded profiles; then on explicit profiles,
+    a constant_zero diagonal and a Pareto law up to n = 4."""
+    laws = (
+        EntryLaw.rademacher(),
+        EntryLaw.gaussian_real(),
+        EntryLaw.gaussian_complex(),
+        EntryLaw.uniform_bounded(),
+    )
+    for n in range(1, ORACLE_MAX_N + 1):
+        for prof in (VarianceProfile.uniform(1.0 / n), VarianceProfile.banded(1, 1.0 / n, 0.05)):
+            for law in laws:
+                for k in range(1, ORACLE_MAX_K + 1):
+                    want = permutation_walk_sum_moment(law, prof, n, k)
+                    assert walk_sum_moment(law, prof, n, k) == want, (n, prof.kind, law.kind, k)
+    zero = EntryLaw.constant_zero()
+    for n in (2, 3, 4):
+        prof = _symmetric_profile(rng, n)
+        for law, diag in ((EntryLaw.gaussian_complex(), None), (EntryLaw.rademacher(), zero),
+                          (EntryLaw.pareto_symmetric(9.0, 1.0), None)):
+            for k in (4, 6, 8):
+                want = permutation_walk_sum_moment(law, prof, n, k, diag)
+                assert walk_sum_moment(law, prof, n, k, diag) == want, (n, law.kind, k)
 
 
 def test_walk_sum_moment_exact_on_banded_rademacher():
