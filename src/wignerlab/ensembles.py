@@ -12,6 +12,7 @@ and the three row conditions behind the gaussian-convergence theorem.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian_core import HermitianMatrix, eigenvalues_desc, eigenvalues_desc_stacked, single_blas_thread
+from .hermitian_core import HermitianMatrix, eigenvalues_desc_stacked, single_blas_thread
 from .streams import DOMAIN_SAMPLE, derive_rng, parallel_map
 
 __all__ = [
@@ -49,8 +50,8 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
-# below this size the trial path runs in blocks: trial_eigenvalues solves a
-# stack of trials per eigvalsh call and sample places short rows in bands
+# trial_eigenvalues solves blocks of ceil(SMALL_N / n) trials per eigvalsh
+# call, so below this size a block holds more than one trial
 SMALL_N = 512
 # base draws per multi-row band of sample's fill placement
 _BAND_VALUES = 1024
@@ -478,7 +479,7 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     each).
 
     The matrix is a stack of one from ``_sample_stack``, the sampler that
-    ``trial_eigenvalues`` runs on a whole block of trials below ``SMALL_N``.
+    ``trial_eigenvalues`` runs on each block of trials.
     """
     return HermitianMatrix._trusted(_sample_stack(spec, (rng,))[0])
 
@@ -493,13 +494,14 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     at a time, bottom-up (``_row_bands``), in every slot at once.  Band
     [a, b)'s packed draws start no later than the spot where row a lands,
     and a band writes only its own rows' upper parts, so no row that is
-    still packed is overwritten.  A one-row band is a slice write; below
-    ``SMALL_N``, runs of short rows share one cached fancy-index assignment.
-    A real row under the default diagonal law is packed as its upper part in
-    column order, so it is placed whole; otherwise the diagonal goes in after
-    the rows.  ``_mirror_lower`` then writes the lower triangles a band of
-    columns at a time.  Entries are not checked here: the caller wraps a
-    slot with ``HermitianMatrix._trusted`` or hands the stack to
+    still packed is overwritten.  A long row is its own band, a slice write;
+    runs of short rows share one cached fancy-index assignment, each with
+    its own lookup of the profile's sd.  A real row under the default
+    diagonal law is packed as its upper part in column order, so it is
+    placed whole; otherwise the diagonal goes in after the rows.
+    ``_mirror_lower`` then writes the lower triangles a band of columns at a
+    time.  Entries are not checked here: the caller wraps a slot with
+    ``HermitianMatrix._trusted`` or hands the stack to
     ``eigenvalues_desc_stacked``.
     """
     n, law, dlaw, prof, count = spec.n, spec.law, spec.effective_diagonal_law, spec.profile, len(rngs)
@@ -511,11 +513,10 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
         if not lead:
             dlaw._fill(rng, n, diag[s])
         law._fill(rng, lead * n + width * (n * (n - 1) // 2), base[s])
-    bands, starts, src, dest, rows, cols = _row_bands(n, width, lead, whole)
+    bands, starts, src, dest = _row_bands(n, width, lead, whole)
     if lead and not whole:
         diag = base[:, starts]  # a copy: the rows placed below overwrite the fill
     sd = np.sqrt(prof.levels)
-    sd_entries = sd[prof._level_of(rows, cols)]
     # built at the first one-row band: the profile's sd along each row, and each
     # slot's (fill, matrix) views, which iterating the stack per row would remake
     sd_rows = slots = None
@@ -535,7 +536,10 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
                 draws = base[:, starts[i] : starts[i] + hi - lo]
             else:
                 draws = base.reshape(-1)[offsets * base.shape[1] + src[2 * lo : 2 * hi]]
-            w.reshape(-1)[offsets * (n * n) + dest[lo:hi]] = law._entries(draws) * sd_entries[lo:hi]
+            # each band looks up its own sd: one lookup over the table would
+            # hold temporaries as large as the matrix
+            sd_band = sd[prof._level_of(*np.divmod(dest[lo:hi], n))]
+            w.reshape(-1)[offsets * (n * n) + dest[lo:hi]] = law._entries(draws) * sd_band
     if not whole:
         r = np.arange(n)
         w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
@@ -556,40 +560,28 @@ def _packing(spec: EnsembleSpec) -> tuple[int, int, int]:
     return width, lead, lead if width == 1 else 0
 
 
-_NO_ENTRIES = np.zeros(0, dtype=np.intp)
-
-
-def _row_bands(n: int, width: int, lead: int, whole: int):
-    """How ``sample`` places the packed fill: (bands, starts, src, dest, rows, cols).
-
-    ``starts[i]`` is where row i's packed draws begin.  ``bands`` lists
-    (first row, lo, hi) bottom-up.  From ``SMALL_N`` up every row is its own
-    band, with lo = hi = None, placed by a slice write.  Below it, the tables
-    are cached, and consecutive rows whose packed draws number at most
-    ``_BAND_VALUES`` share a band; a row too long to share stays alone.  A
-    shared band owns entries lo..hi-1 of the other arrays, which run band by
-    band, each band row by row: ``dest``, ``rows`` and ``cols`` give each
-    entry's flat position, row and column in the matrix.  A band's entries
-    are those of its rows right of the diagonal, and on it when ``whole``.
-    A real band's entries are then its packed draws in order, the hi - lo
-    draws from its first row's start on.  For a complex band,
-    ``src[2 * lo : 2 * hi]`` gives its draws' positions in the packed fill,
-    all real parts, then all imaginary parts.
-    """
-    if n < SMALL_N:
-        return _small_row_bands(n, width, lead, whole)
-    bands = ((i, None, None) for i in range(n - 1, -1, -1))
-    return bands, _row_starts(np.arange(n), n, width, lead), _NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES, _NO_ENTRIES
-
-
 def _row_starts(i: np.ndarray, n: int, width: int, lead: int) -> np.ndarray:
     """Position of row i's first packed draw."""
     return lead * i + width * (i * (2 * n - i - 1) // 2)
 
 
 @functools.lru_cache(maxsize=4)
-def _small_row_bands(n: int, width: int, lead: int, whole: int) -> tuple:
-    bands, srcs, rows, cols = [], [], [], []
+def _row_bands(n: int, width: int, lead: int, whole: int) -> tuple:
+    """How ``sample`` places the packed fill: (bands, starts, src, dest).
+
+    ``starts[i]`` is where row i's packed draws begin.  ``bands`` lists
+    (first row, lo, hi) bottom-up.  Consecutive rows whose packed draws
+    number at most ``_BAND_VALUES`` share a band; a row too long to share is
+    its own band, with lo = hi = None, placed by a slice write.  A shared
+    band owns entries lo..hi-1 of ``dest``, which runs band by band, each
+    band row by row, and gives each entry's flat position in the matrix.  A
+    band's entries are those of its rows right of the diagonal, and on it
+    when ``whole``.  A real band's entries are then its packed draws in
+    order, the hi - lo draws from its first row's start on.  For a complex
+    band, ``src[2 * lo : 2 * hi]`` gives its draws' positions in the packed
+    fill, all real parts, then all imaginary parts.
+    """
+    bands, srcs, dests = [], [], []
     b, count = n, 0
     while b > 0:
         a = b - 1
@@ -605,16 +597,12 @@ def _small_row_bands(n: int, width: int, lead: int, whole: int) -> tuple:
             if width == 2:
                 start = _row_starts(i, n, width, lead) + lead + j - i - 1
                 srcs += [start, start + (n - 1 - i)]
-            rows.append(i)
-            cols.append(j)
+            dests.append(i * n + j)
             bands.append((a, count, count + i.size))
             count += i.size
         b = a
-    rows, cols = (np.concatenate(x) if x else _NO_ENTRIES for x in (rows, cols))
-    src = np.concatenate(srcs) if srcs else _NO_ENTRIES
-    starts = _row_starts(np.arange(n), n, width, lead)
-    # rows and columns below SMALL_N fit in int16; positions stay intp for fast indexing
-    return tuple(bands), starts, src, rows * n + cols, rows.astype(np.int16), cols.astype(np.int16)
+    src, dest = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (srcs, dests))
+    return tuple(bands), _row_starts(np.arange(n), n, width, lead), src, dest
 
 
 def _mirror_lower(w: np.ndarray) -> None:
@@ -644,21 +632,20 @@ def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
 def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list[np.ndarray]:
     """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`.
 
-    Below ``SMALL_N`` the trials run in fixed blocks of ceil(SMALL_N / n)
-    consecutive indices.  A block is sampled straight into one (B, n, n)
-    stack by ``_sample_stack``: trial t still draws from its own stream,
-    ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own slot, and the
-    placement, mirror and checks run once for the block.  The stack is then
-    one ``eigvalsh`` call that releases the GIL (``eigenvalues_desc_stacked``),
-    with OpenBLAS on one thread (``single_blas_thread``).  Block boundaries
-    depend only on n and the trial index, and each spectrum has the bytes of
-    ``eigenvalues_desc(sample_trial(spec, t))`` under one BLAS thread, so
-    the result depends neither on `threads` nor on the BLAS thread count.
-    From ``SMALL_N`` up each trial is its own ``sample_trial`` and
-    ``eigenvalues_desc`` call and the BLAS threading is left alone.
+    The trials run in fixed blocks of ceil(SMALL_N / n) consecutive indices,
+    one trial per block from ``SMALL_N`` up.  A block is sampled straight
+    into one (B, n, n) stack by ``_sample_stack``: trial t still draws from
+    its own stream, ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own
+    slot, and the placement, mirror and checks run once for the block.  The
+    stack is then one ``eigvalsh`` call that releases the GIL
+    (``eigenvalues_desc_stacked``), and each spectrum has the bytes of
+    ``eigenvalues_desc(sample_trial(spec, t))`` under the same BLAS threads.
+    Block boundaries depend only on n and the trial index, so the result
+    does not depend on `threads`.  A block of more than one trial (n below
+    ``SMALL_N``) solves with OpenBLAS on one thread (``single_blas_thread``),
+    so its result does not depend on the BLAS thread count either; a block
+    of one leaves the BLAS threading alone.
     """
-    if spec.n >= SMALL_N:
-        return parallel_map(lambda t: eigenvalues_desc(sample_trial(spec, t)), range(trials), threads)
     block = -(-SMALL_N // spec.n)
     # sample's band tables live on; built in a worker, they would pin its malloc arena
     _row_bands(spec.n, *_packing(spec))
@@ -667,7 +654,7 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list
         rngs = [derive_rng(spec.seed, DOMAIN_SAMPLE, t) for t in range(first, min(first + block, trials))]
         return eigenvalues_desc_stacked(_sample_stack(spec, rngs))
 
-    with single_blas_thread():
+    with single_blas_thread() if block > 1 else contextlib.nullcontext():
         blocks = parallel_map(solve, range(0, trials, block), threads)
     return [lam for lams in blocks for lam in lams]
 

@@ -17,9 +17,10 @@ skips the asymmetry pass, the averaging and the copy, but still rejects
 non-finite entries, stores float64 or complex128, demotes complex storage
 with no imaginary part to real, and makes the array read-only.  The block
 sampler behind ``ensembles.trial_eigenvalues`` (``ensembles._sample_stack``)
-produces a fresh (B, n, n) stack of such mirrors and hands it straight to
-``eigenvalues_desc_stacked``, which applies the same checks to the whole
-stack through one shared helper; no ``HermitianMatrix`` is built per trial.
+produces a fresh (B, n, n) stack of such mirrors, B = 1 from n = 512 up,
+and hands it straight to ``eigenvalues_desc_stacked``, which applies the
+same checks to the whole stack through one shared helper; no
+``HermitianMatrix`` is built for any trial of the eigenvalue path.
 """
 from __future__ import annotations
 

@@ -528,7 +528,7 @@ def test_sample_trial_rejects_negative_index():
 
 
 # ---------------------------------------------------------------------------
-# trial_eigenvalues: stacked blocks below SMALL_N
+# trial_eigenvalues: stacked blocks of ceil(SMALL_N / n) trials
 # ---------------------------------------------------------------------------
 
 
@@ -547,9 +547,8 @@ TRIAL_CASES = {
 
 def _trial_params():
     for n in (1, 3, 100, SMALL_N - 1, SMALL_N):
-        # SMALL_N runs the per-trial path, which the two gaussian cases cover;
-        # the other cases run on two trial threads, the harder schedule
-        for case in TRIAL_CASES if n < SMALL_N else ("gaussian_real", "gaussian_complex"):
+        # the non-gaussian cases run on two trial threads, the harder schedule
+        for case in TRIAL_CASES:
             for threads in (1, 2) if case in ("gaussian_real", "gaussian_complex") else (2,):
                 yield pytest.param(n, case, threads, id=f"{n}-{case}-{threads}")
 
@@ -562,7 +561,7 @@ def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads):
     one from SMALL_N up).
     """
     law, diagonal, banded = TRIAL_CASES[case]
-    block = -(-SMALL_N // n) if n < SMALL_N else 1
+    block = -(-SMALL_N // n)
     trials = 2 * block + 1
     profile = VarianceProfile.banded(max(1, n // 8), 1.0 / n, 0.1 / n) if banded else VarianceProfile.uniform(1.0 / n)
     spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=23)
@@ -642,6 +641,40 @@ def test_trial_fan_out_without_blas_thread_calls_leaves_the_blas_alone(monkeypat
             put(old)
 
 
+@pytest.mark.parametrize("n", (SMALL_N - 1, SMALL_N))
+def test_trial_fan_out_blas_threads_follow_the_block_size(monkeypatch, n):
+    """A block of more than one trial (n < SMALL_N) solves on one BLAS thread; a
+    block of one (n >= SMALL_N) solves on the process's own count."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread calls")
+    get, put = calls
+    old = get()
+    put(2)
+    try:
+        outside = get()
+        seen = []
+        stacked = ensembles.eigenvalues_desc_stacked
+        monkeypatch.setattr(ensembles, "eigenvalues_desc_stacked", lambda mats: seen.append(get()) or stacked(mats))
+        trial_eigenvalues(wigner_unit_spec(n, seed=3), 3, threads=2)
+        assert seen and set(seen) == ({1} if n < SMALL_N else {outside})
+        assert get() == outside
+    finally:
+        put(old)
+
+
+@pytest.mark.parametrize(
+    "n, law", [(SMALL_N, EntryLaw.gaussian_real()), (600, EntryLaw.gaussian_complex())], ids=["real", "complex"]
+)
+def test_trial_eigenvalues_from_small_n_up_do_not_depend_on_threads(n, law):
+    """Blocks of one, under the BLAS threading as it is, give the same bytes on
+    one trial thread and on two."""
+    spec = wigner_unit_spec(n, law, seed=11)
+    one = trial_eigenvalues(spec, 3, threads=1)
+    two = trial_eigenvalues(spec, 3, threads=2)
+    assert [a.tobytes() for a in one] == [b.tobytes() for b in two]
+
+
 ONE_FILL_LAWS = (
     EntryLaw.gaussian_real(),
     EntryLaw.rademacher(),
@@ -685,9 +718,9 @@ def _diagonal_id(diagonal: EntryLaw | None) -> str:
 def test_sample_matches_per_row_reference_layout(law, diagonal):
     """Every trial's bytes and dtype equal the per-row stream of layout 3.
 
-    3 * MIRROR_BAND + 9 spans three mirror bands and a partial fourth.
-    SMALL_N - 1 is the largest size placed in multi-row bands, SMALL_N the
-    smallest placed a row at a time.
+    3 * MIRROR_BAND + 9 spans three mirror bands and a partial fourth.  At
+    SMALL_N - 1 and SMALL_N, as at every n, the short lower rows share bands
+    and a row too long to share (every upper complex row) is placed alone.
     """
     cases = [(n, _layout_profiles(n)) for n in (1, 2, 3, 17, 64, 3 * MIRROR_BAND + 9)]
     cases += [(n, _layout_profiles(n)[:2]) for n in (SMALL_N - 1, SMALL_N)]  # uniform and banded
@@ -739,18 +772,25 @@ def test_one_fill_laws_draw_a_matrix_in_one_call(law, diagonal):
         assert rng.calls == want, n
 
 
+# (law, diagonal law, limit) by id
+MEMORY_CASES = {
+    "gaussian_real": (EntryLaw.gaussian_real(), None, 1.15),
+    "gaussian_complex": (EntryLaw.gaussian_complex(), None, 1.15),
+    "rademacher": (EntryLaw.rademacher(), None, 1.65),
+    "pareto_symmetric": (EntryLaw.pareto_symmetric(2.5, 1.0), None, 1.65),
+    "gaussian_real_rademacher_diagonal": (EntryLaw.gaussian_real(), EntryLaw.rademacher(), 1.15),
+}
+
+
 @pytest.mark.parametrize(
-    "law, diagonal, limit",
+    "law, diagonal, limit, n",
     [
-        (EntryLaw.gaussian_real(), None, 1.15),
-        (EntryLaw.gaussian_complex(), None, 1.15),
-        (EntryLaw.rademacher(), None, 1.65),
-        (EntryLaw.pareto_symmetric(2.5, 1.0), None, 1.65),
-        (EntryLaw.gaussian_real(), EntryLaw.rademacher(), 1.15),
+        pytest.param(*case, n, id=name if n == SMALL_N else f"{name}-{n}")
+        for name, case in MEMORY_CASES.items()
+        for n in (SMALL_N, SMALL_N - 1)
     ],
-    ids=["gaussian_real", "gaussian_complex", "rademacher", "pareto_symmetric", "gaussian_real_rademacher_diagonal"],
 )
-def test_sample_peak_memory_is_one_matrix(law, diagonal, limit):
+def test_sample_peak_memory_is_one_matrix(law, diagonal, limit, n):
     """Normals are drawn into the matrix's own buffer: the peak is the matrix plus
     the n^2-byte finiteness mask of ``HermitianMatrix._trusted``.
 
@@ -760,11 +800,12 @@ def test_sample_peak_memory_is_one_matrix(law, diagonal, limit):
     temporary of n(n+1)/2 values, half the real matrix: 1.536 x for both.
     Pareto turns its signs into +-1 in place; a float copy of them measured
     2.0 x.  A rademacher diagonal under gaussian_real adds only its fill of n
-    values ahead of the matrix: 1.130 x.
+    values ahead of the matrix: 1.130 x.  n = 511 reads the same: each shared
+    band looks up its own sd, where one lookup over the whole band table
+    measured 2.0 x.
     """
     import tracemalloc
 
-    n = 512
     spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=diagonal)
     matrix_bytes = n * n * (16 if law.is_complex else 8)
     sample_trial(spec, 1)  # the first draw in a process also allocates one-time state
