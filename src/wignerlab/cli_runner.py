@@ -72,6 +72,12 @@ __all__ = [
 
 # commands that sample one n x n matrix per trial
 SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduce")
+# copies of a size's spectra, n 8-byte eigenvalues per trial, that a command
+# keeps for every trial at once: trial_eigenvalues' list, plus moments' np.stack
+# and stieltjes' per-trial esd (merged atoms, weights and cumulative sums)
+_KEPT_SPECTRA = {"simulate": 1, "moments": 2, "stieltjes": 4, "concentration": 1}
+# bytes per trial of trial_eigenvalues' Philox key table
+_KEY_BYTES = 16
 
 LAW_BUILDERS: dict[str, Callable[..., EntryLaw]] = {
     "rademacher": EntryLaw.rademacher,
@@ -370,12 +376,20 @@ def validate(config: ExperimentConfig) -> list[str]:
                 diags.append(f"ensemble at n={n}: {exc}")
                 break
             itemsize = 16 if spec.law.is_complex else 8
-            need = n * n * itemsize * matrices
+            copies = _KEPT_SPECTRA.get(config.command, 0)
+            kept = config.trials * (copies * n * 8 + _KEY_BYTES) if copies else 0
+            need = n * n * itemsize * matrices + kept
             if memory and need > memory:
+                spectra = (
+                    f" and {kept} bytes of {config.trials} trials' kept spectra "
+                    f"({copies} x {n} x 8 bytes each) and stream keys ({_KEY_BYTES} bytes each)"
+                    if kept
+                    else ""
+                )
                 diags.append(
                     f"sizes: n={n} needs {need / 2**30:.3g} GiB for {matrices} concurrent "
-                    f"{n}x{n} trial matrices of {itemsize}-byte entries; physical memory "
-                    f"is {memory / 2**30:.3g} GiB"
+                    f"{n}x{n} trial matrices of {itemsize}-byte entries{spectra}; physical "
+                    f"memory is {memory / 2**30:.3g} GiB"
                 )
                 break
     cmd = config.command

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, trial_eigenvalues
 from .spectral_measures import RampFunction
-from .streams import DOMAIN_BERNOULLI, derive_rng
+from .streams import DOMAIN_BERNOULLI, KeyedStreams, stream_keys
 
 __all__ = [
     "TailEstimate",
@@ -131,7 +131,9 @@ def bernstein_tail_check(
     """Empirical P(sum(B_i - p_i) >= x) against the Bernstein bound.
 
     The bound uses the exact second moment sum p_i(1 - p_i); each trial draws
-    the coin vector from its own derived stream.
+    the coin vector from its own derived stream, that of
+    ``derive_rng(seed, DOMAIN_BERNOULLI, trial)``, replayed from one
+    ``stream_keys`` pass through one reused generator.
     """
     probs = np.asarray(bernoulli_probs, dtype=np.float64)
     if probs.ndim != 1 or probs.size == 0:
@@ -143,8 +145,7 @@ def bernstein_tail_check(
     if not x > 0:
         raise ValueError("x must be positive")
     hits = 0
-    for trial in range(trials):
-        rng = derive_rng(seed, DOMAIN_BERNOULLI, trial)
+    for rng in KeyedStreams(stream_keys(seed, DOMAIN_BERNOULLI, 0, trials)):
         coins = rng.random(probs.size) < probs
         if float(coins.sum() - probs.sum()) >= x:
             hits += 1

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .hermitian_core import HermitianMatrix, eigenvalues_desc_stacked, single_blas_thread
-from .streams import DOMAIN_SAMPLE, derive_rng, parallel_map
+from .streams import DOMAIN_SAMPLE, KeyedStreams, derive_rng, parallel_map, stream_keys
 
 __all__ = [
     "EntryLaw",
@@ -490,6 +490,8 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     Each slot's draws are ``sample``'s: its fills come from its own
     generator, packed at the front of the slot's buffer (its float view when
     complex), with a non-default diagonal law's fill in a row of its own.
+    The generators are taken in slot order, each drawn from before the next
+    is taken, so ``rngs`` may be a ``streams.KeyedStreams``.
     All the rest runs once for the stack: the fill is placed a band of rows
     at a time, bottom-up (``_row_bands``), in every slot at once.  Band
     [a, b)'s packed draws start no later than the spot where row a lands,
@@ -635,8 +637,11 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list
     The trials run in fixed blocks of ceil(SMALL_N / n) consecutive indices,
     one trial per block from ``SMALL_N`` up.  A block is sampled straight
     into one (B, n, n) stack by ``_sample_stack``: trial t still draws from
-    its own stream, ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own
-    slot, and the placement, mirror and checks run once for the block.  The
+    its own stream, that of ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into
+    its own slot, and the placement, mirror and checks run once for the
+    block.  The streams' keys come from one ``stream_keys`` pass per call,
+    and each block replays them through one reused generator
+    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The
     stack is then one ``eigvalsh`` call that releases the GIL
     (``eigenvalues_desc_stacked``), and each spectrum has the bytes of
     ``eigenvalues_desc(sample_trial(spec, t))`` under the same BLAS threads.
@@ -650,9 +655,10 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list
     # sample's band tables live on; built in a worker, they would pin its malloc arena
     _row_bands(spec.n, *_packing(spec))
 
+    keys = stream_keys(spec.seed, DOMAIN_SAMPLE, 0, trials)
+
     def solve(first: int) -> list[np.ndarray]:
-        rngs = [derive_rng(spec.seed, DOMAIN_SAMPLE, t) for t in range(first, min(first + block, trials))]
-        return eigenvalues_desc_stacked(_sample_stack(spec, rngs))
+        return eigenvalues_desc_stacked(_sample_stack(spec, KeyedStreams(keys[first : first + block])))
 
     with single_blas_thread() if block > 1 else contextlib.nullcontext():
         blocks = parallel_map(solve, range(0, trials, block), threads)

@@ -316,8 +316,9 @@ def test_validate_unknown_command_short_circuits():
 
 
 def test_validate_memory_preflight(tmp_path, monkeypatch):
-    """n^2 entries of 8 bytes (16 complex) for each of min(threads, trials) trials."""
-    need = 64 * 64 * 8 * 2
+    """n^2 entries of 8 bytes (16 complex) for each of min(threads, trials) trials,
+    plus every trial's kept spectrum (n x 8 bytes) and stream key (16 bytes)."""
+    need = 64 * 64 * 8 * 2 + 2 * (64 * 8 + 16)
     config = make_config("simulate", str(tmp_path), sizes="32, 64", trials="2", threads="3")
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: need)
     assert validate(config) == []
@@ -325,14 +326,41 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     [diag] = validate(config)
     assert diag.startswith("sizes: n=64 needs")
     assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
-    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: 2 * need - 1)
+    # complex matrices are twice the bytes; moments keeps its np.stack copy too
+    complex_need = 64 * 64 * 16 * 2 + 2 * (2 * 64 * 8 + 16)
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need - 1)
     complex_law = make_config(
         "moments", str(tmp_path), sizes="64", trials="2", threads="3",
         **{"ensemble.law": "gaussian_complex"},
     )
     assert validate(complex_law)[0].startswith("sizes: n=64 needs")
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need)
+    assert validate(complex_law) == []
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: None)
     assert validate(complex_law) == []
+
+
+@pytest.mark.parametrize("command", ("simulate", "moments", "stieltjes", "concentration"))
+def test_validate_memory_preflight_counts_kept_spectra(tmp_path, monkeypatch, command):
+    """One n = 4096 matrix fits in 7.8 GiB, but 10^8 trials' spectra (3.3 TB) do not.
+
+    Each command that keeps every trial's spectrum counts its copies of them,
+    and the message names their bytes.  ``reduce`` keeps no spectra.
+    """
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: int(7.8 * 2**30))
+    config = make_config(
+        command, str(tmp_path), sizes="4096", trials="100000000", threads="2",
+        **{"moments.k": "2", "stieltjes.z": "1j", "concentration.t": "0.5"},
+    )
+    copies = {"simulate": 1, "moments": 2, "stieltjes": 4, "concentration": 1}[command]
+    kept = 10**8 * (copies * 4096 * 8 + 16)
+    [diag] = validate(config)
+    assert diag.startswith("sizes: n=4096 needs")
+    assert f"{kept} bytes of 100000000 trials' kept spectra ({copies} x 4096 x 8 bytes each)" in diag
+    assert "physical memory is 7.8 GiB" in diag
+    assert validate(replace(config, command="reduce")) == []
+    few = replace(config, trials=1000)  # 33 MB of spectra, or 131 MB for stieltjes
+    assert validate(few) == []
 
 
 def test_validate_walks_needs_no_sizes():
@@ -949,6 +977,19 @@ def test_main_size_beyond_memory_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: sizes: n=3000000 needs")
     assert "physical memory" in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_main_kept_spectra_beyond_memory_exit_3(tmp_path, capsys):
+    """sizes = 4096, trials = 10^8: the matrix fits, the 3.3 TB of spectra do not."""
+    memory = cli_runner._physical_memory()
+    if memory is None or memory > 10**8 * (4096 * 8 + 16):
+        pytest.skip("os.sysconf gives no physical memory, or more than the spectra need")
+    path = write_config(tmp_path, sizes="4096", trials="100000000")
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sizes: n=4096 needs")
+    assert "3278400000000 bytes of 100000000 trials' kept spectra" in err
     assert not (tmp_path / "results").exists()
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from wignerlab import ensembles, hermitian_core
+from wignerlab import ensembles, hermitian_core, streams
 from wignerlab.ensembles import (
     _MIRROR_BAND_BYTES,
     SMALL_N,
@@ -31,7 +31,7 @@ from wignerlab.ensembles import (
     wigner_unit_spec,
 )
 from wignerlab.hermitian_core import _openblas_thread_calls, eigenvalues_desc, single_blas_thread
-from wignerlab.streams import DOMAIN_SAMPLE, derive_rng
+from wignerlab.streams import DOMAIN_SAMPLE, KeyedStreams, derive_rng, stream_keys
 
 from _oracles import monte_carlo_lindeberg_term, per_row_sample
 
@@ -550,11 +550,16 @@ def _trial_params():
         # the non-gaussian cases run on two trial threads, the harder schedule
         for case in TRIAL_CASES:
             for threads in (1, 2) if case in ("gaussian_real", "gaussian_complex") else (2,):
-                yield pytest.param(n, case, threads, id=f"{n}-{case}-{threads}")
+                yield pytest.param(n, case, threads, 23, id=f"{n}-{case}-{threads}")
+    # the largest seed has two entropy words where 23 has one
+    for n in (1, 3, 100):
+        for case in TRIAL_CASES:
+            yield pytest.param(n, case, 2, 2**64 - 1, id=f"{n}-{case}-2-seed_max")
+    yield pytest.param(SMALL_N, "gaussian_real", 2, 2**64 - 1, id=f"{SMALL_N}-gaussian_real-2-seed_max")
 
 
-@pytest.mark.parametrize("n, case, threads", _trial_params())
-def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads):
+@pytest.mark.parametrize("n, case, threads, seed", _trial_params())
+def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads, seed):
     """Each spectrum has the bytes of its own eigenvalues_desc call under one BLAS thread.
 
     Two full blocks of ceil(SMALL_N / n) trials and one more trial (blocks of
@@ -564,7 +569,7 @@ def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads):
     block = -(-SMALL_N // n)
     trials = 2 * block + 1
     profile = VarianceProfile.banded(max(1, n // 8), 1.0 / n, 0.1 / n) if banded else VarianceProfile.uniform(1.0 / n)
-    spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=23)
+    spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=seed)
     with single_blas_thread():
         got = trial_eigenvalues(spec, trials, threads)
         want = [eigenvalues_desc(sample_trial(spec, t)) for t in range(trials)]
@@ -601,20 +606,36 @@ def test_trial_fan_out_runs_one_blas_thread_and_restores_the_count(monkeypatch):
         assert set(seen) == {1}
         assert get() == outside
 
-        # the block path's per-trial draw starts from the trial's own stream; trial 13's fails
-        derive = ensembles.derive_rng
+        # each block replays its trials' stream keys; the block holding trial 13's fails
+        bad = stream_keys(spec.seed, DOMAIN_SAMPLE, 13, 14)
 
-        def failing(seed, domain, trial):
-            if trial == 13:
+        def failing(keys):
+            if (keys == bad).all(axis=1).any():
                 raise RuntimeError("trial 13 failed")
-            return derive(seed, domain, trial)
+            return KeyedStreams(keys)
 
-        monkeypatch.setattr(ensembles, "derive_rng", failing)
+        monkeypatch.setattr(ensembles, "KeyedStreams", failing)
         with pytest.raises(RuntimeError, match="trial 13 failed"):
             trial_eigenvalues(spec, 20, threads=2)
         assert get() == outside
     finally:
         put(old)
+
+
+def test_trial_eigenvalues_derive_no_stream_per_trial(monkeypatch):
+    """The block path replays keys from one stream_keys pass and never calls
+    derive_rng, yet keeps sample_trial's bytes."""
+    spec = wigner_unit_spec(4, seed=41)
+    with single_blas_thread():
+        want = [eigenvalues_desc(sample_trial(spec, t)).tobytes() for t in range(300)]
+
+    def forbidden(*args):
+        raise AssertionError("derive_rng called on the trial path")
+
+    monkeypatch.setattr(ensembles, "derive_rng", forbidden)
+    monkeypatch.setattr(streams, "derive_rng", forbidden)
+    got = trial_eigenvalues(spec, 300, threads=2)
+    assert [g.tobytes() for g in got] == want
 
 
 def test_trial_fan_out_without_blas_thread_calls_leaves_the_blas_alone(monkeypatch):

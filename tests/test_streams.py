@@ -3,8 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wignerlab.streams import DOMAIN_BERNOULLI, DOMAIN_REPLACE, DOMAIN_SAMPLE, derive_rng
+from wignerlab.streams import (
+    DOMAIN_BERNOULLI,
+    DOMAIN_REPLACE,
+    DOMAIN_SAMPLE,
+    KeyedStreams,
+    derive_rng,
+    stream_keys,
+)
 
 
 def test_same_address_reproduces_the_stream():
@@ -40,3 +49,85 @@ def test_path_depth_matters():
 def test_negative_master_seed_rejected():
     with pytest.raises(ValueError, match="master seed must be a nonnegative integer"):
         derive_rng(-1, DOMAIN_SAMPLE, 0)
+
+
+# ---------------------------------------------------------------------------
+# stream_keys and KeyedStreams: the trial loops' streams without a SeedSequence each
+# ---------------------------------------------------------------------------
+
+DOMAINS = (DOMAIN_SAMPLE, DOMAIN_REPLACE, DOMAIN_BERNOULLI)
+
+
+def _seed_sequence_key(seed: int, domain: int, trial: int) -> np.ndarray:
+    return np.random.SeedSequence(seed, spawn_key=(domain, trial)).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32, 2**64 - 1))
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_stream_keys_equal_seed_sequence(seed, domain):
+    """One word of seed or two; trial indices up to the last one-word index and past it."""
+    for first, stop in ((0, 2), (4095, 4096), (2**32 - 1, 2**32 + 2), (2**64 - 2, 2**64)):
+        keys = stream_keys(seed, domain, first, stop)
+        assert keys.shape == (stop - first, 2) and keys.dtype == np.uint64
+        want = np.array([_seed_sequence_key(seed, domain, t) for t in range(first, stop)])
+        assert np.array_equal(keys, want), (first, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    domain=st.sampled_from(DOMAINS),
+    first=st.integers(0, 2**64 - 1),
+    count=st.integers(1, 5),
+)
+def test_stream_keys_equal_seed_sequence_over_uint64(seed, domain, first, count):
+    stop = min(first + count, 2**64)
+    want = np.array([_seed_sequence_key(seed, domain, t) for t in range(first, stop)])
+    assert np.array_equal(stream_keys(seed, domain, first, stop), want)
+
+
+def test_stream_keys_of_a_range_are_its_rows():
+    """Keys depend on the trial index only, not on where a range starts."""
+    whole = stream_keys(17, DOMAIN_SAMPLE, 0, 300)
+    assert np.array_equal(stream_keys(17, DOMAIN_SAMPLE, 128, 256), whole[128:256])
+    assert stream_keys(17, DOMAIN_SAMPLE, 5, 5).shape == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((-1, DOMAIN_SAMPLE, 0, 1), "master seed"),
+        ((0, -1, 0, 1), "domain"),
+        ((0, DOMAIN_SAMPLE, -1, 1), "trial indices"),
+        ((0, DOMAIN_SAMPLE, 3, 2), "trial indices"),
+        ((0, DOMAIN_SAMPLE, 0, 2**64 + 1), "trial indices"),
+    ],
+)
+def test_stream_keys_reject_invalid_addresses(args, match):
+    with pytest.raises(ValueError, match=match):
+        stream_keys(*args)
+
+
+# every generator call the fills make: gaussian, rademacher, uniform and pareto
+FILL_DRAWS = {
+    "standard_normal": lambda rng: rng.standard_normal(37),
+    "integers": lambda rng: rng.integers(0, 2, 37),
+    "uniform": lambda rng: rng.uniform(-1.5, 1.5, 37),
+    "pareto": lambda rng: np.concatenate((rng.random(37), rng.integers(0, 2, 37))),
+}
+
+
+@pytest.mark.parametrize("kind", FILL_DRAWS)
+@pytest.mark.parametrize("seed", (0, 2**64 - 1))
+def test_keyed_streams_draw_derive_rng_bytes(kind, seed):
+    """Each item of one reused generator draws what a fresh derive_rng draws, even
+    after the previous item left a half-used buffer and a spare 32-bit word."""
+    draw = FILL_DRAWS[kind]
+    streams = KeyedStreams(stream_keys(seed, DOMAIN_SAMPLE, 7, 12))
+    assert len(streams) == 5
+    for t, rng in enumerate(streams, start=7):
+        assert draw(rng).tobytes() == draw(derive_rng(seed, DOMAIN_SAMPLE, t)).tobytes(), t
+        rng.integers(0, 2**16, 3, dtype=np.uint32)  # leaves buffer_pos and has_uint32 set
+        rng.random(3)
+    assert streams[2] is streams[0]
+    assert draw(streams[2]).tobytes() == draw(derive_rng(seed, DOMAIN_SAMPLE, 9)).tobytes()
