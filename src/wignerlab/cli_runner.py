@@ -45,7 +45,6 @@ from .spectral_measures import (
     RampFunction,
     SemicircleLaw,
     esd,
-    expected_esd,
     kolmogorov_distance,
     levy_distance,
     semicircle_moment,
@@ -73,9 +72,11 @@ __all__ = [
 # commands that sample one n x n matrix per trial
 SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduce")
 # copies of a size's spectra, n 8-byte eigenvalues per trial, that a command
-# keeps for every trial at once: trial_eigenvalues' list, plus moments' np.stack
-# and stieltjes' per-trial esd (merged atoms, weights and cumulative sums)
-_KEPT_SPECTRA = {"simulate": 1, "moments": 2, "stieltjes": 4, "concentration": 1}
+# keeps for every trial at once: trial_eigenvalues' (trials, n) array, and for
+# stieltjes the pooled esd built from it, which with the array peaks at 5.13 x
+# the array under tracemalloc; moments' powers and concentration's ramp values
+# are elementwise temporaries of the array, not counted
+_KEPT_SPECTRA = {"simulate": 1, "moments": 1, "stieltjes": 6, "concentration": 1}
 # bytes per trial of trial_eigenvalues' Philox key table
 _KEY_BYTES = 16
 
@@ -488,7 +489,7 @@ def _cmd_moments(config: ExperimentConfig, out: Path) -> list[Path]:
     oracle_rows = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
-        eigs = np.stack(trial_eigenvalues(spec, config.trials, config.threads))
+        eigs = trial_eigenvalues(spec, config.trials, config.threads)
         for k in config.k_list:
             # the mean of each trial's (1/n) tr W^k, each row summed as np.mean sums one spectrum
             empirical = float(np.mean(np.mean(eigs**k, axis=1)))
@@ -560,12 +561,10 @@ def _cmd_walks(config: ExperimentConfig, out: Path) -> list[Path]:
 
 def _cmd_stieltjes(config: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
-    written = []
     density_paths = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
-        eigs = trial_eigenvalues(spec, config.trials, config.threads)
-        pooled = expected_esd(esd(lam) for lam in eigs)
+        pooled = esd(trial_eigenvalues(spec, config.trials, config.threads))
         for z in config.z_list:
             s = stieltjes_atomic(pooled, z)
             sc = semicircle_stieltjes(z)
@@ -590,9 +589,7 @@ def _cmd_stieltjes(config: ExperimentConfig, out: Path) -> list[Path]:
         ("n", "z_re", "z_im", "s_re", "s_im", "sc_re", "sc_im", "residual"),
         rows,
     )
-    written.append(path)
-    written.extend(density_paths)
-    return written
+    return [path, *density_paths]
 
 
 def _cmd_conditions(config: ExperimentConfig, out: Path) -> list[Path]:

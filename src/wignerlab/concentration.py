@@ -109,9 +109,7 @@ def empirical_tail(
         raise ValueError(f"need at least {MIN_TAIL_TRIALS} trials")
     if any(not t > 0 for t in t_list):
         raise ValueError("thresholds must be positive")
-    stats = np.array(
-        [float(np.mean(ramp.value(lam))) for lam in trial_eigenvalues(spec, trials, threads)]
-    )
+    stats = ramp.value(trial_eigenvalues(spec, trials, threads)).mean(axis=1)
     center = float(np.mean(stats))
     dev = np.abs(stats - center)
     name = f"ramp({ramp.p:g},{ramp.q:g})"

@@ -631,19 +631,20 @@ def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
     return sample(spec, derive_rng(spec.seed, DOMAIN_SAMPLE, trial))
 
 
-def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list[np.ndarray]:
+def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.ndarray:
     """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`.
 
+    Row t of the read-only (trials, n) float64 result is trial t's spectrum.
     The trials run in fixed blocks of ceil(SMALL_N / n) consecutive indices,
-    one trial per block from ``SMALL_N`` up.  A block is sampled straight
-    into one (B, n, n) stack by ``_sample_stack``: trial t still draws from
-    its own stream, that of ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into
-    its own slot, and the placement, mirror and checks run once for the
-    block.  The streams' keys come from one ``stream_keys`` pass per call,
-    and each block replays them through one reused generator
-    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The
-    stack is then one ``eigvalsh`` call that releases the GIL
-    (``eigenvalues_desc_stacked``), and each spectrum has the bytes of
+    one trial per block from ``SMALL_N`` up; each block's worker writes its
+    rows.  A block is sampled straight into one (B, n, n) stack by
+    ``_sample_stack``: trial t draws from its own stream, that of
+    ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own slot, and the
+    placement, mirror and checks run once for the block.  The keys come
+    from one ``stream_keys`` pass per call, replayed by each block through
+    one reused generator (``KeyedStreams``), so no trial builds a
+    ``SeedSequence``.  The stack is then one ``eigvalsh`` call that releases
+    the GIL (``eigenvalues_desc_stacked``), and each row has the bytes of
     ``eigenvalues_desc(sample_trial(spec, t))`` under the same BLAS threads.
     Block boundaries depend only on n and the trial index, so the result
     does not depend on `threads`.  A block of more than one trial (n below
@@ -656,13 +657,16 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> list
     _row_bands(spec.n, *_packing(spec))
 
     keys = stream_keys(spec.seed, DOMAIN_SAMPLE, 0, trials)
+    out = np.empty((trials, spec.n))
 
-    def solve(first: int) -> list[np.ndarray]:
-        return eigenvalues_desc_stacked(_sample_stack(spec, KeyedStreams(keys[first : first + block])))
+    def solve(first: int) -> None:
+        rows = slice(first, first + block)
+        out[rows] = eigenvalues_desc_stacked(_sample_stack(spec, KeyedStreams(keys[rows])))
 
     with single_blas_thread() if block > 1 else contextlib.nullcontext():
-        blocks = parallel_map(solve, range(0, trials, block), threads)
-    return [lam for lams in blocks for lam in lams]
+        parallel_map(solve, range(0, trials, block), threads)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

@@ -147,8 +147,8 @@ def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
     return _readonly(np.linalg.eigvalsh(a.entries)[::-1].copy())
 
 
-def eigenvalues_desc_stacked(stack: np.ndarray) -> list[np.ndarray]:
-    """``eigenvalues_desc`` of each matrix in a fresh (B, n, n) stack, from one ``eigvalsh`` call.
+def eigenvalues_desc_stacked(stack: np.ndarray) -> np.ndarray:
+    """Rows of ``eigenvalues_desc`` of each matrix in a fresh (B, n, n) stack, from one ``eigvalsh`` call.
 
     For in-package producers only, as ``HermitianMatrix._trusted``: each
     matrix must be an exact conjugate mirror with a real diagonal, and the
@@ -158,8 +158,7 @@ def eigenvalues_desc_stacked(stack: np.ndarray) -> list[np.ndarray]:
     has the bytes of ``eigenvalues_desc`` on that matrix; numpy releases the
     GIL for the whole stack once B times n reaches 512.
     """
-    lam = _readonly(np.linalg.eigvalsh(_checked_fresh(stack))[:, ::-1].copy())
-    return list(lam)
+    return _readonly(np.linalg.eigvalsh(_checked_fresh(stack))[:, ::-1].copy())
 
 
 @functools.cache

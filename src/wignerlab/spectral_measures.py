@@ -49,22 +49,15 @@ class StepDistribution:
             raise ValueError("atoms and weights must have equal length")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        order = np.argsort(a, kind="stable")
-        a, w = a[order], w[order]
-        # merge exactly equal positions
-        keep = np.concatenate([[True], np.diff(a) != 0])
-        idx = np.cumsum(keep) - 1
-        merged_a = a[keep]
-        merged_w = np.zeros(merged_a.size)
-        np.add.at(merged_w, idx, w)
-        if abs(merged_w.sum() - 1.0) > WEIGHT_TOL:
+        # merge exactly equal positions, summing their weights in input order
+        a, inverse = np.unique(a, return_inverse=True)
+        w = np.bincount(inverse, weights=w)
+        if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError("weights must sum to 1")
-        for name, val in (("atoms", merged_a), ("weights", merged_w)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        cum = np.concatenate([[0.0], np.cumsum(merged_w)])
-        cum.setflags(write=False)
-        object.__setattr__(self, "_cum", cum)
+        # the float sum may stray past 1 by the tolerance; the CDF may not
+        cum = np.minimum(np.concatenate([[0.0], np.cumsum(w)]), 1.0)
+        cum[-1] = 1.0
+        _freeze(self, a, w, cum)
 
     def cdf(self, x):
         """Right-continuous CDF, vectorized."""
@@ -121,12 +114,30 @@ def semicircle_moment(k: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
+def _freeze(dist: StepDistribution, atoms, weights, cum) -> StepDistribution:
+    """Set ``dist``'s sorted distinct atoms, their weights and its CDF, read-only."""
+    for name, val in (("atoms", atoms), ("weights", weights), ("_cum", cum)):
+        val.setflags(write=False)
+        object.__setattr__(dist, name, val)
+    return dist
+
+
 def esd(eigenvalues: Sequence[float] | np.ndarray) -> StepDistribution:
-    """Empirical spectral distribution: weight 1/n at each eigenvalue."""
-    ev = np.asarray(eigenvalues, dtype=np.float64).ravel()
-    if ev.size == 0:
+    """Empirical spectral distribution: weight c/N at a value taken c times among the N given.
+
+    ``eigenvalues`` is one spectrum or a stack of them of any shape; a
+    (trials, n) stack gives the trials' pooled ESD, the estimate of E mu_n.
+    One sort gives the distinct values and their integer counts; the CDF at
+    atom i is (counts up to i) / N, so each entry is correctly rounded and
+    the last is exactly 1.
+    """
+    atoms, counts = np.unique(np.asarray(eigenvalues, dtype=np.float64), return_counts=True)
+    if atoms.size == 0:
         raise ValueError("esd needs at least one eigenvalue")
-    return StepDistribution(ev, np.full(ev.size, 1.0 / ev.size))
+    cum = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))  # exact below 2**53
+    total = cum[-1]
+    cum /= total
+    return _freeze(object.__new__(StepDistribution), atoms, counts / total, cum)
 
 
 def expected_esd(samples: Iterable[StepDistribution]) -> StepDistribution:
@@ -204,7 +215,10 @@ class RampFunction:
 
     def value(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = np.clip((self.q - x) / (self.q - self.p), 0.0, 1.0)
+        # one result buffer and no temporaries: x may be a whole stack of spectra
+        out = np.subtract(self.q, x, out=np.empty_like(x))
+        out /= self.q - self.p
+        np.clip(out, 0.0, 1.0, out=out)
         return float(out) if out.ndim == 0 else out
 
     def integrate_step(self, dist: StepDistribution) -> float:

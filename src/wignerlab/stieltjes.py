@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensembles import EnsembleSpec, trial_eigenvalues
-from .spectral_measures import StepDistribution, esd, expected_esd
+from .spectral_measures import StepDistribution, esd
 from .streams import parallel_map
 
 __all__ = [
@@ -101,8 +101,8 @@ def sqrt_z2_minus_4(z: complex) -> complex:
 
 def stieltjes_atomic(dist: StepDistribution, z: complex) -> complex:
     """s_F(z) = sum_atoms w/(x - z); Im > 0 and |s| <= 1/Im z."""
-    zz = _as_z(z)
-    return complex(np.sum(dist.weights / (dist.atoms - zz)))
+    d = dist.atoms - _as_z(z)
+    return complex(np.sum(np.divide(dist.weights, d, out=d)))
 
 
 def semicircle_stieltjes(z: complex) -> complex:
@@ -182,5 +182,5 @@ def recursion_residual(
     if trials < 1:
         raise ValueError("need at least one trial")
     zz = _as_z(z)
-    s_n = stieltjes_atomic(expected_esd(esd(lam) for lam in trial_eigenvalues(spec, trials)), zz)
+    s_n = stieltjes_atomic(esd(trial_eigenvalues(spec, trials)), zz)
     return abs(s_n + 1.0 / (zz + s_n))

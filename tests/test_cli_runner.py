@@ -326,8 +326,8 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     [diag] = validate(config)
     assert diag.startswith("sizes: n=64 needs")
     assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
-    # complex matrices are twice the bytes; moments keeps its np.stack copy too
-    complex_need = 64 * 64 * 16 * 2 + 2 * (2 * 64 * 8 + 16)
+    # complex matrices are twice the bytes; moments keeps one copy of the spectra, as simulate
+    complex_need = 64 * 64 * 16 * 2 + 2 * (64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need - 1)
     complex_law = make_config(
         "moments", str(tmp_path), sizes="64", trials="2", threads="3",
@@ -352,14 +352,14 @@ def test_validate_memory_preflight_counts_kept_spectra(tmp_path, monkeypatch, co
         command, str(tmp_path), sizes="4096", trials="100000000", threads="2",
         **{"moments.k": "2", "stieltjes.z": "1j", "concentration.t": "0.5"},
     )
-    copies = {"simulate": 1, "moments": 2, "stieltjes": 4, "concentration": 1}[command]
+    copies = {"simulate": 1, "moments": 1, "stieltjes": 6, "concentration": 1}[command]
     kept = 10**8 * (copies * 4096 * 8 + 16)
     [diag] = validate(config)
     assert diag.startswith("sizes: n=4096 needs")
     assert f"{kept} bytes of 100000000 trials' kept spectra ({copies} x 4096 x 8 bytes each)" in diag
     assert "physical memory is 7.8 GiB" in diag
     assert validate(replace(config, command="reduce")) == []
-    few = replace(config, trials=1000)  # 33 MB of spectra, or 131 MB for stieltjes
+    few = replace(config, trials=1000)  # 33 MB of spectra, or 197 MB for stieltjes
     assert validate(few) == []
 
 

@@ -560,7 +560,8 @@ def _trial_params():
 
 @pytest.mark.parametrize("n, case, threads, seed", _trial_params())
 def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads, seed):
-    """Each spectrum has the bytes of its own eigenvalues_desc call under one BLAS thread.
+    """One read-only (trials, n) array whose rows have the bytes of each trial's
+    own eigenvalues_desc call under one BLAS thread.
 
     Two full blocks of ceil(SMALL_N / n) trials and one more trial (blocks of
     one from SMALL_N up).
@@ -573,9 +574,9 @@ def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads, seed):
     with single_blas_thread():
         got = trial_eigenvalues(spec, trials, threads)
         want = [eigenvalues_desc(sample_trial(spec, t)) for t in range(trials)]
-    assert len(got) == trials
+    assert isinstance(got, np.ndarray) and got.shape == (trials, n) and got.dtype == np.float64
+    assert got.flags.c_contiguous and not got.flags.writeable
     for t, (g, w) in enumerate(zip(got, want)):
-        assert g.dtype == w.dtype == np.float64 and not g.flags.writeable, t
         assert g.tobytes() == w.tobytes(), t
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -77,6 +77,51 @@ def test_esd_two_point():
 def test_esd_empty_rejected():
     with pytest.raises(ValueError):
         esd([])
+
+
+def test_esd_cdf_ends_at_exactly_one():
+    """CDF entries are integer counts over N: the last is 1.0 at every length,
+    and for the pooled ESD of a 4,000-trial stack."""
+    gen = np.random.default_rng(5)
+    for n in range(1, 65):
+        d = esd(gen.standard_normal(n))
+        assert d._cum[-1] == 1.0, n
+        assert np.array_equal(d._cum, np.arange(n + 1) / n), n
+    stack = gen.standard_normal((4000, 64))
+    pooled = esd(stack)
+    assert pooled._cum[-1] == 1.0
+    assert np.all(np.diff(pooled._cum) > 0)
+    assert np.array_equal(pooled.atoms, np.sort(stack, axis=None))
+
+
+def test_esd_counts_tied_values():
+    """A value taken c times among N weighs c / N, with its CDF step from the counts."""
+    d = esd([[2.0, 0.5, 0.5], [0.5, -1.0, 2.0], [0.0, 0.0, 2.0]])
+    assert np.array_equal(d.atoms, [-1.0, 0.0, 0.5, 2.0])
+    assert d.weights.tolist() == [1 / 9, 2 / 9, 3 / 9, 3 / 9]
+    assert d._cum.tolist() == [0.0, 1 / 9, 3 / 9, 6 / 9, 1.0]
+    assert not d.atoms.flags.writeable and not d.weights.flags.writeable
+
+
+def test_pooled_esd_equals_expected_esd_of_trials():
+    """At power-of-two sizes the pooled ESD of a stack has the atoms and weights
+    of the mixture of the trials' ESDs, bit for bit."""
+    stack = np.random.default_rng(9).standard_normal((64, 256))
+    pooled = esd(stack)
+    mixture = expected_esd(esd(row) for row in stack)
+    assert pooled.atoms.tobytes() == mixture.atoms.tobytes()
+    assert pooled.weights.tobytes() == mixture.weights.tobytes()
+    assert mixture._cum[-1] == 1.0
+
+
+@pytest.mark.parametrize("n", (9, 11))
+def test_kolmogorov_distance_of_disjoint_supports_is_one(n):
+    """Nine or eleven weights of 1/n sum past 1 in float; the counted CDF does not."""
+    gen = np.random.default_rng(n)
+    f = esd(gen.uniform(-2.0, -1.0, n))
+    g = esd(gen.uniform(1.0, 2.0, n))
+    assert kolmogorov_distance(f, g) == 1.0
+    assert kolmogorov_distance(g, f) == 1.0
 
 
 def test_esd_of_sampled_matrix_balanced_at_zero():
@@ -235,6 +280,17 @@ def test_expected_esd_cdf_is_average_of_cdfs(rng):
     assert np.max(np.abs(pooled.cdf(xs) - avg)) < 1e-12
 
 
+def test_expected_esd_cdf_ends_at_exactly_one():
+    """The float sum of 4,000 trials' weights 1/(64 * 4000) overshoots 1; the CDF is pinned and clipped."""
+    gen = np.random.default_rng(13)
+    pooled = expected_esd(esd(gen.standard_normal(64)) for _ in range(4000))
+    assert pooled._cum[-1] == 1.0
+    assert np.all(pooled._cum <= 1.0)
+    hand = StepDistribution(np.arange(9.0), np.full(9, 1 / 9))
+    assert hand._cum[-1] == 1.0
+    assert kolmogorov_distance(hand, StepDistribution([100.0], [1.0])) == 1.0
+
+
 def test_expected_esd_empty_rejected():
     with pytest.raises(ValueError):
         expected_esd([])
@@ -330,6 +386,7 @@ def test_bounded_variation_rank_inequality(rng):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 16))
+@example(seed=207, n=9)  # disjoint supports; a float CDF once ended at 1 + 2**-52 here
 def test_metric_axioms_property(seed, n):
     gen = np.random.default_rng(seed)
     f = esd(gen.standard_normal(n))

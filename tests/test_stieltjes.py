@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from wignerlab import stieltjes
+from wignerlab.cli_runner import _KEPT_SPECTRA
 from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, sample_trial, wigner_unit_spec
 from wignerlab.hermitian_core import eigenvalues_desc
 from wignerlab.spectral_measures import SemicircleLaw, StepDistribution, esd
@@ -308,6 +309,20 @@ def test_atomic_density_validation():
 # ---------------------------------------------------------------------------
 # the recursion certificate
 # ---------------------------------------------------------------------------
+
+
+def test_pooled_esd_peak_memory_within_the_counted_copies():
+    """The stack plus the pooled esd's build peak stay within the copies the
+    memory preflight counts for stieltjes."""
+    stack = np.random.default_rng(79).standard_normal((300, 512))
+    tracemalloc.start()
+    try:
+        pooled = esd(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pooled._cum[-1] == 1.0
+    assert stack.nbytes + peak <= _KEPT_SPECTRA["stieltjes"] * stack.nbytes
 
 
 def test_recursion_residual_zero_matrix():
