@@ -72,11 +72,11 @@ __all__ = [
 # commands that sample one n x n matrix per trial
 SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduce")
 # copies of a size's spectra, n 8-byte eigenvalues per trial, that a command
-# keeps for every trial at once: trial_eigenvalues' (trials, n) array, and for
-# stieltjes the pooled esd built from it, which with the array peaks at 5.13 x
-# the array under tracemalloc; moments' powers and concentration's ramp values
-# are elementwise temporaries of the array, not counted
-_KEPT_SPECTRA = {"simulate": 1, "moments": 1, "stieltjes": 6, "concentration": 1}
+# keeps for every trial at once: trial_eigenvalues' (trials, n) array, with
+# what each command builds from it whole, rounded up from the tracemalloc peak
+# of a run at n = 64 with 4,000 trials: moments' eigs**k (2.39 x the array),
+# concentration's ramp values (2.003 x) and stieltjes' pooled esd (5.13 x)
+_KEPT_SPECTRA = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3}
 # bytes per trial of trial_eigenvalues' Philox key table
 _KEY_BYTES = 16
 

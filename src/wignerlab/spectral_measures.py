@@ -5,9 +5,9 @@ reference limit, with closed-form CDF
 
     F(x) = 1/2 + x sqrt(4 - x^2) / (4 pi) + arcsin(x/2) / pi   on [-2, 2].
 
-Levy and Kolmogorov distances are exact when one argument is a step CDF and
-are read off its atoms; ramp test functions give exact weak-convergence
-integrals on both sides.
+When one argument is a step CDF, Kolmogorov distances are exact and Levy
+distances exact up to the rounding of x +- eps, both read off its atoms;
+ramp test functions give exact weak-convergence integrals on both sides.
 """
 from __future__ import annotations
 
@@ -166,36 +166,33 @@ def kolmogorov_distance(f, g) -> float:
     return float(np.max(np.abs([f.cdf(x) - g.cdf(x), f.cdf_left(x) - g.cdf_left(x)])))
 
 
-def levy_distance(f, g, tol: float = 1e-9) -> float:
+def levy_distance(f, g) -> float:
     """Levy metric: inf of eps with F(x-eps)-eps <= G(x) <= F(x+eps)+eps for all x.
 
     With F the step argument, eps is feasible iff at every atom x_i
     F(x_i) <= G(x_i+eps)+eps and F(x_i-) >= G((x_i-eps)-)-eps: between atoms
-    F is constant and G monotone, so no other point can bind.  Bisection on
-    that exact test returns a feasible eps within ``tol`` of the infimum.
+    F is constant and G monotone, so no other point can bind.  The result is
+    the smallest double that passes this test, exact up to the rounding of
+    x_i +- eps.  Nonnegative doubles are ordered as their bit patterns, so a
+    bisection over the patterns of [0, 1] ends on two adjacent doubles; eps = 1
+    always passes, and pattern -1 stands below 0.0 and is never tested.
     """
     f, g = _step_first(f, g)
     x = f.atoms
     upper, lower = f.cdf(x), f.cdf_left(x)
 
-    def feasible(eps: float) -> bool:
-        gap1 = np.max(upper - g.cdf(x + eps))
-        gap2 = np.max(g.cdf_left(x - eps) - lower)
-        return max(gap1, gap2) <= eps + 1e-12
+    def feasible(bits: int) -> bool:
+        eps = float(np.int64(bits).view(np.float64))
+        return max(np.max(upper - g.cdf(x + eps)), np.max(g.cdf_left(x - eps) - lower)) <= eps
 
-    hi = kolmogorov_distance(f, g) + 1e-12  # L <= K always
-    if feasible(0.0):
-        return 0.0
-    lo = 0.0
-    for _ in range(80):
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
+    lo, hi = -1, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if feasible(mid):
             hi = mid
         else:
             lo = mid
-    return float(hi)
+    return float(np.int64(hi).view(np.float64))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 Every oracle recomputes its quantity by a different route than the library:
 characteristic-polynomial roots instead of the symmetric eigensolver,
-brute-force feasibility scans instead of bisection, exhaustive sign
-assignments instead of moment bookkeeping, all n^k index walks instead of
-walk classes, an edge-count tree test instead of the vertex-count argument,
+brute-force feasibility scans and rational candidate checks instead of
+bisection over the doubles, exhaustive sign assignments instead of moment
+bookkeeping, all n^k index walks instead of walk classes, an edge-count
+tree test instead of the vertex-count argument,
 first-appearance relabelling instead of restricted-growth enumeration,
 sampled tail contributions instead of closed-form truncated moments, the
 Harer-Zagier recursion instead of walk classes, raw per-row generator
@@ -86,6 +87,32 @@ def levy_violation(points: np.ndarray, f, g, eps: float) -> float:
     above = fx - np.asarray(g.cdf(x + eps)) - eps
     below = np.asarray(g.cdf(x - eps)) - eps - fx
     return float(max(above.max(), below.max()))
+
+
+def exact_step_levy(xs, ys) -> Fraction:
+    """Levy distance between the equal-weight step laws of two samples, in rationals.
+
+    The definition splits into F(x) <= G(x+eps)+eps for all x and the same
+    with F and G exchanged; each side steps up only at its own atoms, so it
+    is checked there.  The smallest feasible eps makes some constraint tight,
+    either at a jump of G(x+eps) (eps = b - a for atoms a, b) or where its
+    level plus eps meets F's (eps = a gap between CDF levels), so the answer
+    is the first of those candidates, or 0, that passes in exact arithmetic.
+    """
+    xs = [Fraction(float(v)) for v in np.ravel(xs)]
+    ys = [Fraction(float(v)) for v in np.ravel(ys)]
+
+    def cdf(sample, t):
+        return Fraction(sum(v <= t for v in sample), len(sample))
+
+    def feasible(eps):
+        return all(
+            cdf(p, a) <= cdf(q, a + eps) + eps for p, q in ((xs, ys), (ys, xs)) for a in p
+        )
+
+    levels = {cdf(xs, a) for a in xs} | {cdf(ys, b) for b in ys} | {Fraction(0)}
+    gaps = {abs(b - a) for a in xs for b in ys} | {abs(u - v) for u in levels for v in levels}
+    return next(eps for eps in sorted(gaps) if feasible(eps))  # 1 is a level gap, and passes
 
 
 def step_kolmogorov_gap(eigenvalues: np.ndarray, g) -> float:

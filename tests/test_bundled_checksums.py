@@ -29,7 +29,7 @@ GOLDEN = {
     "conditions_heavy.cfg": {"conditions.csv": "7f7e956b7352e2d412700896ba28ad85dbf4d145780dae2749b516138678cdb6"},
     "moments.cfg": {"moments.csv": "2418ca31af70f88302d26f4ae8cd17c78ddb0c8acd66e0a7cc3f7df9170faaa0"},
     "reduce.cfg": {"reduce.csv": "295521e95e418b95f0f69355701f8499464276793ac7c1b8f51ee744735eea9c"},
-    "simulate.cfg": {"simulate.csv": "ff46e8e4a50b1304666edf68db323a5e185c1c70501caaf2500ea973ebe08b75"},
+    "simulate.cfg": {"simulate.csv": "4ffec1053f7b9111a573c2bb02bc0c1cbcf9c2fd6c2fa0825da76dce384879ee"},
     "stieltjes.cfg": {
         "stieltjes.csv": "086032087c87bf1a747a1339396717bb6ce9cb7dcd32a2db8db0d24ea5b90ba5",
         "density_n64.csv": "6135fcf5a45333ff2edd9741b19a0bb3be048b253dd752219ee1f9490ed0fe4a",

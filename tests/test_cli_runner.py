@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -326,8 +327,8 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     [diag] = validate(config)
     assert diag.startswith("sizes: n=64 needs")
     assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
-    # complex matrices are twice the bytes; moments keeps one copy of the spectra, as simulate
-    complex_need = 64 * 64 * 16 * 2 + 2 * (64 * 8 + 16)
+    # complex matrices are twice the bytes; moments counts three copies of the spectra
+    complex_need = 64 * 64 * 16 * 2 + 2 * (3 * 64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need - 1)
     complex_law = make_config(
         "moments", str(tmp_path), sizes="64", trials="2", threads="3",
@@ -352,15 +353,30 @@ def test_validate_memory_preflight_counts_kept_spectra(tmp_path, monkeypatch, co
         command, str(tmp_path), sizes="4096", trials="100000000", threads="2",
         **{"moments.k": "2", "stieltjes.z": "1j", "concentration.t": "0.5"},
     )
-    copies = {"simulate": 1, "moments": 1, "stieltjes": 6, "concentration": 1}[command]
+    copies = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3}[command]
     kept = 10**8 * (copies * 4096 * 8 + 16)
     [diag] = validate(config)
     assert diag.startswith("sizes: n=4096 needs")
     assert f"{kept} bytes of 100000000 trials' kept spectra ({copies} x 4096 x 8 bytes each)" in diag
     assert "physical memory is 7.8 GiB" in diag
     assert validate(replace(config, command="reduce")) == []
-    few = replace(config, trials=1000)  # 33 MB of spectra, or 197 MB for stieltjes
+    few = replace(config, trials=1000)  # 33 MB per copy of the spectra, 197 MB for stieltjes
     assert validate(few) == []
+
+
+@pytest.mark.parametrize("command", ("moments", "concentration"))
+def test_command_peak_memory_within_the_counted_copies(tmp_path, command):
+    """A whole run at n = 64 with 4,000 trials stays within the copies of the
+    (trials, n) spectra array that the memory preflight counts: the array with
+    moments' eigs**k or concentration's ramp values."""
+    config = make_config(command, str(tmp_path), sizes="64", trials="4000", threads="1")
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli_runner._KEPT_SPECTRA[command] * 4000 * 64 * 8
 
 
 def test_validate_walks_needs_no_sizes():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     brute_levy,
+    exact_step_levy,
     levy_violation,
     quad_semicircle,
     random_hermitian,
@@ -227,18 +228,42 @@ def test_levy_matches_brute_force_against_semicircle(rng):
 
 
 def test_levy_exact_on_rademacher_esd():
-    """The returned eps meets the Levy definition and eps - 2 tol breaks it.
+    """The returned eps passes the atom test of the docstring with no slack and
+    the next double below it fails, with F(x_i) and F(x_i-) counted from the
+    eigenvalues; the sampled definition holds at eps.
 
     The same spectrum checks Kolmogorov against directly counted one-sided gaps.
     """
     lam = eigenvalues_desc(sample_trial(wigner_unit_spec(64, EntryLaw.rademacher(), seed=5), 4))
     f, sc = esd(lam), SemicircleLaw()
-    tol = 1e-9
-    got = levy_distance(f, sc, tol=tol)
+    x = f.atoms
+    at = (lam[None, :] <= x[:, None]).sum(axis=1) / lam.size
+    before = (lam[None, :] < x[:, None]).sum(axis=1) / lam.size
+
+    def passes(eps: float) -> bool:
+        return bool(np.all(at - sc.cdf(x + eps) <= eps) and np.all(sc.cdf(x - eps) - before <= eps))
+
+    got = levy_distance(f, sc)
+    assert passes(got)
+    assert not passes(np.nextafter(got, 0.0))
     points = np.concatenate([f.atoms, np.nextafter(f.atoms, -np.inf)])
-    assert levy_violation(points, f, sc, got) <= 1e-12
-    assert levy_violation(points, f, sc, got - 2 * tol) > 0.0
+    assert levy_violation(points, f, sc, got) <= 0.0
     assert kolmogorov_distance(f, sc) == pytest.approx(step_kolmogorov_gap(lam, sc), abs=1e-15)
+
+
+def test_levy_matches_exact_rational_oracle_on_dyadic_steps():
+    """300 step pairs with atoms k/8 in [-2, 2] and weights 1/m, m in {1, 2, 4}.
+
+    The exact distance is dyadic, so the test passes at it in floats and the
+    result can only fall below it, by the rounding of x +- eps: at most half
+    an ulp of the largest atom, 2.
+    """
+    gen = np.random.default_rng(23)
+    for _ in range(300):
+        xs, ys = (gen.integers(-16, 17, size=gen.choice((1, 2, 4))) / 8 for _ in range(2))
+        want = float(exact_step_levy(xs, ys))
+        for got in (levy_distance(esd(xs), esd(ys)), levy_distance(esd(ys), esd(xs))):
+            assert 0.0 <= want - got <= 2.3e-16, (xs, ys)
 
 
 def test_metrics_need_a_step_argument():
@@ -254,7 +279,7 @@ def test_levy_below_kolmogorov_on_100_pairs(rng):
     for trial in range(100):
         f = esd(rng.standard_normal(int(rng.integers(1, 12))))
         g = sc if trial % 3 == 0 else esd(rng.standard_normal(int(rng.integers(1, 12))))
-        assert levy_distance(f, g) <= kolmogorov_distance(f, g) + 1e-9
+        assert levy_distance(f, g) <= kolmogorov_distance(f, g)
 
 
 # -- expected_esd -------------------------------------------------------------
@@ -392,6 +417,6 @@ def test_metric_axioms_property(seed, n):
     f = esd(gen.standard_normal(n))
     g = esd(gen.standard_normal(max(1, n // 2)))
     lv, kv = levy_distance(f, g), kolmogorov_distance(f, g)
-    assert 0.0 <= lv <= kv + 1e-9 <= 1.0 + 1e-9
+    assert 0.0 <= lv <= kv <= 1.0
     assert levy_distance(f, f) == 0.0
-    assert abs(levy_distance(g, f) - lv) <= 2e-6
+    assert abs(levy_distance(g, f) - lv) <= 4.4e-16
