@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .ensembles import (
     gaussian_row_check,
     heavy_tail_spec,
     sample_trial,
+    trial_block,
     trial_eigenvalues,
     wigner_unit_spec,
 )
@@ -79,6 +80,10 @@ SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduc
 _KEPT_SPECTRA = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3}
 # bytes per trial of trial_eigenvalues' Philox key table
 _KEY_BYTES = 16
+# a held trial matrix's bytes, in matrices: the matrix and its sampling, mirror and
+# check temporaries, rounded up from trial_eigenvalues' tracemalloc peak per held
+# matrix, 2.06 at n = 64 (the mirror's diagonal band is the whole block), 1.3-1.5 from n = 256
+_MATRIX_COPIES = 3
 
 LAW_BUILDERS: dict[str, Callable[..., EntryLaw]] = {
     "rademacher": EntryLaw.rademacher,
@@ -351,6 +356,24 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str]:
+    """Bytes the memory preflight counts at one size, and what holds them: the trial matrices
+    held at once (each ``trial_eigenvalues`` worker's block of ``trial_block(n)``, one per
+    ``reduce`` worker), then the spectra and stream keys kept for every trial."""
+    n, trials = spec.n, config.trials
+    itemsize = 16 if spec.law.is_complex else 8
+    copies = _KEPT_SPECTRA.get(config.command, 0)
+    matrices = min(config.threads * (trial_block(n) if copies else 1), trials)
+    kept = trials * (copies * n * 8 + _KEY_BYTES) if copies else 0
+    held = f"{matrices} concurrent {n}x{n} trial matrices of {itemsize}-byte entries ({_MATRIX_COPIES} copies each)"
+    if kept:
+        held += (
+            f" and {kept} bytes of {trials} trials' kept spectra "
+            f"({copies} x {n} x 8 bytes each) and stream keys ({_KEY_BYTES} bytes each)"
+        )
+    return _MATRIX_COPIES * n * n * itemsize * matrices + kept, held
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """All problems with the config; an empty list means runnable."""
     diags: list[str] = []
@@ -369,27 +392,16 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("threads must be at least 1")
     if config.sizes and not diags:
         memory = _physical_memory() if config.command in SAMPLING_COMMANDS else None
-        matrices = min(config.threads, config.trials)
         for n in config.sizes:
             try:
                 spec = config.ensemble.build(n, config.seed)
             except (ConfigError, ValueError) as exc:
                 diags.append(f"ensemble at n={n}: {exc}")
                 break
-            itemsize = 16 if spec.law.is_complex else 8
-            copies = _KEPT_SPECTRA.get(config.command, 0)
-            kept = config.trials * (copies * n * 8 + _KEY_BYTES) if copies else 0
-            need = n * n * itemsize * matrices + kept
+            need, held = _memory_need(config, spec)
             if memory and need > memory:
-                spectra = (
-                    f" and {kept} bytes of {config.trials} trials' kept spectra "
-                    f"({copies} x {n} x 8 bytes each) and stream keys ({_KEY_BYTES} bytes each)"
-                    if kept
-                    else ""
-                )
                 diags.append(
-                    f"sizes: n={n} needs {need / 2**30:.3g} GiB for {matrices} concurrent "
-                    f"{n}x{n} trial matrices of {itemsize}-byte entries{spectra}; physical "
+                    f"sizes: n={n} needs {need / 2**30:.3g} GiB for {held}; physical "
                     f"memory is {memory / 2**30:.3g} GiB"
                 )
                 break
@@ -439,8 +451,12 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append("concentration ramp requires ramp_p < ramp_q")
         if config.trials < MIN_TAIL_TRIALS:
             diags.append(f"concentration needs at least {MIN_TAIL_TRIALS} trials")
-        if config.bernoulli_count and not (0 <= config.bernoulli_p <= 1):
+        if config.bernoulli_count < 0:
+            diags.append("concentration.bernoulli_count must be nonnegative")
+        if config.bernoulli_count > 0 and not (0 <= config.bernoulli_p <= 1):
             diags.append("concentration.bernoulli_p must lie in [0, 1]")
+        if config.bernoulli_count > 0 and config.bernoulli_x <= 0:
+            diags.append("concentration.bernoulli_x must be positive for a positive bernoulli_count")
     if cmd == "reduce":
         if config.eta is not None and config.eta <= 0:
             diags.append("reduce.eta must be positive or 'auto'")
@@ -461,7 +477,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -473,14 +489,17 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 def _cmd_simulate(config: ExperimentConfig, out: Path) -> list[Path]:
     sc = SemicircleLaw()
-    rows = []
-    for n in config.sizes:
-        spec = config.ensemble.build(n, config.seed)
-        for trial, lam in enumerate(trial_eigenvalues(spec, config.trials, config.threads)):
-            dist = esd(lam)
-            rows.append((n, trial, levy_distance(dist, sc), kolmogorov_distance(dist, sc)))
+
+    def rows():
+        # written as they come: a size's spectra array is all that is kept per trial
+        for n in config.sizes:
+            spec = config.ensemble.build(n, config.seed)
+            for trial, lam in enumerate(trial_eigenvalues(spec, config.trials, config.threads)):
+                dist = esd(lam)
+                yield n, trial, levy_distance(dist, sc), kolmogorov_distance(dist, sc)
+
     path = out / "simulate.csv"
-    _write_csv(path, ("n", "trial", "levy_to_sc", "kolmogorov_to_sc"), rows)
+    _write_csv(path, ("n", "trial", "levy_to_sc", "kolmogorov_to_sc"), rows())
     return [path]
 
 
@@ -647,7 +666,7 @@ def _cmd_concentration(config: ExperimentConfig, out: Path) -> list[Path]:
             rows.append(
                 (est.statistic_name, est.t, est.empirical_prob, est.bound, est.trials, n, config.seed)
             )
-    if config.bernoulli_count > 0 and config.bernoulli_x > 0:
+    if config.bernoulli_count > 0:
         probs = [config.bernoulli_p] * config.bernoulli_count
         est = bernstein_tail_check(probs, config.bernoulli_x, config.trials, seed=config.seed)
         rows.append(

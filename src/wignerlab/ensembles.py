@@ -353,14 +353,13 @@ class VarianceProfile:
     def explicit(cls, values: np.ndarray) -> "VarianceProfile":
         return cls("explicit", values=values)
 
-    def map_levels(self, f) -> "VarianceProfile":
-        """The profile of the same kind with every level v replaced by f(v)."""
-        new = np.array([f(float(v)) for v in self.levels])
+    def _with_levels(self, levels: np.ndarray) -> "VarianceProfile":
+        """The profile of the same kind and shape with level table ``levels``."""
         if self.kind == "uniform":
-            return VarianceProfile.uniform(new[0])
+            return VarianceProfile.uniform(levels[0])
         if self.kind == "banded":
-            return VarianceProfile.banded(self.width, new[0], new[1])
-        return VarianceProfile.explicit(new[self._index])
+            return VarianceProfile.banded(self.width, levels[0], levels[1])
+        return VarianceProfile.explicit(levels[self._index])
 
     def check_dimension(self, n: int) -> None:
         if self.kind == "explicit" and self.values.shape[0] != n:
@@ -387,17 +386,6 @@ class VarianceProfile:
         return self._level_of(r[:, None], r[None, :]), np.ones((n, n), dtype=np.int64)
 
     # -- derived views -------------------------------------------------------
-    def _row_sums_of(self, term, n: int) -> np.ndarray:
-        """Per-row sums of term(sigma^2_ij) over j.
-
-        ``term`` is called once per level and never on a zero level, whose
-        entries contribute 0.
-        """
-        self.check_dimension(n)
-        weights = np.array([term(float(v)) if v > 0 else 0.0 for v in self.levels])
-        ids, counts = self._row_counts(n)
-        return (counts * weights[ids]).sum(axis=1)
-
     def matrix(self, n: int) -> np.ndarray:
         self.check_dimension(n)
         r = np.arange(n)
@@ -414,17 +402,6 @@ class VarianceProfile:
             return lambda i: values[self._index[i, i:]]
         by_offset = values[self._level_of(0, np.arange(n))]
         return lambda i: by_offset[: n - i]
-
-    def unique_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Profile levels with their ordered-pair counts over the n x n grid.
-
-        Levels that no entry takes are dropped.
-        """
-        self.check_dimension(n)
-        ids, counts = self._row_counts(n)
-        total = np.bincount(ids.ravel(), weights=counts.ravel(), minlength=self.levels.size)
-        keep = total > 0
-        return self.levels[keep], total[keep].astype(np.int64)
 
 
 def diagonal_law_for(law: EntryLaw, diagonal_law: EntryLaw | None = None) -> EntryLaw:
@@ -631,6 +608,11 @@ def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
     return sample(spec, derive_rng(spec.seed, DOMAIN_SAMPLE, trial))
 
 
+def trial_block(n: int) -> int:
+    """Trials per block of ``trial_eigenvalues`` at size n: ceil(SMALL_N / n), one from ``SMALL_N`` up."""
+    return -(-SMALL_N // n)
+
+
 def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.ndarray:
     """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`.
 
@@ -652,7 +634,7 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     so its result does not depend on the BLAS thread count either; a block
     of one leaves the BLAS threading alone.
     """
-    block = -(-SMALL_N // spec.n)
+    block = trial_block(spec.n)
     # sample's band tables live on; built in a worker, they would pin its malloc arena
     _row_bands(spec.n, *_packing(spec))
 
@@ -712,38 +694,31 @@ class ConditionReport:
         return tuple((eps, val / self.n) for eps, val in self.lindeberg)
 
 
-def _diagonal_swap(spec: EnsembleSpec, term) -> np.ndarray | float:
-    """Per row i, term(dlaw, sigma^2_ii) - term(law, sigma^2_ii); 0.0 when the two laws are one.
+def _level_terms(spec: EnsembleSpec, term) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per profile level v: term(law, v), and term(diagonal law, v) or None when the two laws are one.
 
-    Added to sums of term(``spec.law``, sigma^2_ij), it puts the diagonal law
-    on the diagonal, in O(n) through ``_level_of(i, i)``.  ``term`` is never
-    called on a zero level.
+    ``term`` is called once per level and law, and never on a zero level,
+    whose entries contribute 0.
     """
-    law, dlaw, prof = spec.law, spec.effective_diagonal_law, spec.profile
-    if dlaw == law:
-        return 0.0
-    swap = np.array([term(dlaw, float(v)) - term(law, float(v)) if v > 0 else 0.0 for v in prof.levels])
-    r = np.arange(spec.n)
-    return swap[prof._level_of(r, r)]
+    law, dlaw = spec.law, spec.effective_diagonal_law
+
+    def terms(entry_law: EntryLaw) -> np.ndarray:
+        return np.array([term(entry_law, float(v)) if v > 0 else 0.0 for v in spec.profile.levels])
+
+    return terms(law), None if dlaw == law else terms(dlaw)
 
 
 def _entry_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
-    """Per row i, sum_j term(law of w_ij, sigma^2_ij), the diagonal entry under the diagonal law."""
-    return spec.profile._row_sums_of(lambda v: term(spec.law, v), spec.n) + _diagonal_swap(spec, term)
-
-
-def _entry_total(spec: EnsembleSpec, term, vals: np.ndarray, counts: np.ndarray) -> float:
-    """sum_ij term(law of w_ij, sigma^2_ij), the diagonal under the diagonal law.
-
-    ``vals`` and ``counts`` are the profile's ``unique_values``: one term per
-    level, times its count, then the diagonal swap.
-    """
-    total = 0.0
-    for v, c in zip(vals, counts):
-        if v == 0.0:
-            continue
-        total += float(c) * term(spec.law, float(v))
-    return total + float(np.sum(_diagonal_swap(spec, term)))
+    """Per row i, sum_j term(law of w_ij, sigma^2_ij): level counts times level terms, O(n)
+    for uniform and banded profiles, then the diagonal law's term swapped in on the diagonal."""
+    off, diag = _level_terms(spec, term)
+    ids, counts = spec.profile._row_counts(spec.n)
+    rows = (counts * off[ids]).sum(axis=1)
+    if diag is not None:
+        r = np.arange(spec.n)
+        level = spec.profile._level_of(r, r)
+        rows += diag[level] - off[level]
+    return rows
 
 
 def condition_sums(
@@ -757,7 +732,9 @@ def condition_sums(
     row_excess_stat  = sum_i (sum_j Var w_ij - C)_+
     lindeberg(eps)   = sum_ij E[|w_ij|^2; |w_ij| > eps]
 
-    Diagonal entries follow the diagonal law.  An infinite-variance law on
+    Each is a sum over the rows of ``_entry_row_sums``; a Lindeberg total is
+    the correctly rounded sum (``math.fsum``) of its row sums.  Diagonal
+    entries follow the diagonal law.  An infinite-variance law on
     or off the diagonal makes all three inf (flagged via finite_variance);
     the truncated statistics live in gaussian_row_check.
     """
@@ -774,12 +751,11 @@ def condition_sums(
     rows = _entry_row_sums(spec, lambda law, v: v * law.standard_variance)
     var_row = float(np.sum(np.abs(rows - 1.0)))
     excess = float(np.sum(np.clip(rows - C, 0.0, None)))
-    vals, counts = spec.profile.unique_values(n)
-    lind = []
-    for eps in eps_list:
-        tail = _entry_total(spec, lambda law, v: v * law.m2_tail(eps / math.sqrt(v)), vals, counts)
-        lind.append((eps, tail))
-    return ConditionReport(n, C, var_row, excess, tuple(lind), True)
+    lind = tuple(
+        (eps, math.fsum(_entry_row_sums(spec, lambda law, v: v * law.m2_tail(eps / math.sqrt(v)))))
+        for eps in eps_list
+    )
+    return ConditionReport(n, C, var_row, excess, lind, True)
 
 
 def gaussian_row_check(spec: EnsembleSpec, epsilons: Sequence[float]) -> GaussConditions:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian_core import HermitianMatrix
-from .ensembles import EnsembleSpec, EntryLaw, VarianceProfile, condition_sums
+from .ensembles import EnsembleSpec, EntryLaw, VarianceProfile, _level_terms, condition_sums
 
 __all__ = [
     "ReductionTrace",
@@ -28,6 +28,9 @@ __all__ = [
     "pipeline",
     "auto_eta",
 ]
+
+# the truncation levels auto_eta tries, in increasing order
+ETA_GRID = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -170,17 +173,13 @@ def truncated_profile(spec: EnsembleSpec, eta: float) -> VarianceProfile:
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-
-    def truncated(law: EntryLaw, v: float) -> float:
-        return v * law.m2_below(eta / math.sqrt(v)) if v > 0 else 0.0
-
-    law, dlaw, prof = spec.law, spec.effective_diagonal_law, spec.profile
-    off = prof.map_levels(lambda v: truncated(law, v))
-    if dlaw == law:
-        return off
-    m = off.matrix(spec.n)
+    off, diag = _level_terms(spec, lambda law, v: v * law.m2_below(eta / math.sqrt(v)))
+    profile = spec.profile._with_levels(off)
+    if diag is None:
+        return profile
+    m = profile.matrix(spec.n)
     r = np.arange(spec.n)
-    m[r, r] = np.array([truncated(dlaw, float(v)) for v in prof.levels])[prof._level_of(r, r)]
+    m[r, r] = diag[spec.profile._level_of(r, r)]
     return VarianceProfile.explicit(m)
 
 
@@ -224,17 +223,14 @@ def pipeline(
     return w3, trace
 
 
-def auto_eta(spec: EnsembleSpec, grid: tuple[float, ...] = (0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0)) -> float:
-    """Truncation level max(n^(-1/4), smallest grid eps with normalized Lindeberg <= eps).
+def auto_eta(spec: EnsembleSpec) -> float:
+    """Truncation level max(n^(-1/4), smallest ``ETA_GRID`` eps with normalized Lindeberg <= eps).
 
     The normalized Lindeberg sum is (1/n) sum_ij E[|w|^2; |w| > eps]; when no
     grid point satisfies the bound the largest one is used.
     """
-    eps_sorted = sorted(float(e) for e in grid)
-    if not eps_sorted or eps_sorted[0] <= 0:
-        raise ValueError("grid must contain positive thresholds")
-    rep = condition_sums(spec, C=1.0, epsilons=eps_sorted)
-    chosen = eps_sorted[-1]
+    rep = condition_sums(spec, C=1.0, epsilons=ETA_GRID)
+    chosen = ETA_GRID[-1]
     for eps, val in rep.lindeberg_normalized:
         if val <= eps:
             chosen = eps

@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; not inside a traced run
 import pytest
 
 from wignerlab import cli_runner, ensembles
@@ -317,9 +318,10 @@ def test_validate_unknown_command_short_circuits():
 
 
 def test_validate_memory_preflight(tmp_path, monkeypatch):
-    """n^2 entries of 8 bytes (16 complex) for each of min(threads, trials) trials,
-    plus every trial's kept spectrum (n x 8 bytes) and stream key (16 bytes)."""
-    need = 64 * 64 * 8 * 2 + 2 * (64 * 8 + 16)
+    """Three copies of n^2 entries of 8 bytes (16 complex) for each trial matrix
+    held at once, min(threads x ceil(512 / n), trials) of them, plus every
+    trial's kept spectrum (n x 8 bytes) and stream key (16 bytes)."""
+    need = 3 * 64 * 64 * 8 * 2 + 2 * (64 * 8 + 16)
     config = make_config("simulate", str(tmp_path), sizes="32, 64", trials="2", threads="3")
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: need)
     assert validate(config) == []
@@ -328,7 +330,7 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     assert diag.startswith("sizes: n=64 needs")
     assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
     # complex matrices are twice the bytes; moments counts three copies of the spectra
-    complex_need = 64 * 64 * 16 * 2 + 2 * (3 * 64 * 8 + 16)
+    complex_need = 3 * 64 * 64 * 16 * 2 + 2 * (3 * 64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need - 1)
     complex_law = make_config(
         "moments", str(tmp_path), sizes="64", trials="2", threads="3",
@@ -339,6 +341,17 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     assert validate(complex_law) == []
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: None)
     assert validate(complex_law) == []
+    # each worker of trial_eigenvalues holds a block of ceil(512 / n) matrices;
+    # a reduce worker holds one
+    blocks = make_config("simulate", str(tmp_path), sizes="64", trials="100", threads="3")
+    block_need = 3 * 64 * 64 * 8 * 24 + 100 * (64 * 8 + 16)
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need - 1)
+    assert validate(blocks)[0].startswith("sizes: n=64 needs")
+    assert "24 concurrent 64x64 trial matrices" in validate(blocks)[0]
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need)
+    assert validate(blocks) == []
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: 3 * 64 * 64 * 8 * 3)
+    assert validate(replace(blocks, command="reduce")) == []
 
 
 @pytest.mark.parametrize("command", ("simulate", "moments", "stieltjes", "concentration"))
@@ -364,19 +377,33 @@ def test_validate_memory_preflight_counts_kept_spectra(tmp_path, monkeypatch, co
     assert validate(few) == []
 
 
-@pytest.mark.parametrize("command", ("moments", "concentration"))
-def test_command_peak_memory_within_the_counted_copies(tmp_path, command):
-    """A whole run at n = 64 with 4,000 trials stays within the copies of the
-    (trials, n) spectra array that the memory preflight counts: the array with
-    moments' eigs**k or concentration's ramp values."""
-    config = make_config(command, str(tmp_path), sizes="64", trials="4000", threads="1")
+@pytest.mark.parametrize(
+    "command, n, trials, threads",
+    [
+        pytest.param("moments", 64, 4000, 1, id="moments"),
+        pytest.param("concentration", 64, 4000, 1, id="concentration"),
+        pytest.param("simulate", 256, 64, 1, id="simulate"),
+        pytest.param("simulate", 256, 64, 2, id="simulate-2_threads"),
+    ],
+)
+def test_command_peak_memory_within_the_counted_copies(tmp_path, command, n, trials, threads):
+    """A whole run stays within the memory preflight's own total for its config:
+    the workers' blocks of trial matrices, the stream keys and the copies of the
+    (trials, n) spectra array.  For moments and concentration the array with
+    moments' eigs**k or concentration's ramp values also stays within their
+    counted copies alone.  simulate's rows are written as they come, and at
+    n = 256 each worker holds a block of two trial matrices."""
+    config = make_config(command, str(tmp_path), sizes=str(n), trials=str(trials), threads=str(threads))
+    need, _ = cli_runner._memory_need(config, config.ensemble.build(n, config.seed))
     tracemalloc.start()
     try:
         run(config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= cli_runner._KEPT_SPECTRA[command] * 4000 * 64 * 8
+    assert peak <= need
+    if command != "simulate":
+        assert peak <= cli_runner._KEPT_SPECTRA[command] * trials * n * 8
 
 
 def test_validate_walks_needs_no_sizes():
@@ -965,6 +992,26 @@ def test_main_non_finite_stieltjes_input_exits_3(tmp_path, capsys, key, value, m
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"concentration.bernoulli_count": "-3"}, "concentration.bernoulli_count must be nonnegative"),
+        (
+            {"concentration.bernoulli_count": "10", "concentration.bernoulli_x": "0"},
+            "concentration.bernoulli_x must be positive for a positive bernoulli_count",
+        ),
+    ],
+    ids=["negative_count", "count_without_x"],
+)
+def test_main_bernoulli_check_that_would_write_no_row_exits_3(tmp_path, capsys, settings, message):
+    """A Bernoulli count the check cannot run is an error, not a run without its row."""
+    path = write_config(tmp_path, trials="100", **{"concentration.t": "0.5"}, **settings)
+    assert main(["concentration", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not (tmp_path / "results").exists()
 
 

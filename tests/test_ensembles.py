@@ -7,6 +7,7 @@ drawn by the laws' own samplers (3 s.e. budgets, fixed seeds).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,20 +345,19 @@ PROFILE_CASES = pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFIL
 
 # (profile, law, diagonal law): every profile under the gaussian law, then a
 # complex law under its default real gaussian diagonal, and non-default diagonals
-ENTRY_LAW_CASES = pytest.mark.parametrize(
-    "profile, law, diagonal_law",
-    [(p, EntryLaw.gaussian_real(), None) for p in PROFILES.values()]
-    + [
-        (PROFILES["banded"], EntryLaw.gaussian_complex(), None),
-        (PROFILES["uniform"], EntryLaw.gaussian_complex(), EntryLaw.uniform_bounded()),
-        (PROFILES["uniform"], EntryLaw.gaussian_real(), EntryLaw.constant_zero()),
-        (PROFILES["wide"], EntryLaw.rademacher(), EntryLaw.gaussian_real()),
-        (PROFILES["explicit"], EntryLaw.uniform_bounded(), EntryLaw.rademacher()),
-        (PROFILES["band0"], EntryLaw.constant_zero(), EntryLaw.gaussian_real()),
-    ],
-    ids=[*PROFILES, "complex-banded", "complex-uniform_diag", "zero_diag", "rademacher-gauss_diag",
-         "uniform-rademacher_diag-explicit", "zero-gauss_diag-band0"],
-)
+ENTRY_LAW_PARAMS = [pytest.param(p, EntryLaw.gaussian_real(), None, id=name) for name, p in PROFILES.items()] + [
+    pytest.param(PROFILES["banded"], EntryLaw.gaussian_complex(), None, id="complex-banded"),
+    pytest.param(
+        PROFILES["uniform"], EntryLaw.gaussian_complex(), EntryLaw.uniform_bounded(), id="complex-uniform_diag"
+    ),
+    pytest.param(PROFILES["uniform"], EntryLaw.gaussian_real(), EntryLaw.constant_zero(), id="zero_diag"),
+    pytest.param(PROFILES["wide"], EntryLaw.rademacher(), EntryLaw.gaussian_real(), id="rademacher-gauss_diag"),
+    pytest.param(
+        PROFILES["explicit"], EntryLaw.uniform_bounded(), EntryLaw.rademacher(), id="uniform-rademacher_diag-explicit"
+    ),
+    pytest.param(PROFILES["band0"], EntryLaw.constant_zero(), EntryLaw.gaussian_real(), id="zero-gauss_diag-band0"),
+]
+ENTRY_LAW_CASES = pytest.mark.parametrize("profile, law, diagonal_law", ENTRY_LAW_PARAMS)
 
 
 def _entrywise_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
@@ -371,17 +371,17 @@ def _entrywise_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
 
 @PROFILE_CASES
 def test_profile_views_agree_with_matrix(profile):
-    """unique_values and map_levels re-derive from matrix()."""
+    """The row level counts and _with_levels re-derive from matrix()."""
     n = 3 if profile.kind == "explicit" else 6
     m = profile.matrix(n)
     assert np.array_equal(m, m.T)
-    vals, counts = profile.unique_values(n)
+    ids, counts = profile._row_counts(n)
     assert counts.sum() == n * n
-    for v, c in zip(vals, counts):
-        assert int(np.count_nonzero(m == v)) == c
-    mapped = profile.map_levels(lambda v: 2.0 * v + 1.0)
-    assert mapped.kind == profile.kind
-    assert np.array_equal(mapped.matrix(n), 2.0 * m + 1.0)
+    for k, level in enumerate(profile.levels):
+        assert np.array_equal(np.where(ids == k, counts, 0).sum(axis=1), np.count_nonzero(m == level, axis=1))
+    relevelled = profile._with_levels(2.0 * profile.levels + 1.0)
+    assert relevelled.kind == profile.kind
+    assert np.array_equal(relevelled.matrix(n), 2.0 * m + 1.0)
 
 
 @ENTRY_LAW_CASES
@@ -410,6 +410,48 @@ def test_condition_sums_matches_entrywise_row_sums(profile, law, diagonal_law):
     assert report.row_excess_stat == pytest.approx(np.clip(rows - C, 0.0, None).sum(), rel=1e-14)
     lind = _entrywise_row_sums(spec, lambda law, v: v * law.m2_tail(eps / math.sqrt(v)))
     assert report.lindeberg[0][1] == pytest.approx(lind.sum(), rel=1e-14)
+
+
+def _exact_lindeberg(spec: EnsembleSpec, eps: float) -> Fraction:
+    """sum_ij of the float terms sigma^2_ij E[|X|^2; |X| > eps / sigma_ij] of matrix()'s positive
+    entries, the diagonal under its own law, summed in exact rational arithmetic."""
+    m = spec.profile.matrix(spec.n)
+    on_diagonal = np.eye(spec.n, dtype=bool)
+    total = Fraction(0)
+    for law, entries in ((spec.law, m[~on_diagonal]), (spec.effective_diagonal_law, m[on_diagonal])):
+        values, counts = np.unique(entries[entries > 0], return_counts=True)
+        for v, c in zip(values.tolist(), counts.tolist()):
+            total += c * Fraction(v * law.m2_tail(eps / math.sqrt(v)))
+    return total
+
+
+LINDEBERG_CASES = [
+    pytest.param(3 if p.values[0].kind == "explicit" else 6, *p.values, id=p.id) for p in ENTRY_LAW_PARAMS
+] + [
+    pytest.param(n, profile, EntryLaw.gaussian_real(), diagonal, id=f"{name}-{n}{suffix}")
+    for n in (100, 1000)
+    for name, profile in (
+        ("uniform", VarianceProfile.uniform(1.0 / n)),
+        ("banded", VarianceProfile.banded(n // 10, 4.0 / n, 0.5 / n)),
+    )
+    for diagonal, suffix in ((None, ""), (EntryLaw.constant_zero(), "-zero_diag"))
+] + [
+    # only the diagonal has a tail: the total is n equal diagonal terms
+    pytest.param(100, VarianceProfile.uniform(0.01), EntryLaw.rademacher(), EntryLaw.gaussian_real(),
+                 id="rademacher-gauss_diag-100"),
+]
+
+
+@pytest.mark.parametrize("n, profile, law, diagonal_law", LINDEBERG_CASES)
+def test_condition_sums_lindeberg_within_two_ulp_of_exact_sum(n, profile, law, diagonal_law):
+    """Each Lindeberg total, the correctly rounded sum of its row sums, lies within
+    2 ulp of the exact sum of the per-entry float terms."""
+    spec = EnsembleSpec(n, law, profile, diagonal_law)
+    epsilons = (0.0625, 0.125, 0.25, 0.5, 1.0)
+    report = condition_sums(spec, 1.0, epsilons)
+    for eps, total in report.lindeberg:
+        exact = _exact_lindeberg(spec, eps)
+        assert abs(Fraction(total) - exact) <= 2 * Fraction(math.ulp(float(exact))), (eps, total, float(exact))
 
 
 def test_profile_dimension_check():

@@ -1,7 +1,9 @@
 """Unused-code checks in the standard library alone.
 
-Every name a library module imports is read in that module, and every
-private ``_name`` a library module defines is read somewhere in the library.
+Every name a library module imports is read in that module, every private
+``_name`` a library module defines is read somewhere in the library, and every
+method or property of a library class is read in the library, the tests or
+the benchmark.
 """
 from __future__ import annotations
 
@@ -75,3 +77,29 @@ def test_every_private_name_is_used():
         if name not in used
     }
     assert not unused, f"private names defined but never read in the library: {sorted(unused)}"
+
+
+def _method_definitions(tree: ast.Module) -> dict[str, int]:
+    """Method or property name (not dunder) -> line, for every class the module defines."""
+    return {
+        node.name: node.lineno
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__")
+    }
+
+
+def test_every_method_is_read():
+    """A method or property of a library class is read somewhere in the library,
+    the tests or the benchmark: a lean pass deletes one that nothing reads."""
+    tests = Path(__file__).resolve().parent
+    readers = [*SOURCES, *sorted(tests.glob("*.py")), *sorted((tests.parent / "perfbench").rglob("*.py"))]
+    used = set().union(*(_references(ast.parse(path.read_text())) for path in readers))
+    unused = {
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for name, line in _method_definitions(ast.parse(path.read_text())).items()
+        if name not in used
+    }
+    assert not unused, f"methods defined but never read: {sorted(unused)}"

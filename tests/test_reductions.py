@@ -518,8 +518,3 @@ def test_auto_eta_floor_binds_for_bounded_law():
 
 def test_auto_eta_infinite_variance_takes_largest_grid_point():
     assert auto_eta(heavy_tail_spec(64)) == pytest.approx(4.0)
-
-
-def test_auto_eta_validation():
-    with pytest.raises(ValueError, match="positive thresholds"):
-        auto_eta(wigner_unit_spec(16), grid=(0.0, 1.0))

@@ -65,8 +65,9 @@ def _seed_sequence_key(seed: int, domain: int, trial: int) -> np.ndarray:
 @pytest.mark.parametrize("seed", (0, 1, 2**32 - 1, 2**32, 2**64 - 1))
 @pytest.mark.parametrize("domain", DOMAINS)
 def test_stream_keys_equal_seed_sequence(seed, domain):
-    """One word of seed or two; trial indices up to the last one-word index and past it."""
-    for first, stop in ((0, 2), (4095, 4096), (2**32 - 1, 2**32 + 2), (2**64 - 2, 2**64)):
+    """One word of seed or two; trial indices up to the last one-word index and past it,
+    and a range whose last index alone has two words."""
+    for first, stop in ((0, 2), (4095, 4096), (2**32 - 1, 2**32 + 2), (2**32 - 4, 2**32 + 1), (2**64 - 2, 2**64)):
         keys = stream_keys(seed, domain, first, stop)
         assert keys.shape == (stop - first, 2) and keys.dtype == np.uint64
         want = np.array([_seed_sequence_key(seed, domain, t) for t in range(first, stop)])
