@@ -36,6 +36,7 @@ from .ensembles import (
     gaussian_row_check,
     heavy_tail_spec,
     sample_trial,
+    solve_workers,
     trial_block,
     trial_eigenvalues,
     wigner_unit_spec,
@@ -78,12 +79,22 @@ SAMPLING_COMMANDS = ("simulate", "moments", "stieltjes", "concentration", "reduc
 # of a run at n = 64 with 4,000 trials: moments' eigs**k (2.39 x the array),
 # concentration's ramp values (2.003 x) and stieltjes' pooled esd (5.13 x)
 _KEPT_SPECTRA = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3}
-# bytes per trial of trial_eigenvalues' Philox key table
+# bytes per trial of trial_eigenvalues' Philox key table (streams.stream_keys
+# derives it in fixed chunks, so its own temporaries stay near 100 kB)
 _KEY_BYTES = 16
-# a held trial matrix's bytes, in matrices: the matrix and its sampling, mirror and
-# check temporaries, rounded up from trial_eigenvalues' tracemalloc peak per held
-# matrix, 2.06 at n = 64 (the mirror's diagonal band is the whole block), 1.3-1.5 from n = 256
+# a held trial matrix's bytes, in matrices: what tracemalloc sees of the matrix and
+# its sampling, mirror and check temporaries, plus the working copy numpy's eigvalsh
+# makes for LAPACK outside tracemalloc's view (0.001 x an n = 1024 matrix under
+# tracemalloc; VmHWM of a complex n = 2048 solve reads the 64 MB stack plus a 64 MB
+# copy).  trial_eigenvalues' tracemalloc peak per held matrix is 1.28 at n = 128,
+# 1.14 at n = 256 and 1.13 at n = 1024, so from n = 128 up 3 covers it and the copy
 _MATRIX_COPIES = 3
+# bytes each busy worker holds beside its matrices: below n = 128 a block's fill
+# placement holds index and value arrays of up to about 12,000 entries, and numpy's
+# ufuncs add buffers of 8,192 entries per operand, so there trial_eigenvalues'
+# tracemalloc peak passes two copies of the block (2.03 at n = 64, 3.3 at n = 16,
+# 14.7 at n = 1), by at most 267 kB (complex, n = 32); rounded up
+_WORKER_BYTES = 1 << 19
 
 LAW_BUILDERS: dict[str, Callable[..., EntryLaw]] = {
     "rademacher": EntryLaw.rademacher,
@@ -357,21 +368,27 @@ def _physical_memory() -> int | None:
 
 
 def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str]:
-    """Bytes the memory preflight counts at one size, and what holds them: the trial matrices
-    held at once (each ``trial_eigenvalues`` worker's block of ``trial_block(n)``, one per
-    ``reduce`` worker), then the spectra and stream keys kept for every trial."""
+    """Bytes the memory preflight counts at one size, and what holds them: the workers
+    busy at once, each with its fixed temporaries and its trial matrices (a
+    ``trial_eigenvalues`` worker's block of ``trial_block(n)``, with ``solve_workers`` of
+    them, or a ``reduce`` worker's one), then the spectra and stream keys kept for every trial."""
     n, trials = spec.n, config.trials
     itemsize = 16 if spec.law.is_complex else 8
     copies = _KEPT_SPECTRA.get(config.command, 0)
-    matrices = min(config.threads * (trial_block(n) if copies else 1), trials)
+    block, workers = (trial_block(n), solve_workers(n, config.threads)) if copies else (1, config.threads)
+    workers = min(workers, -(-trials // block))
+    matrices = min(workers * block, trials)
     kept = trials * (copies * n * 8 + _KEY_BYTES) if copies else 0
-    held = f"{matrices} concurrent {n}x{n} trial matrices of {itemsize}-byte entries ({_MATRIX_COPIES} copies each)"
+    held = (
+        f"{matrices} concurrent {n}x{n} trial matrices of {itemsize}-byte entries ({_MATRIX_COPIES} copies each)"
+        f" and {workers} x {_WORKER_BYTES} bytes of worker temporaries"
+    )
     if kept:
         held += (
             f" and {kept} bytes of {trials} trials' kept spectra "
             f"({copies} x {n} x 8 bytes each) and stream keys ({_KEY_BYTES} bytes each)"
         )
-    return _MATRIX_COPIES * n * n * itemsize * matrices + kept, held
+    return _MATRIX_COPIES * n * n * itemsize * matrices + _WORKER_BYTES * workers + kept, held
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -751,10 +768,11 @@ COMMANDS = tuple(_COMMAND_FNS)
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:  # in pieces: a k = 12 walks.csv is over 200 MB
-        for piece in iter(lambda: fh.read(1 << 20), b""):
-            h.update(piece)
+    h, buf = hashlib.sha256(), bytearray(1 << 18)
+    piece = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:  # through one buffer: a k = 12 walks.csv is over 200 MB
+        while size := fh.readinto(buf):
+            h.update(piece[:size])
     return h.hexdigest()
 
 

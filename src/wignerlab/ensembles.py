@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian_core import HermitianMatrix, eigenvalues_desc_stacked, single_blas_thread
+from .hermitian_core import HermitianMatrix, blas_runtime_threads, eigenvalues_desc_stacked, single_blas_thread
 from .streams import DOMAIN_SAMPLE, KeyedStreams, derive_rng, parallel_map, stream_keys
 
 __all__ = [
@@ -60,6 +60,9 @@ _BAND_VALUES = 1024
 _MIRROR_BAND_BYTES = 512
 # strictly lower triangle of the widest band's diagonal block (64 float64 columns)
 _BELOW_DIAGONAL = np.tri(_MIRROR_BAND_BYTES // 8, k=-1, dtype=bool)
+# bytes of the conjugate temporary behind one diagonal-block copy of the mirror,
+# unless a single matrix's block is larger (at most 32 kB, a real band's block)
+_MIRROR_TEMP_BYTES = 4096
 
 
 def _phi(t: float) -> float:
@@ -496,18 +499,16 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     if lead and not whole:
         diag = base[:, starts]  # a copy: the rows placed below overwrite the fill
     sd = np.sqrt(prof.levels)
-    # built at the first one-row band: the profile's sd along each row, and each
-    # slot's (fill, matrix) views, which iterating the stack per row would remake
-    sd_rows = slots = None
+    # built at the first one-row band: the profile's sd along each row
+    sd_rows = None
     # a shared band's positions in every slot index the whole stack's buffer at
     # once (w[:, dest] would copy a slot column per position)
     offsets = np.arange(count)[:, None]
     for i, lo, hi in bands:
         if lo is None:  # a one-row band: a slice write per slot, on 1-d views
             sd_rows = sd_rows or prof._row_tails(sd, n)
-            slots = slots or list(zip(base, w))
             start = starts[i] + lead - whole
-            for fill, m in slots:
+            for fill, m in zip(base, w):
                 draws = fill[start : start + whole + width * (n - i - 1)]
                 np.multiply(law._entries(draws), sd_rows(i)[1 - whole :], out=m[i, i + 1 - whole :])
         else:
@@ -591,14 +592,20 @@ def _mirror_lower(w: np.ndarray) -> None:
     worth of columns takes rows b.. from the conjugate transpose of rows
     a..b-1 right of column b, in every matrix at once.  The two regions of
     one matrix are disjoint, so the ufunc writes in place.  The band's own
-    diagonal block then takes its lower part.
+    diagonal block then takes its lower part from a conjugate temporary, a
+    group of matrices at a time, so the temporary stays within
+    ``_MIRROR_TEMP_BYTES`` or one matrix's block: at n <= 64 the block is
+    the whole matrix, and one temporary across the stack would copy it all.
     """
     n, band = w.shape[-1], _MIRROR_BAND_BYTES // w.itemsize
+    mats = w.reshape(-1, n, n)
     for a in range(0, n, band):
         b = min(a + band, n)
         np.conjugate(w[..., a:b, b:].swapaxes(-1, -2), out=w[..., b:, a:b])
-        block = w[..., a:b, a:b]
-        np.copyto(block, np.conjugate(block.swapaxes(-1, -2)), where=_BELOW_DIAGONAL[: b - a, : b - a])
+        group = max(1, _MIRROR_TEMP_BYTES // ((b - a) ** 2 * w.itemsize))
+        for s in range(0, len(mats), group):
+            block = mats[s : s + group, a:b, a:b]
+            np.copyto(block, np.conjugate(block.swapaxes(-1, -2)), where=_BELOW_DIAGONAL[: b - a, : b - a])
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
@@ -613,8 +620,21 @@ def trial_block(n: int) -> int:
     return -(-SMALL_N // n)
 
 
+def solve_workers(n: int, threads: int) -> int:
+    """Workers of ``trial_eigenvalues``' fan-out at size n, each holding one block at a time.
+
+    A block of more than one trial solves on one BLAS thread, so `threads`
+    blocks run at once.  A block of one solves on the process's b OpenBLAS
+    threads, so only max(1, threads // b) run at once: more would share the
+    cores b times over, each with its matrix and LAPACK's copy of it.  When
+    b cannot be read, `threads` blocks run.
+    """
+    blas = blas_runtime_threads() if trial_block(n) == 1 else None
+    return threads if blas is None else max(1, threads // blas)
+
+
 def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.ndarray:
-    """Descending eigenvalues of trials 0..trials-1, fanned out over `threads`.
+    """Descending eigenvalues of trials 0..trials-1, fanned out over up to `threads` workers.
 
     Row t of the read-only (trials, n) float64 result is trial t's spectrum.
     The trials run in fixed blocks of ceil(SMALL_N / n) consecutive indices,
@@ -632,7 +652,8 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     does not depend on `threads`.  A block of more than one trial (n below
     ``SMALL_N``) solves with OpenBLAS on one thread (``single_blas_thread``),
     so its result does not depend on the BLAS thread count either; a block
-    of one leaves the BLAS threading alone.
+    of one leaves the BLAS threading alone, and ``solve_workers`` runs only
+    as many of them at once as the BLAS threads leave cores for.
     """
     block = trial_block(spec.n)
     # sample's band tables live on; built in a worker, they would pin its malloc arena
@@ -646,7 +667,7 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
         out[rows] = eigenvalues_desc_stacked(_sample_stack(spec, KeyedStreams(keys[rows])))
 
     with single_blas_thread() if block > 1 else contextlib.nullcontext():
-        parallel_map(solve, range(0, trials, block), threads)
+        parallel_map(solve, range(0, trials, block), solve_workers(spec.n, threads))
     out.setflags(write=False)
     return out
 

@@ -8,7 +8,7 @@ the result of trial r never depends on scheduling order.
 
 A Philox stream is fixed by its 128-bit key and a zero counter, so trial
 loops need no ``SeedSequence`` per trial.  ``stream_keys`` computes the keys
-of a run of trial indices in one vectorised pass, bit for bit the keys
+of a run of trial indices in vectorised passes, bit for bit the keys
 ``derive_rng`` would seed, and ``KeyedStreams`` replays them through one
 generator whose state is reset to each key in turn.  ``derive_rng`` stays
 the one-stream API and the reference the keyed path is tested against.
@@ -37,6 +37,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+# trials per array pass of stream_keys; its temporaries take about 80 bytes a trial
+_KEY_CHUNK = 1024
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -77,7 +79,8 @@ def stream_keys(master_seed: int, domain: int, first: int, stop: int) -> np.ndar
     domain, t)``.  The seed words, padded to the pool of 4, and the domain
     word mix the same way for every trial, so numpy mixes them once.  Only
     the trial word's four mixes (eight for t >= 2**32, which has two words)
-    and the four output hashes run per trial, on arrays.
+    and the four output hashes run per trial, on arrays of ``_KEY_CHUNK``
+    trials at a time, so the pass holds little beyond its 16-byte rows.
     """
     if master_seed < 0:
         raise ValueError("master seed must be a nonnegative integer")
@@ -90,19 +93,29 @@ def stream_keys(master_seed: int, domain: int, first: int, stop: int) -> np.ndar
     # 4 mix in each word past the pool (the seed's, padded to 4, then the domain's)
     later = max(_POOL_SIZE, _word_count(master_seed)) - _POOL_SIZE + _word_count(domain)
     const = _INIT_A * pow(_MULT_A, _POOL_SIZE**2 + _POOL_SIZE * later, 2**32) & _MASK32
-    t = np.uint64(first) + np.arange(stop - first, dtype=np.uint64)
+    keys = np.empty((stop - first, 2), dtype=np.uint64)
+    for lo in range(first, stop, _KEY_CHUNK):
+        hi = min(lo + _KEY_CHUNK, stop)
+        keys[lo - first : hi - first] = _chunk_keys(pool, const, lo, hi)
+    return keys
+
+
+def _chunk_keys(pool: list[int], const: int, lo: int, hi: int) -> np.ndarray:
+    """``stream_keys`` rows of trials lo..hi-1 from the pool and hash constant after the domain word."""
+    t = np.uint64(lo) + np.arange(hi - lo, dtype=np.uint64)
     low = (t & _MASK32).astype(np.uint32)
+    words = list(pool)
     for dst in range(_POOL_SIZE):
         h, const = _hashmix(low, const)
-        pool[dst] = _mix(pool[dst], h)
-    if stop > 2**32:  # some t >= 2**32: its high word mixes in too
+        words[dst] = _mix(words[dst], h)
+    if hi > 2**32:  # some t >= 2**32: its high word mixes in too
         high, two = (t >> 32).astype(np.uint32), t >> 32 > 0
         for dst in range(_POOL_SIZE):
             h, const = _hashmix(high, const)
-            pool[dst] = np.where(two, _mix(pool[dst], h), pool[dst])
+            words[dst] = np.where(two, _mix(words[dst], h), words[dst])
     const = _INIT_B
     out = []
-    for word in pool:
+    for word in words:
         h, const = _hashmix(word, const, _MULT_B)
         out.append(h.astype(np.uint64))
     return np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=1)
@@ -118,7 +131,7 @@ class KeyedStreams(Sequence):
     """
 
     def __init__(self, keys: np.ndarray) -> None:
-        self._keys = keys.tolist()  # the state setter reads Python ints fastest
+        self._keys = keys
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -134,7 +147,7 @@ class KeyedStreams(Sequence):
         return len(self._keys)
 
     def __getitem__(self, i: int) -> np.random.Generator:
-        self._state["state"]["key"] = self._keys[i]
+        self._state["state"]["key"] = self._keys[i].tolist()  # the state setter reads Python ints fastest
         self._bitgen.state = self._state
         return self._rng
 

@@ -318,10 +318,13 @@ def test_validate_unknown_command_short_circuits():
 
 
 def test_validate_memory_preflight(tmp_path, monkeypatch):
-    """Three copies of n^2 entries of 8 bytes (16 complex) for each trial matrix
-    held at once, min(threads x ceil(512 / n), trials) of them, plus every
+    """Each worker busy at once counts its fixed temporaries and three copies of
+    n^2 entries of 8 bytes (16 complex) for each trial matrix it holds,
+    min(solve_workers(n, threads) x ceil(512 / n), trials) of them, plus every
     trial's kept spectrum (n x 8 bytes) and stream key (16 bytes)."""
-    need = 3 * 64 * 64 * 8 * 2 + 2 * (64 * 8 + 16)
+    worker = cli_runner._WORKER_BYTES
+    # two trials are one block of one worker at n = 64 (and at n = 32)
+    need = 3 * 64 * 64 * 8 * 2 + worker + 2 * (64 * 8 + 16)
     config = make_config("simulate", str(tmp_path), sizes="32, 64", trials="2", threads="3")
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: need)
     assert validate(config) == []
@@ -330,7 +333,7 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     assert diag.startswith("sizes: n=64 needs")
     assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
     # complex matrices are twice the bytes; moments counts three copies of the spectra
-    complex_need = 3 * 64 * 64 * 16 * 2 + 2 * (3 * 64 * 8 + 16)
+    complex_need = 3 * 64 * 64 * 16 * 2 + worker + 2 * (3 * 64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need - 1)
     complex_law = make_config(
         "moments", str(tmp_path), sizes="64", trials="2", threads="3",
@@ -344,14 +347,44 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     # each worker of trial_eigenvalues holds a block of ceil(512 / n) matrices;
     # a reduce worker holds one
     blocks = make_config("simulate", str(tmp_path), sizes="64", trials="100", threads="3")
-    block_need = 3 * 64 * 64 * 8 * 24 + 100 * (64 * 8 + 16)
+    block_need = 3 * 64 * 64 * 8 * 24 + 3 * worker + 100 * (64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need - 1)
     assert validate(blocks)[0].startswith("sizes: n=64 needs")
     assert "24 concurrent 64x64 trial matrices" in validate(blocks)[0]
+    assert f"3 x {worker} bytes of worker temporaries" in validate(blocks)[0]
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need)
     assert validate(blocks) == []
-    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: 3 * 64 * 64 * 8 * 3)
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: 3 * 64 * 64 * 8 * 3 + 3 * worker)
     assert validate(replace(blocks, command="reduce")) == []
+    # from n = 512 up a block holds one trial and solves on the process's BLAS
+    # threads: two trial threads over two BLAS threads solve one matrix at a time
+    large = make_config("simulate", str(tmp_path), sizes="1024", trials="4", threads="2")
+    kept = 4 * (1024 * 8 + 16)
+    for blas, matrices in ((2, 1), (1, 2), (None, 2)):
+        monkeypatch.setattr(ensembles, "blas_runtime_threads", lambda blas=blas: blas)
+        large_need = 3 * 1024 * 1024 * 8 * matrices + matrices * worker + kept
+        monkeypatch.setattr(cli_runner, "_physical_memory", lambda: large_need - 1)
+        [diag] = validate(large)
+        assert f"{matrices} concurrent 1024x1024 trial matrices" in diag, blas
+        monkeypatch.setattr(cli_runner, "_physical_memory", lambda: large_need)
+        assert validate(large) == [], blas
+
+
+def test_trial_eigenvalues_peak_memory_within_the_preflight_at_n_1():
+    """At n = 1 the stream keys are most of what trial_eigenvalues holds: their
+    derivation stays near the 16 bytes per trial that the preflight counts, and
+    a block of 512 trials within its worker's count."""
+    config = make_config("simulate", "unused", sizes="1", trials="20000")
+    spec = config.ensemble.build(1, config.seed)
+    need, _ = cli_runner._memory_need(config, spec)
+    ensembles.trial_eigenvalues(spec, 600)  # the band tables and numpy's lazy state
+    tracemalloc.start()
+    try:
+        ensembles.trial_eigenvalues(spec, config.trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 @pytest.mark.parametrize("command", ("simulate", "moments", "stieltjes", "concentration"))
@@ -628,6 +661,16 @@ def test_run_manifest_contents(tmp_path):
     assert machine["threads"] == config.threads == 1
     digest = hashlib.sha256((tmp_path / "simulate.csv").read_bytes()).hexdigest()
     assert on_disk["checksums"] == {"simulate.csv": digest}
+
+
+def test_sha256_reads_through_one_buffer_at_any_length(tmp_path):
+    """Files shorter than, as long as and longer than the 256 KiB read buffer hash as
+    one read of their bytes would."""
+    data = np.random.default_rng(3).bytes(3 * 2**18 + 7)
+    for size in (0, 1, 2**18 - 1, 2**18, 2**18 + 1, len(data)):
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes(data[:size])
+        assert cli_runner._sha256(path) == hashlib.sha256(data[:size]).hexdigest(), size
 
 
 @pytest.mark.parametrize(

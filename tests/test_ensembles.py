@@ -7,6 +7,8 @@ drawn by the laws' own samplers (3 s.e. budgets, fixed seeds).
 from __future__ import annotations
 
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -723,6 +725,46 @@ def test_trial_fan_out_blas_threads_follow_the_block_size(monkeypatch, n):
         trial_eigenvalues(wigner_unit_spec(n, seed=3), 3, threads=2)
         assert seen and set(seen) == ({1} if n < SMALL_N else {outside})
         assert get() == outside
+    finally:
+        put(old)
+
+
+@pytest.mark.parametrize("blas", (2, 1))
+def test_blocks_of_one_run_as_many_at_once_as_the_blas_threads_leave_cores(monkeypatch, blas):
+    """From SMALL_N up a block of one solves on the process's OpenBLAS threads, so
+    two trial threads over two BLAS threads solve one matrix at a time, and over
+    one BLAS thread on two worker threads; the bytes are those of one trial thread."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread calls")
+    get, put = calls
+    old = get()
+    put(blas)
+    try:
+        spec = wigner_unit_spec(SMALL_N, seed=5)
+        want = trial_eigenvalues(spec, 4, threads=1)
+        lock, solves = threading.Lock(), []
+        stacked = ensembles.eigenvalues_desc_stacked
+
+        def timed(stack):
+            start = time.perf_counter()
+            try:
+                return stacked(stack)
+            finally:
+                with lock:
+                    solves.append((start, time.perf_counter(), threading.get_ident()))
+
+        monkeypatch.setattr(ensembles, "eigenvalues_desc_stacked", timed)
+        assert ensembles.solve_workers(SMALL_N, 2) == 2 // blas
+        got = trial_eigenvalues(spec, 4, threads=2)
+        assert got.tobytes() == want.tobytes()
+        assert len(solves) == 4
+        if blas == 2:
+            solves.sort()
+            assert all(end <= start for (_, end, _), (start, _, _) in zip(solves, solves[1:]))
+        else:
+            assert len({thread for _, _, thread in solves}) == 2
+        assert get() == blas
     finally:
         put(old)
 

@@ -1,12 +1,15 @@
 """Derived random streams: addressable, independent, scheduling-proof."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab.streams import (
+    _KEY_CHUNK,
     DOMAIN_BERNOULLI,
     DOMAIN_REPLACE,
     DOMAIN_SAMPLE,
@@ -88,10 +91,30 @@ def test_stream_keys_equal_seed_sequence_over_uint64(seed, domain, first, count)
 
 
 def test_stream_keys_of_a_range_are_its_rows():
-    """Keys depend on the trial index only, not on where a range starts."""
-    whole = stream_keys(17, DOMAIN_SAMPLE, 0, 300)
-    assert np.array_equal(stream_keys(17, DOMAIN_SAMPLE, 128, 256), whole[128:256])
+    """Keys depend on the trial index only, not on where a range starts or where
+    its passes of _KEY_CHUNK trials begin; a later pass may reach t >= 2**32."""
+    whole = stream_keys(17, DOMAIN_SAMPLE, 0, 3 * _KEY_CHUNK + 5)
+    for first, stop in ((128, 256), (_KEY_CHUNK - 3, 2 * _KEY_CHUNK + 9)):
+        assert np.array_equal(stream_keys(17, DOMAIN_SAMPLE, first, stop), whole[first:stop])
     assert stream_keys(17, DOMAIN_SAMPLE, 5, 5).shape == (0, 2)
+    first, stop = 2**32 - _KEY_CHUNK - 500, 2**32 + 600
+    want = np.array([_seed_sequence_key(2**32, DOMAIN_REPLACE, t) for t in range(first, stop)])
+    assert np.array_equal(stream_keys(2**32, DOMAIN_REPLACE, first, stop), want)
+
+
+def test_stream_keys_hold_about_their_16_bytes_a_trial():
+    """The pass runs _KEY_CHUNK trials at a time, so beyond the (count, 2) uint64
+    result it holds a fixed 100 kB or so, not about 80 bytes per trial."""
+    stream_keys(5, DOMAIN_SAMPLE, 0, 10)
+    for count in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            keys = stream_keys(5, DOMAIN_SAMPLE, 0, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert keys.nbytes == 16 * count
+        assert peak <= keys.nbytes + 128 * _KEY_CHUNK, count
 
 
 @pytest.mark.parametrize(
