@@ -86,14 +86,15 @@ _KEY_BYTES = 16
 # its sampling, mirror and check temporaries, plus the working copy numpy's eigvalsh
 # makes for LAPACK outside tracemalloc's view (0.001 x an n = 1024 matrix under
 # tracemalloc; VmHWM of a complex n = 2048 solve reads the 64 MB stack plus a 64 MB
-# copy).  trial_eigenvalues' tracemalloc peak per held matrix is 1.28 at n = 128,
-# 1.14 at n = 256 and 1.13 at n = 1024, so from n = 128 up 3 covers it and the copy
+# copy).  trial_eigenvalues' tracemalloc peak per held matrix is at most 1.78 from
+# n = 8 up (1.53 at n = 64, 1.28 at n = 128, 1.13 at n = 1024), so there 3 covers it
+# and the copy
 _MATRIX_COPIES = 3
-# bytes each busy worker holds beside its matrices: below n = 128 a block's fill
-# placement holds index and value arrays of up to about 12,000 entries, and numpy's
-# ufuncs add buffers of 8,192 entries per operand, so there trial_eigenvalues'
-# tracemalloc peak passes two copies of the block (2.03 at n = 64, 3.3 at n = 16,
-# 14.7 at n = 1), by at most 267 kB (complex, n = 32); rounded up
+# bytes each busy worker holds beside its matrices: below n = 8 a block's matrices
+# weigh less than the fixed temporaries around them (deriving the stream keys of
+# 512 trials peaks at 60 kB), so there trial_eigenvalues' tracemalloc peak passes
+# two copies of the block (14.7 per held matrix at n = 1, 2.5 at n = 4), by at most
+# 52 kB (real, n = 1); rounded up
 _WORKER_BYTES = 1 << 19
 
 LAW_BUILDERS: dict[str, Callable[..., EntryLaw]] = {

@@ -13,7 +13,6 @@ and the three row conditions behind the gaussian-convergence theorem.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -53,8 +52,6 @@ LAW_KINDS = (
 # trial_eigenvalues solves blocks of ceil(SMALL_N / n) trials per eigvalsh
 # call, so below this size a block holds more than one trial
 SMALL_N = 512
-# base draws per multi-row band of sample's fill placement
-_BAND_VALUES = 1024
 # bytes of a row per band of the lower-triangle mirror in sample: 64 real or
 # 32 complex columns, the fastest band widths measured at n = 1024, 2048, 4096
 _MIRROR_BAND_BYTES = 512
@@ -459,7 +456,9 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     each).
 
     The matrix is a stack of one from ``_sample_stack``, the sampler that
-    ``trial_eigenvalues`` runs on each block of trials.
+    ``trial_eigenvalues`` runs on each block of trials: the packed rows move
+    to their places bottom-up, one slice write each, and the diagonal goes
+    in after them.
     """
     return HermitianMatrix._trusted(_sample_stack(spec, (rng,))[0])
 
@@ -472,15 +471,12 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     complex), with a non-default diagonal law's fill in a row of its own.
     The generators are taken in slot order, each drawn from before the next
     is taken, so ``rngs`` may be a ``streams.KeyedStreams``.
-    All the rest runs once for the stack: the fill is placed a band of rows
-    at a time, bottom-up (``_row_bands``), in every slot at once.  Band
-    [a, b)'s packed draws start no later than the spot where row a lands,
-    and a band writes only its own rows' upper parts, so no row that is
-    still packed is overwritten.  A long row is its own band, a slice write;
-    runs of short rows share one cached fancy-index assignment, each with
-    its own lookup of the profile's sd.  A real row under the default
-    diagonal law is packed as its upper part in column order, so it is
-    placed whole; otherwise the diagonal goes in after the rows.
+    All the rest runs once for the stack.  The rows are placed bottom-up,
+    one slice write per row across every slot: row i's packed draws start
+    no later than the spot where its upper part lands, and a row writes
+    only right of its own diagonal, so no row that is still packed is
+    overwritten.  Leading diagonal draws are gathered before the rows
+    overwrite them, and the diagonal goes in after the rows.
     ``_mirror_lower`` then writes the lower triangles a band of columns at a
     time.  Entries are not checked here: the caller wraps a slot with
     ``HermitianMatrix._trusted`` or hands the stack to
@@ -488,101 +484,27 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     """
     n, law, dlaw, prof, count = spec.n, spec.law, spec.effective_diagonal_law, spec.profile, len(rngs)
     w = np.zeros((count, n, n), dtype=np.complex128 if law.is_complex else np.float64)
-    width, lead, whole = _packing(spec)
+    width = 2 if law.is_complex else 1  # base draws per off-diagonal entry
+    lead = int(dlaw == diagonal_law_for(law))  # 1 if each row's diagonal draw leads it
     base = w.reshape(count, -1).view(np.float64)
     diag = None if lead else np.empty((count, n))
     for s, rng in enumerate(rngs):
         if not lead:
             dlaw._fill(rng, n, diag[s])
         law._fill(rng, lead * n + width * (n * (n - 1) // 2), base[s])
-    bands, starts, src, dest = _row_bands(n, width, lead, whole)
-    if lead and not whole:
+    r = np.arange(n)
+    starts = lead * r + width * (r * (2 * n - r - 1) // 2)  # row i's first packed draw
+    if lead:
         diag = base[:, starts]  # a copy: the rows placed below overwrite the fill
     sd = np.sqrt(prof.levels)
-    # built at the first one-row band: the profile's sd along each row
-    sd_rows = None
-    # a shared band's positions in every slot index the whole stack's buffer at
-    # once (w[:, dest] would copy a slot column per position)
-    offsets = np.arange(count)[:, None]
-    for i, lo, hi in bands:
-        if lo is None:  # a one-row band: a slice write per slot, on 1-d views
-            sd_rows = sd_rows or prof._row_tails(sd, n)
-            start = starts[i] + lead - whole
-            for fill, m in zip(base, w):
-                draws = fill[start : start + whole + width * (n - i - 1)]
-                np.multiply(law._entries(draws), sd_rows(i)[1 - whole :], out=m[i, i + 1 - whole :])
-        else:
-            if width == 1:
-                draws = base[:, starts[i] : starts[i] + hi - lo]
-            else:
-                draws = base.reshape(-1)[offsets * base.shape[1] + src[2 * lo : 2 * hi]]
-            # each band looks up its own sd: one lookup over the table would
-            # hold temporaries as large as the matrix
-            sd_band = sd[prof._level_of(*np.divmod(dest[lo:hi], n))]
-            w.reshape(-1)[offsets * (n * n) + dest[lo:hi]] = law._entries(draws) * sd_band
-    if not whole:
-        r = np.arange(n)
-        w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
+    sd_rows = prof._row_tails(sd, n)
+    for i in range(n - 2, -1, -1):
+        start = starts[i] + lead
+        draws = base[:, start : start + width * (n - i - 1)]
+        np.multiply(law._entries(draws), sd_rows(i)[1:], out=w[:, i, i + 1 :])
+    w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
     _mirror_lower(w)
     return w
-
-
-def _packing(spec: EnsembleSpec) -> tuple[int, int, int]:
-    """How ``sample`` packs a matrix's draws: (width, lead, whole).
-
-    ``width`` base draws per off-diagonal entry; ``lead`` 1 if each row's
-    diagonal draw leads it in the packed fill; ``whole`` 1 if a row's packed
-    draws are its upper part in column order (a real law on its default
-    diagonal).
-    """
-    width = 2 if spec.law.is_complex else 1
-    lead = int(spec.effective_diagonal_law == diagonal_law_for(spec.law))
-    return width, lead, lead if width == 1 else 0
-
-
-def _row_starts(i: np.ndarray, n: int, width: int, lead: int) -> np.ndarray:
-    """Position of row i's first packed draw."""
-    return lead * i + width * (i * (2 * n - i - 1) // 2)
-
-
-@functools.lru_cache(maxsize=4)
-def _row_bands(n: int, width: int, lead: int, whole: int) -> tuple:
-    """How ``sample`` places the packed fill: (bands, starts, src, dest).
-
-    ``starts[i]`` is where row i's packed draws begin.  ``bands`` lists
-    (first row, lo, hi) bottom-up.  Consecutive rows whose packed draws
-    number at most ``_BAND_VALUES`` share a band; a row too long to share is
-    its own band, with lo = hi = None, placed by a slice write.  A shared
-    band owns entries lo..hi-1 of ``dest``, which runs band by band, each
-    band row by row, and gives each entry's flat position in the matrix.  A
-    band's entries are those of its rows right of the diagonal, and on it
-    when ``whole``.  A real band's entries are then its packed draws in
-    order, the hi - lo draws from its first row's start on.  For a complex
-    band, ``src[2 * lo : 2 * hi]`` gives its draws' positions in the packed
-    fill, all real parts, then all imaginary parts.
-    """
-    bands, srcs, dests = [], [], []
-    b, count = n, 0
-    while b > 0:
-        a = b - 1
-        size = lead + width * (n - 1 - a)  # packed draws of rows a..b-1
-        while a > 0 and size + lead + width * (n - a) <= _BAND_VALUES:
-            a -= 1
-            size += lead + width * (n - 1 - a)
-        if b - a == 1:
-            bands.append((a, None, None))
-        else:
-            i = np.repeat(np.arange(a, b), n - 1 + whole - np.arange(a, b))
-            j = np.concatenate([np.arange(k + 1 - whole, n) for k in range(a, b)])
-            if width == 2:
-                start = _row_starts(i, n, width, lead) + lead + j - i - 1
-                srcs += [start, start + (n - 1 - i)]
-            dests.append(i * n + j)
-            bands.append((a, count, count + i.size))
-            count += i.size
-        b = a
-    src, dest = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (srcs, dests))
-    return tuple(bands), _row_starts(np.arange(n), n, width, lead), src, dest
 
 
 def _mirror_lower(w: np.ndarray) -> None:
@@ -642,10 +564,10 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     rows.  A block is sampled straight into one (B, n, n) stack by
     ``_sample_stack``: trial t draws from its own stream, that of
     ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own slot, and the
-    placement, mirror and checks run once for the block.  The keys come
-    from one ``stream_keys`` pass per call, replayed by each block through
-    one reused generator (``KeyedStreams``), so no trial builds a
-    ``SeedSequence``.  The stack is then one ``eigvalsh`` call that releases
+    placement (one slice write per row across every slot), mirror and checks
+    run once for the block.  The keys come from one ``stream_keys`` pass per
+    call, replayed by each block through one reused generator
+    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The stack is then one ``eigvalsh`` call that releases
     the GIL (``eigenvalues_desc_stacked``), and each row has the bytes of
     ``eigenvalues_desc(sample_trial(spec, t))`` under the same BLAS threads.
     Block boundaries depend only on n and the trial index, so the result
@@ -656,9 +578,6 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     as many of them at once as the BLAS threads leave cores for.
     """
     block = trial_block(spec.n)
-    # sample's band tables live on; built in a worker, they would pin its malloc arena
-    _row_bands(spec.n, *_packing(spec))
-
     keys = stream_keys(spec.seed, DOMAIN_SAMPLE, 0, trials)
     out = np.empty((trials, spec.n))
 

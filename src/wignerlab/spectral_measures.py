@@ -32,6 +32,12 @@ __all__ = [
 WEIGHT_TOL = 1e-12
 
 
+def _check_finite(atoms: np.ndarray) -> None:
+    """Reject non-finite atoms; ``np.unique``'s sorted output puts -inf first and inf, then NaN, last."""
+    if not (np.isfinite(atoms[0]) and np.isfinite(atoms[-1])):
+        raise ValueError("atoms must be finite")
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     """Purely atomic probability distribution with sorted distinct atoms."""
@@ -51,6 +57,7 @@ class StepDistribution:
             raise ValueError("weights must be positive")
         # merge exactly equal positions, summing their weights in input order
         a, inverse = np.unique(a, return_inverse=True)
+        _check_finite(a)
         w = np.bincount(inverse, weights=w)
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError("weights must sum to 1")
@@ -134,6 +141,7 @@ def esd(eigenvalues: Sequence[float] | np.ndarray) -> StepDistribution:
     atoms, counts = np.unique(np.asarray(eigenvalues, dtype=np.float64), return_counts=True)
     if atoms.size == 0:
         raise ValueError("esd needs at least one eigenvalue")
+    _check_finite(atoms)
     cum = np.concatenate(([0.0], np.cumsum(counts, dtype=np.float64)))  # exact below 2**53
     total = cum[-1]
     cum /= total

@@ -377,7 +377,7 @@ def test_trial_eigenvalues_peak_memory_within_the_preflight_at_n_1():
     config = make_config("simulate", "unused", sizes="1", trials="20000")
     spec = config.ensemble.build(1, config.seed)
     need, _ = cli_runner._memory_need(config, spec)
-    ensembles.trial_eigenvalues(spec, 600)  # the band tables and numpy's lazy state
+    ensembles.trial_eigenvalues(spec, 600)  # numpy's and the generator's lazy state
     tracemalloc.start()
     try:
         ensembles.trial_eigenvalues(spec, config.trials)

@@ -825,8 +825,8 @@ def test_sample_matches_per_row_reference_layout(law, diagonal):
     """Every trial's bytes and dtype equal the per-row stream of layout 3.
 
     3 * MIRROR_BAND + 9 spans three mirror bands and a partial fourth.  At
-    SMALL_N - 1 and SMALL_N, as at every n, the short lower rows share bands
-    and a row too long to share (every upper complex row) is placed alone.
+    SMALL_N - 1 and SMALL_N, as at every n, each row is one slice write,
+    placed bottom-up over the packed fill before the diagonal goes in.
     """
     cases = [(n, _layout_profiles(n)) for n in (1, 2, 3, 17, 64, 3 * MIRROR_BAND + 9)]
     cases += [(n, _layout_profiles(n)[:2]) for n in (SMALL_N - 1, SMALL_N)]  # uniform and banded
@@ -906,9 +906,9 @@ def test_sample_peak_memory_is_one_matrix(law, diagonal, limit, n):
     temporary of n(n+1)/2 values, half the real matrix: 1.536 x for both.
     Pareto turns its signs into +-1 in place; a float copy of them measured
     2.0 x.  A rademacher diagonal under gaussian_real adds only its fill of n
-    values ahead of the matrix: 1.130 x.  n = 511 reads the same: each shared
-    band looks up its own sd, where one lookup over the whole band table
-    measured 2.0 x.
+    values ahead of the matrix: 1.130 x.  n = 511 reads the same: each row is
+    one slice write with its own tail of the profile's sd, so the placement
+    holds at most a row beyond the matrix.
     """
     import tracemalloc
 
@@ -923,6 +923,33 @@ def test_sample_peak_memory_is_one_matrix(law, diagonal, limit, n):
         tracemalloc.stop()
     assert w.entries.nbytes == matrix_bytes
     assert peak <= limit * matrix_bytes, peak / matrix_bytes
+
+
+@pytest.mark.parametrize("law", (EntryLaw.gaussian_real(), EntryLaw.gaussian_complex()), ids=("real", "complex"))
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_trial_block_peak_memory_per_held_matrix(law, n):
+    """One block of ``trial_eigenvalues`` below n = 128 peaks within 1.6 x its
+    matrices' bytes: the fill is placed one row at a time, so beyond the stack
+    the placement holds a row of every slot and the gathered diagonal.
+
+    Measured at n = 16, 32, 64: 1.40, 1.21, 1.18 real and 1.29, 1.15, 1.53
+    complex; the complex n = 64 peak is ``_mirror_lower``'s band copy.
+    Placing runs of short rows through a shared flat-index table measured
+    3.30, 3.11, 2.03 real and 3.01, 3.04, 1.54 complex.
+    """
+    import tracemalloc
+
+    spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), seed=3)
+    block = ensembles.trial_block(n)
+    held = block * n * n * (16 if law.is_complex else 8)
+    trial_eigenvalues(spec, block)  # the first draw in a process also allocates one-time state
+    tracemalloc.start()
+    try:
+        trial_eigenvalues(spec, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * held, peak / held
 
 
 # ---------------------------------------------------------------------------

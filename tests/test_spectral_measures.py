@@ -53,6 +53,19 @@ def test_step_distribution_rejects_bad_weights():
         StepDistribution(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("build", ("step", "esd"))
+def test_non_finite_atoms_rejected(build, bad):
+    """A NaN atom would make the Kolmogorov distance to the semicircle nan and
+    the Levy distance 1.0; an infinite one would make both read 0.5."""
+    atoms = np.array([0.25, bad, 0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        if build == "step":
+            StepDistribution(atoms, np.full(4, 0.25))
+        else:
+            esd(atoms)
+
+
 def test_step_cdf_right_continuous():
     d = StepDistribution(np.array([0.0, 1.0]), np.array([0.3, 0.7]))
     assert d.cdf(-0.5) == 0.0
