@@ -932,7 +932,7 @@ def test_trial_block_peak_memory_per_held_matrix(law, n):
     matrices' bytes: the fill is placed one row at a time, so beyond the stack
     the placement holds a row of every slot and the gathered diagonal.
 
-    Measured at n = 16, 32, 64: 1.40, 1.21, 1.18 real and 1.29, 1.15, 1.53
+    Measured at n = 16, 32, 64: 1.40, 1.20, 1.18 real and 1.29, 1.15, 1.53
     complex; the complex n = 64 peak is ``_mirror_lower``'s band copy.
     Placing runs of short rows through a shared flat-index table measured
     3.30, 3.11, 2.03 real and 3.01, 3.04, 1.54 complex.
