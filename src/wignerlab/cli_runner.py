@@ -42,7 +42,7 @@ from .ensembles import (
     wigner_unit_spec,
 )
 from .hermitian_core import blas_runtime_threads
-from .reductions import auto_eta, pipeline, rescale_to_row_bound, truncated_profile
+from .reductions import _reduction_costs, auto_eta, rescale_to_row_bound, truncated_profile
 from .spectral_measures import (
     RampFunction,
     SemicircleLaw,
@@ -88,8 +88,16 @@ _KEY_BYTES = 16
 # tracemalloc; VmHWM of a complex n = 2048 solve reads the 64 MB stack plus a 64 MB
 # copy).  trial_eigenvalues' tracemalloc peak per held matrix is at most 1.78 from
 # n = 8 up (1.53 at n = 64, 1.28 at n = 128, 1.13 at n = 1024), so there 3 covers it
-# and the copy
+# and the copy.  A reduce worker's sample, with the cost pass's difference array and
+# masks beside it, peaks at 2.6 matrices (complex; 2.3 real), also within 3
 _MATRIX_COPIES = 3
+# the peak of building reduce's per-size rescaling table, in n x n float64 arrays:
+# 7.13-7.22 from n = 64 to 1024 when the diagonal law differs from the entry law (a
+# complex law or a non-default diagonal law), since the truncated profile is then
+# explicit, with its values, its index table and the sort that finds its levels;
+# at most 3.0 from n = 256 up otherwise (4.07 at n = 64, within the worker bytes);
+# rounded up.  Afterwards the table alone, one array, stays for the size's trials
+_TABLE_COPIES = {True: 8, False: 3}
 # bytes each busy worker holds beside its matrices: below n = 8 a block's matrices
 # weigh less than the fixed temporaries around them (deriving the stream keys of
 # 512 trials peaks at 60 kB), so there trial_eigenvalues' tracemalloc peak passes
@@ -372,7 +380,9 @@ def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str
     """Bytes the memory preflight counts at one size, and what holds them: the workers
     busy at once, each with its fixed temporaries and its trial matrices (a
     ``trial_eigenvalues`` worker's block of ``trial_block(n)``, with ``solve_workers`` of
-    them, or a ``reduce`` worker's one), then the spectra and stream keys kept for every trial."""
+    them, or a ``reduce`` worker's one), then the spectra and stream keys kept for every
+    trial, or for ``reduce`` the larger of its table's build and the table beside the
+    workers' matrices."""
     n, trials = spec.n, config.trials
     itemsize = 16 if spec.law.is_complex else 8
     copies = _KEPT_SPECTRA.get(config.command, 0)
@@ -389,7 +399,12 @@ def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str
             f" and {kept} bytes of {trials} trials' kept spectra "
             f"({copies} x {n} x 8 bytes each) and stream keys ({_KEY_BYTES} bytes each)"
         )
-    return _MATRIX_COPIES * n * n * itemsize * matrices + _WORKER_BYTES * workers + kept, held
+    need = _MATRIX_COPIES * n * n * itemsize * matrices + kept
+    if config.command == "reduce":
+        table = _TABLE_COPIES[spec.effective_diagonal_law != spec.law]
+        held += f" beside the {n}x{n} rescaling table, or its build ({table} x {n} x {n} x 8 bytes) if larger"
+        need = max(need + n * n * 8, table * n * n * 8)
+    return need + _WORKER_BYTES * workers, held
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -703,35 +718,34 @@ def _cmd_concentration(config: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
+def _reduce_table(spec: EnsembleSpec, eta: float, c_bound: float) -> tuple[np.ndarray, tuple[float, float]]:
+    """The read-only rescaling table of one size and its (min, max) over the entries
+    with variance to rescale: a zero-variance entry's c rescales nothing.  Only a
+    profile with a zero level pays for the n x n mask, and the truncated profile, the
+    mask and its gather are dropped on return, before any trial runs."""
+    profile = truncated_profile(spec, eta)
+    coeffs = rescale_to_row_bound(profile, spec.n, c_bound)
+    coeffs.setflags(write=False)
+    rescaled = coeffs
+    if (profile.levels == 0.0).any():
+        live = profile.matrix(spec.n) > 0.0
+        rescaled = coeffs[live] if live.any() else coeffs
+    return coeffs, (float(rescaled.min()), float(rescaled.max()))
+
+
 def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:
     rows = []
     for n in config.sizes:
         spec = config.ensemble.build(n, config.seed)
         eta = config.eta if config.eta is not None else auto_eta(spec)
         # one read-only table per size, shared by every trial's thread
-        profile = truncated_profile(spec, eta)
-        coeffs = rescale_to_row_bound(profile, n, config.c_bound)
-        coeffs.setflags(write=False)
-        # the range over entries with variance to rescale: a zero-variance entry's c
-        # rescales nothing; only a profile with a zero level pays for the n x n mask
-        rescaled = coeffs
-        if (profile.levels == 0.0).any():
-            live = profile.matrix(n) > 0.0
-            rescaled = coeffs[live] if live.any() else coeffs
-        coeff_range = (float(rescaled.min()), float(rescaled.max()))
+        coeffs, coeff_range = _reduce_table(spec, eta, config.c_bound)
 
         def one(trial: int):
-            w = sample_trial(spec, trial)
-            _, trace = pipeline(w, spec, eta, config.c_bound, coeffs)
-            d = trace.frobenius_delta_sq_per_stage
-            return (
-                trace.eta,
-                trace.truncated_count,
-                trace.centering_norm_sq,
-                d[0],
-                d[1],
-                d[2],
-            ) + coeff_range
+            # pipeline's trace from the sample alone: no truncated or rescaled matrix is
+            # built, and the centralize stage's costs are its exact zeros
+            removed, delta_truncate, delta_rescale = _reduction_costs(sample_trial(spec, trial).entries, eta, coeffs)
+            return (eta, removed, 0.0, delta_truncate, 0.0, delta_rescale) + coeff_range
 
         for trial, vals in enumerate(parallel_map(one, range(config.trials), config.threads)):
             rows.append((n, trial) + vals)

@@ -60,6 +60,10 @@ _BELOW_DIAGONAL = np.tri(_MIRROR_BAND_BYTES // 8, k=-1, dtype=bool)
 # bytes of the conjugate temporary behind one diagonal-block copy of the mirror,
 # unless a single matrix's block is larger (at most 32 kB, a real band's block)
 _MIRROR_TEMP_BYTES = 4096
+# elements per ufunc buffer inside the mirror, two buffers per call: at most 2 kB,
+# where numpy's default of 8,192 allocates 128 kB (real) or 256 kB (complex) for
+# every conjugate it cannot run as one flat loop
+_MIRROR_BUFFER = 64
 
 
 def _phi(t: float) -> float:
@@ -512,22 +516,35 @@ def _mirror_lower(w: np.ndarray) -> None:
 
     ``w`` is an (..., n, n) stack.  Band [a, b) of ``_MIRROR_BAND_BYTES``
     worth of columns takes rows b.. from the conjugate transpose of rows
-    a..b-1 right of column b, in every matrix at once.  The two regions of
-    one matrix are disjoint, so the ufunc writes in place.  The band's own
-    diagonal block then takes its lower part from a conjugate temporary, a
-    group of matrices at a time, so the temporary stays within
-    ``_MIRROR_TEMP_BYTES`` or one matrix's block: at n <= 64 the block is
-    the whole matrix, and one temporary across the stack would copy it all.
+    a..b-1 right of column b, one matrix at a time: within one matrix numpy
+    proves the two regions disjoint and writes in place, where across the
+    stack it would copy the source first.  A real band is a plain copy; a
+    complex band's conjugate runs through ufunc buffers of
+    ``_MIRROR_BUFFER`` elements.  The band's own diagonal block then takes
+    its lower part from a conjugate-transposed copy, a group of matrices at
+    a time, so the copy stays within ``_MIRROR_TEMP_BYTES`` or one matrix's
+    block: at n <= 64 the block is the whole matrix, and one copy across
+    the stack would copy it all.
     """
-    n, band = w.shape[-1], _MIRROR_BAND_BYTES // w.itemsize
+    n, band, conjugate = w.shape[-1], _MIRROR_BAND_BYTES // w.itemsize, np.iscomplexobj(w)
     mats = w.reshape(-1, n, n)
-    for a in range(0, n, band):
-        b = min(a + band, n)
-        np.conjugate(w[..., a:b, b:].swapaxes(-1, -2), out=w[..., b:, a:b])
-        group = max(1, _MIRROR_TEMP_BYTES // ((b - a) ** 2 * w.itemsize))
-        for s in range(0, len(mats), group):
-            block = mats[s : s + group, a:b, a:b]
-            np.copyto(block, np.conjugate(block.swapaxes(-1, -2)), where=_BELOW_DIAGONAL[: b - a, : b - a])
+    with np.errstate():
+        np.setbufsize(_MIRROR_BUFFER)
+        for a in range(0, n, band):
+            b = min(a + band, n)
+            for m in mats if b < n else ():
+                if conjugate:
+                    np.conjugate(m[a:b, b:].T, out=m[b:, a:b])
+                else:
+                    np.copyto(m[b:, a:b], m[a:b, b:].T)
+            group = max(1, _MIRROR_TEMP_BYTES // ((b - a) ** 2 * w.itemsize))
+            for s in range(0, len(mats), group):
+                block = mats[s : s + group, a:b, a:b]
+                upper = block.swapaxes(-1, -2).copy()  # a copy, then a flat conjugate: no ufunc buffer
+                if conjugate:
+                    np.conjugate(upper, out=upper)
+                np.copyto(block, upper, where=_BELOW_DIAGONAL[: b - a, : b - a])
+                del upper  # before the next group's copy
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:

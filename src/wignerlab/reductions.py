@@ -5,6 +5,15 @@ semicircle theorem is proved for (bounded entries, zero conditional mean,
 row variance sums below a bound C, unit off-diagonal variances), and each
 records the exact Frobenius cost (1/n)||before - after||_F^2 so the
 distance to the original spectrum stays accountable.
+
+The truncation and rescaling costs have one rule, ``_reduction_costs``,
+which reads them off the sampled entries without building the truncated
+or rescaled matrix: ``pipeline`` takes its trace from it, and the
+``reduce`` command calls it on each sample alone.  ``truncate`` shares
+its mask and removed-mass sum (``_truncation``).  Non-finite values can
+only enter through the sample, which ``HermitianMatrix._trusted`` checks,
+or through the coefficient table, which the cost rule's one finiteness
+pass over the rescaling difference rejects.
 """
 from __future__ import annotations
 
@@ -48,21 +57,47 @@ class ReductionTrace:
     frobenius_delta_sq_per_stage: tuple[float, ...] = ()
 
 
+def _truncation(a: np.ndarray, eta: float) -> tuple[np.ndarray, int, float]:
+    """The mask |a| > eta of the entries truncation removes, their count, and
+    the sum of their squared moduli."""
+    if eta <= 0:
+        raise ValueError("truncation level eta must be positive")
+    mask = np.abs(a) > eta
+    return mask, int(mask.sum()), float(np.sum(np.abs(a[mask]) ** 2))
+
+
+def _reduction_costs(a: np.ndarray, eta: float, coeffs: np.ndarray) -> tuple[int, float, float]:
+    """(truncated count, delta_truncate, delta_rescale) of ``pipeline`` on the entries ``a``.
+
+    The rescaling cost (1/n)||W1 - c W1||^2 of the truncated matrix W1 is
+    taken as a - c a with the truncated entries set to +0, the value and
+    summation order of W1 - c W1 (there 0 - c 0), so neither W1 nor c W1 is
+    built: the pass holds one n x n difference array, squared in place when
+    real, and the mask.  The difference is checked finite before the mask
+    zeroes anything, so a non-finite coefficient is rejected wherever it is.
+    """
+    n = a.shape[0]
+    mask, removed, removed_sq = _truncation(a, eta)
+    diff = coeffs * a
+    np.subtract(a, diff, out=diff)
+    if not np.isfinite(diff).all():
+        raise ValueError("matrix entries must be finite")
+    diff[mask] = 0.0
+    sq = np.abs(diff, out=None if np.iscomplexobj(diff) else diff)
+    return removed, removed_sq / n, float(np.sum(np.square(sq, out=sq))) / n
+
+
 def truncate(w: HermitianMatrix, eta: float) -> tuple[HermitianMatrix, ReductionTrace]:
     """Zero every entry with modulus above eta.
 
-    ||W - W'||_F^2 is exactly the sum of squared moduli of removed entries;
-    Hermitian symmetry survives because |w_ij| = |w_ji|.
+    ||W - W'||_F^2 is exactly the sum of squared moduli of removed entries,
+    by the mask and sum that ``pipeline``'s cost rule takes too; Hermitian
+    symmetry survives because |w_ij| = |w_ji|.
     """
-    if eta <= 0:
-        raise ValueError("truncation level eta must be positive")
     a = w.entries
-    mask = np.abs(a) > eta
-    removed = int(mask.sum())
-    out = np.where(mask, 0.0, a)
-    delta_sq = float(np.sum(np.abs(a[mask]) ** 2))
-    trace = ReductionTrace(eta, removed, 0.0, None, (delta_sq / w.n,))
-    return HermitianMatrix._trusted(out), trace
+    mask, removed, removed_sq = _truncation(a, eta)
+    trace = ReductionTrace(eta, removed, 0.0, None, (removed_sq / w.n,))
+    return HermitianMatrix._trusted(np.where(mask, 0.0, a)), trace
 
 
 def centralize(w: HermitianMatrix, conditional_means) -> HermitianMatrix:
@@ -200,27 +235,25 @@ def pipeline(
     (spec, eta, C); a caller running many trials passes
     ``rescale_to_row_bound(truncated_profile(spec, eta), n, C)`` once as
     ``coeffs`` instead of having it rebuilt per trial.
+
+    The trace comes from ``_reduction_costs``, the rule the ``reduce``
+    command runs on its samples.  The returned matrix is c * w with the
+    truncated entries zeroed, built without the truncated matrix and
+    checked by ``HermitianMatrix._trusted``.
     """
     spec.profile.check_dimension(w.n)
     if w.n != spec.n:
         raise ValueError("matrix dimension does not match spec")
-    n = w.n
-    w1, t1 = truncate(w, eta)
+    n, a = w.n, w.entries
     if coeffs is None:
         coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, C)
     elif coeffs.shape != (n, n):
         raise ValueError("rescale coefficients dimension mismatch")
-    w3 = HermitianMatrix._trusted(coeffs * w1.entries)
-    # one n^2 temporary: the difference, squared in place (complex needs one real array)
-    diff = w1.entries - w3.entries
-    sq = np.abs(diff, out=None if np.iscomplexobj(diff) else diff)
-    deltas = (
-        t1.frobenius_delta_sq_per_stage[0],
-        0.0,
-        float(np.sum(np.square(sq, out=sq))) / n,
-    )
-    trace = ReductionTrace(eta, t1.truncated_count, 0.0, coeffs, deltas)
-    return w3, trace
+    removed, delta_truncate, delta_rescale = _reduction_costs(a, eta, coeffs)
+    out = coeffs * a
+    out[np.abs(a) > eta] = 0.0
+    trace = ReductionTrace(eta, removed, 0.0, coeffs, (delta_truncate, 0.0, delta_rescale))
+    return HermitianMatrix._trusted(out), trace
 
 
 def auto_eta(spec: EnsembleSpec) -> float:

@@ -10,8 +10,9 @@ first-appearance relabelling instead of restricted-growth enumeration,
 sampled tail contributions instead of closed-form truncated moments, the
 Harer-Zagier recursion instead of walk classes, raw per-row generator
 calls instead of the one-fill sampler, rational Poisson-kernel sums
-instead of blocked float ones, and one relabeling at a time instead of
-gathered class sums.
+instead of blocked float ones, one relabeling at a time instead of
+gathered class sums, and the truncated and rescaled matrices built whole
+instead of one fused cost pass.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
@@ -431,3 +432,14 @@ def random_hermitian(rng: np.random.Generator, n: int, complex_entries: bool = F
     else:
         a = rng.standard_normal((n, n))
     return (a + a.conj().T) / 2.0
+
+
+def chained_reduction_costs(w: np.ndarray, eta: float, coeffs: np.ndarray) -> tuple[int, float, float]:
+    """(truncated count, delta_truncate, delta_rescale) by the stage chain: the
+    truncated matrix W1 built whole, then W3 = c W1, then W1 - W3 and the sum of
+    its squared moduli, each cost over n."""
+    n = w.shape[0]
+    mask = np.abs(w) > eta
+    w1 = np.where(mask, 0.0, w)
+    w3 = coeffs * w1
+    return int(mask.sum()), float(np.sum(np.abs(w[mask]) ** 2)) / n, float(np.sum(np.abs(w1 - w3) ** 2)) / n

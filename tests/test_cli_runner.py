@@ -28,13 +28,32 @@ from wignerlab.cli_runner import (
     validate,
 )
 from wignerlab.ensembles import sample_trial
-from wignerlab.hermitian_core import blas_runtime_threads, eigenvalues_desc
-from wignerlab.reductions import rescale_to_row_bound, truncated_profile
+from wignerlab.hermitian_core import HermitianMatrix, blas_runtime_threads, eigenvalues_desc
+from wignerlab.reductions import auto_eta, rescale_to_row_bound, truncated_profile
 from wignerlab.spectral_measures import SemicircleLaw, esd, levy_distance
 from wignerlab.stieltjes import recursion_residual
 from wignerlab.streams import STREAM_LAYOUT
 
+from _oracles import chained_reduction_costs
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# reduce specs as config keys: the benchmark's banded Pareto spec, a complex law
+# (its real diagonal law makes the truncated profile explicit) and a constant_zero
+# diagonal; each c lies below some truncated row sums, so the rescale stage does work
+REDUCE_SPECS = {
+    "banded_pareto": {
+        "ensemble.preset": None, "ensemble.law": "pareto_symmetric", "ensemble.alpha": "2.5",
+        "ensemble.scale": "1", "ensemble.profile": "banded", "ensemble.band_width": "64",
+        "ensemble.band_inside": "1/n", "ensemble.band_outside": "5e-4", "reduce.eta": "auto", "reduce.c": "0.25",
+    },
+    "gaussian_complex": {
+        "ensemble.preset": None, "ensemble.law": "gaussian_complex", "reduce.eta": "0.15", "reduce.c": "0.3",
+    },
+    "constant_zero_diagonal": {
+        "ensemble.preset": None, "ensemble.law": "gaussian_real", "ensemble.diagonal_law": "constant_zero",
+        "reduce.eta": "0.25", "reduce.c": "0.7",
+    },
+}
 
 
 def make_config(command: str, out_dir: str, **overrides: str | None) -> ExperimentConfig:
@@ -345,7 +364,7 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: None)
     assert validate(complex_law) == []
     # each worker of trial_eigenvalues holds a block of ceil(512 / n) matrices;
-    # a reduce worker holds one
+    # a reduce worker holds one, beside the size's rescaling table
     blocks = make_config("simulate", str(tmp_path), sizes="64", trials="100", threads="3")
     block_need = 3 * 64 * 64 * 8 * 24 + 3 * worker + 100 * (64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need - 1)
@@ -354,8 +373,22 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     assert f"3 x {worker} bytes of worker temporaries" in validate(blocks)[0]
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need)
     assert validate(blocks) == []
-    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: 3 * 64 * 64 * 8 * 3 + 3 * worker)
+    reduce_need = 3 * 64 * 64 * 8 * 3 + 64 * 64 * 8 + 3 * worker
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: reduce_need - 1)
+    assert "3 concurrent 64x64 trial matrices" in validate(replace(blocks, command="reduce"))[0]
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: reduce_need)
     assert validate(replace(blocks, command="reduce")) == []
+    # building the table of a spec whose diagonal law differs from its entry law
+    # peaks above one worker's matrices and the table: eight n x n arrays
+    zero_diagonal = make_config(
+        "reduce", str(tmp_path), sizes="64", trials="1",
+        **{"ensemble.preset": None, "ensemble.law": "gaussian_real", "ensemble.diagonal_law": "constant_zero"},
+    )
+    build_need = 8 * 64 * 64 * 8 + worker
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: build_need - 1)
+    assert "or its build (8 x 64 x 64 x 8 bytes)" in validate(zero_diagonal)[0]
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: build_need)
+    assert validate(zero_diagonal) == []
     # from n = 512 up a block holds one trial and solves on the process's BLAS
     # threads: two trial threads over two BLAS threads solve one matrix at a time
     large = make_config("simulate", str(tmp_path), sizes="1024", trials="4", threads="2")
@@ -411,22 +444,32 @@ def test_validate_memory_preflight_counts_kept_spectra(tmp_path, monkeypatch, co
 
 
 @pytest.mark.parametrize(
-    "command, n, trials, threads",
+    "command, n, trials, threads, overrides",
     [
-        pytest.param("moments", 64, 4000, 1, id="moments"),
-        pytest.param("concentration", 64, 4000, 1, id="concentration"),
-        pytest.param("simulate", 256, 64, 1, id="simulate"),
-        pytest.param("simulate", 256, 64, 2, id="simulate-2_threads"),
+        pytest.param("moments", 64, 4000, 1, {}, id="moments"),
+        pytest.param("concentration", 64, 4000, 1, {}, id="concentration"),
+        pytest.param("simulate", 256, 64, 1, {}, id="simulate"),
+        pytest.param("simulate", 256, 64, 2, {}, id="simulate-2_threads"),
+    ]
+    + [
+        pytest.param("reduce", 512, 3, threads, REDUCE_SPECS[case], id=f"reduce-{case}-{threads}_threads")
+        for case in REDUCE_SPECS
+        for threads in (1, 2)
     ],
 )
-def test_command_peak_memory_within_the_counted_copies(tmp_path, command, n, trials, threads):
+def test_command_peak_memory_within_the_counted_copies(tmp_path, command, n, trials, threads, overrides):
     """A whole run stays within the memory preflight's own total for its config:
     the workers' blocks of trial matrices, the stream keys and the copies of the
     (trials, n) spectra array.  For moments and concentration the array with
     moments' eigs**k or concentration's ramp values also stays within their
     counted copies alone.  simulate's rows are written as they come, and at
-    n = 256 each worker holds a block of two trial matrices."""
-    config = make_config(command, str(tmp_path), sizes=str(n), trials=str(trials), threads=str(threads))
+    n = 256 each worker holds a block of two trial matrices.  reduce holds its
+    rescaling table beside each worker's sample and cost pass, after the
+    table's build, which peaks higher when the truncated profile is explicit
+    (complex law, constant_zero diagonal)."""
+    config = make_config(
+        command, str(tmp_path), sizes=str(n), trials=str(trials), threads=str(threads), **overrides
+    )
     need, _ = cli_runner._memory_need(config, config.ensemble.build(n, config.seed))
     tracemalloc.start()
     try:
@@ -435,7 +478,7 @@ def test_command_peak_memory_within_the_counted_copies(tmp_path, command, n, tri
     finally:
         tracemalloc.stop()
     assert peak <= need
-    if command != "simulate":
+    if command in ("moments", "concentration"):
         assert peak <= cli_runner._KEPT_SPECTRA[command] * trials * n * 8
 
 
@@ -900,6 +943,51 @@ def test_run_reduce_coefficient_range_skips_zero_variance_entries(tmp_path):
     assert coeffs[63, 63] == 1.0 and profile.matrix(64)[63, 63] == 0.0
     assert (float(rows[0][8]), float(rows[0][9])) == (float(live.min()), float(live.max()))
     assert float(rows[0][9]) == pytest.approx(0.98126, abs=1e-5)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize(
+    "case, sizes",
+    [("banded_pareto", "100, 333"), ("gaussian_complex", "64, 200"), ("constant_zero_diagonal", "64, 200")],
+)
+def test_run_reduce_rows_equal_the_stage_chain(tmp_path, case, sizes, threads):
+    """Every reduce.csv row's count and costs are, bit for bit, those of the stage
+    chain on the trial's sample: the truncated matrix built whole, then c times
+    it, then their difference and its sum of squared moduli."""
+    config = make_config("reduce", str(tmp_path), sizes=sizes, trials="3", threads=str(threads), **REDUCE_SPECS[case])
+    run(config)
+    _, rows = read_csv(tmp_path / "reduce.csv")
+    assert len(rows) == 3 * len(config.sizes)
+    tables = {}
+    for row in rows:
+        n, trial, eta = int(row[0]), int(row[1]), float(row[2])
+        spec = config.ensemble.build(n, config.seed)
+        assert eta == (auto_eta(spec) if config.eta is None else config.eta)
+        if n not in tables:
+            tables[n] = rescale_to_row_bound(truncated_profile(spec, eta), n, config.c_bound)
+        want = chained_reduction_costs(sample_trial(spec, trial).entries, eta, tables[n])
+        assert (int(row[3]), float(row[5]), float(row[7])) == want, row
+        assert float(row[4]) == float(row[6]) == 0.0
+    assert all(int(row[3]) > 0 and float(row[7]) > 0.0 for row in rows)
+
+
+def test_run_reduce_builds_only_the_samples(tmp_path, monkeypatch):
+    """Each trial builds one HermitianMatrix, its sample, through ``_trusted``; the
+    costs are read off it, with no truncated or rescaled matrix built."""
+    built = []
+    trusted = HermitianMatrix._trusted.__func__
+
+    def counting(cls, a):
+        built.append(a.shape)
+        return trusted(cls, a)
+
+    def checked(self):
+        raise AssertionError("reduce built a matrix through the checked constructor")
+
+    monkeypatch.setattr(HermitianMatrix, "_trusted", classmethod(counting))
+    monkeypatch.setattr(HermitianMatrix, "__post_init__", checked)
+    run(make_config("reduce", str(tmp_path), sizes="16, 32", trials="4", threads="2"))
+    assert sorted(built) == [(16, 16)] * 4 + [(32, 32)] * 4
 
 
 def test_run_every_command_emits_header_and_manifest(tmp_path):

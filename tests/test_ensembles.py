@@ -932,8 +932,9 @@ def test_trial_block_peak_memory_per_held_matrix(law, n):
     matrices' bytes: the fill is placed one row at a time, so beyond the stack
     the placement holds a row of every slot and the gathered diagonal.
 
-    Measured at n = 16, 32, 64: 1.40, 1.20, 1.18 real and 1.29, 1.15, 1.53
-    complex; the complex n = 64 peak is ``_mirror_lower``'s band copy.
+    Measured at n = 16, 32, 64: 1.40, 1.20, 1.18 real and 1.29, 1.15, 1.08
+    complex.  The complex n = 64 peak read 1.53 while ``_mirror_lower``
+    conjugated a band across the whole stack, which numpy copied first.
     Placing runs of short rows through a shared flat-index table measured
     3.30, 3.11, 2.03 real and 3.01, 3.04, 1.54 complex.
     """
@@ -950,6 +951,36 @@ def test_trial_block_peak_memory_per_held_matrix(law, n):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * held, peak / held
+
+
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [((8, 64, 64), np.complex128), ((4, 128, 128), np.float64), ((1, 1024, 1024), np.float64), ((1, 512, 512), np.complex128)],
+    ids=("complex-8x64", "real-4x128", "real-1x1024", "complex-1x512"),
+)
+def test_mirror_peak_memory_is_bounded(shape, dtype):
+    """``_mirror_lower``'s own peak is one band's diagonal-block temporary
+    (``_MIRROR_TEMP_BYTES``, or one matrix's block when larger) and at most
+    ``_MIRROR_TEMP_BYTES`` more, at any stack and size.
+
+    Measured: 17,560 B complex (8, 64, 64), 33,944 B real (4, 128, 128),
+    34,040 B real n = 1024.  Conjugating a band across the whole stack in
+    one call peaked at 263,400, 132,328 and 132,520 B: numpy copied the
+    source of a stack first, and buffered 8,192 elements per operand.
+    """
+    import tracemalloc
+
+    w = np.zeros(shape, dtype)
+    ensembles._mirror_lower(w)  # the first call in a process also allocates one-time state
+    tracemalloc.start()
+    try:
+        ensembles._mirror_lower(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    band = _MIRROR_BAND_BYTES // w.itemsize
+    block = min(band, shape[-1]) ** 2 * w.itemsize
+    assert peak <= max(ensembles._MIRROR_TEMP_BYTES, block) + ensembles._MIRROR_TEMP_BYTES, peak
 
 
 # ---------------------------------------------------------------------------
