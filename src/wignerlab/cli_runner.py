@@ -83,13 +83,16 @@ _KEPT_SPECTRA = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3
 # derives it in fixed chunks, so its own temporaries stay near 100 kB)
 _KEY_BYTES = 16
 # a held trial matrix's bytes, in matrices: what tracemalloc sees of the matrix and
-# its sampling, mirror and check temporaries, plus the working copy numpy's eigvalsh
-# makes for LAPACK outside tracemalloc's view (0.001 x an n = 1024 matrix under
-# tracemalloc; VmHWM of a complex n = 2048 solve reads the 64 MB stack plus a 64 MB
-# copy).  trial_eigenvalues' tracemalloc peak per held matrix is at most 1.78 from
-# n = 8 up (1.53 at n = 64, 1.28 at n = 128, 1.13 at n = 1024), so there 3 covers it
-# and the copy.  A reduce worker's sample, with the cost pass's difference array and
-# masks beside it, peaks at 2.6 matrices (complex; 2.3 real), also within 3
+# its sampling, mirror and check temporaries, plus any copy LAPACK solves outside
+# tracemalloc's view.  A block of more than one trial (n < 512) is one eigvalsh call,
+# which copies one of its matrices at a time; a block of one is solved in place, and
+# its trial raises VmHWM by 1.06-1.13 matrices from n = 512 to 2048, real and complex
+# (2.02-2.12 while eigvalsh copied it).  trial_eigenvalues' tracemalloc peak per held
+# matrix is at most 1.78 from n = 8 up (1.18 at n = 64, 1.14 at n = 128, 1.13 from
+# n = 256 up).  A reduce worker's sample, with the cost pass's difference array and
+# masks beside it, peaks at 2.6 matrices (complex; 2.3 real).  One count serves every
+# command and size, and reduce needs 3, so it stays 3 and the preflight accepts
+# exactly the runs it did when every lone solve copied its matrix
 _MATRIX_COPIES = 3
 # the peak of building reduce's per-size rescaling table, in n x n float64 arrays:
 # 7.13-7.22 from n = 64 to 1024 when the diagonal law differs from the entry law (a

@@ -49,8 +49,8 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
-# trial_eigenvalues solves blocks of ceil(SMALL_N / n) trials per eigvalsh
-# call, so below this size a block holds more than one trial
+# trial_eigenvalues solves blocks of ceil(SMALL_N / n) trials at a time, so
+# below this size a block holds more than one trial
 SMALL_N = 512
 # bytes of a row per band of the lower-triangle mirror in sample: 64 real or
 # 32 complex columns, the fastest band widths measured at n = 1024, 2048, 4096
@@ -565,8 +565,8 @@ def solve_workers(n: int, threads: int) -> int:
     A block of more than one trial solves on one BLAS thread, so `threads`
     blocks run at once.  A block of one solves on the process's b OpenBLAS
     threads, so only max(1, threads // b) run at once: more would share the
-    cores b times over, each with its matrix and LAPACK's copy of it.  When
-    b cannot be read, `threads` blocks run.
+    cores b times over, each holding its matrix.  When b cannot be read,
+    `threads` blocks run.
     """
     blas = blas_runtime_threads() if trial_block(n) == 1 else None
     return threads if blas is None else max(1, threads // blas)
@@ -584,8 +584,11 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     placement (one slice write per row across every slot), mirror and checks
     run once for the block.  The keys come from one ``stream_keys`` pass per
     call, replayed by each block through one reused generator
-    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The stack is then one ``eigvalsh`` call that releases
-    the GIL (``eigenvalues_desc_stacked``), and each row has the bytes of
+    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The stack is then
+    solved with the GIL released (``eigenvalues_desc_stacked``): a block of
+    more than one trial by one ``eigvalsh`` call on copies of its matrices, a
+    block of one by LAPACK's routine on the sample itself, which it
+    overwrites.  Each row has the bytes of
     ``eigenvalues_desc(sample_trial(spec, t))`` under the same BLAS threads.
     Block boundaries depend only on n and the trial index, so the result
     does not depend on `threads`.  A block of more than one trial (n below

@@ -20,7 +20,12 @@ sampler behind ``ensembles.trial_eigenvalues`` (``ensembles._sample_stack``)
 produces a fresh (B, n, n) stack of such mirrors, B = 1 from n = 512 up,
 and hands it straight to ``eigenvalues_desc_stacked``, which applies the
 same checks to the whole stack through one shared helper; no
-``HermitianMatrix`` is built for any trial of the eigenvalue path.
+``HermitianMatrix`` is built for any trial of the eigenvalue path.  A stack
+of more than one matrix is one ``eigvalsh`` call, which solves a copy of
+each matrix.  A lone matrix is handed to the LAPACK routine ``eigvalsh``
+calls, found through ``ctypes`` in the OpenBLAS bundled with numpy, and is
+overwritten in place: its solve holds one matrix, not two, and gives the
+same bytes.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _checked_fresh(a: np.ndarray) -> np.ndarray:
-    """``_trusted``'s checks on a fresh matrix or stack of them, made read-only.
+    """``_trusted``'s checks on a fresh matrix or stack of them.
 
     Rejects non-finite entries, stores float64 or complex128, and demotes
     complex storage with no imaginary part anywhere in ``a`` to real.
@@ -64,7 +69,7 @@ def _checked_fresh(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real.copy()
-    return _readonly(a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,7 @@ class HermitianMatrix:
         becomes read-only in place.  Only finiteness is checked.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "entries", _checked_fresh(a))
+        object.__setattr__(self, "entries", _readonly(_checked_fresh(a)))
         return self
 
     @property
@@ -148,17 +153,80 @@ def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
 
 
 def eigenvalues_desc_stacked(stack: np.ndarray) -> np.ndarray:
-    """Rows of ``eigenvalues_desc`` of each matrix in a fresh (B, n, n) stack, from one ``eigvalsh`` call.
+    """Rows of ``eigenvalues_desc`` of each matrix in a fresh (B, n, n) stack.
 
     For in-package producers only, as ``HermitianMatrix._trusted``: each
-    matrix must be an exact conjugate mirror with a real diagonal, and the
-    stack gets ``_trusted``'s checks (finite entries, real storage when no
-    entry has an imaginary part).  LAPACK solves a stack one matrix at a
-    time with the routine and workspace of a single call, so each spectrum
-    has the bytes of ``eigenvalues_desc`` on that matrix; numpy releases the
-    GIL for the whole stack once B times n reaches 512.
+    matrix must be an exact conjugate mirror with a real diagonal, no one
+    else may hold the stack, and it gets ``_trusted``'s checks (finite
+    entries, real storage when no entry has an imaginary part).  A stack of
+    more than one matrix is one ``eigvalsh`` call: LAPACK solves it one
+    matrix at a time, each on numpy's copy of it, with the routine and
+    workspace of a single call, and numpy releases the GIL for the whole
+    stack once B times n reaches 512.  A lone matrix in a writable C-order
+    stack goes straight to that routine, which overwrites it
+    (``_eigvalsh_in_place``), so no copy of it is made; without the routine
+    it is an ``eigvalsh`` call too.  Either way each spectrum has the bytes
+    of ``eigenvalues_desc`` on that matrix.
     """
-    return _readonly(np.linalg.eigvalsh(_checked_fresh(stack))[:, ::-1].copy())
+    stack = _checked_fresh(stack)
+    if len(stack) == 1 and stack.flags.carray and _lapack_evd() is not None:
+        ascending = _eigvalsh_in_place(stack[0])[None]
+    else:
+        ascending = np.linalg.eigvalsh(stack)
+    return _readonly(ascending[:, ::-1].copy())
+
+
+def _eigvalsh_in_place(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` from the LAPACK routine it calls, run on ``a``'s own buffer.
+
+    ``a`` is a fresh C-order (n, n) exact conjugate mirror, which the
+    routine overwrites.  Numpy gives ``?syevd`` or ``?heevd`` (jobz 'N',
+    uplo 'L') a Fortran-order copy of the matrix; read as Fortran, ``a`` is
+    its own transpose, the conjugate of the matrix, so a complex ``a`` is
+    conjugated in place first and LAPACK reads the values of numpy's copy.
+    The workspaces come from the same size query as numpy's and belong to
+    this call; ``ctypes`` releases the GIL while the routine runs.
+    """
+    is_complex = np.iscomplexobj(a)
+    routine = _lapack_evd()[is_complex]
+    if is_complex:
+        np.conjugate(a, out=a)
+    n = a.shape[0]
+    w = np.empty(n)
+
+    def call(*workspaces: tuple[np.ndarray, int]) -> None:
+        """The routine with a (buffer, length) each for work, rwork (``?heevd`` only) and iwork."""
+        info = ctypes.c_int64()
+        sized = (x for buf, length in workspaces for x in (buf.ctypes.data, _int_ref(length)))
+        routine(b"N", b"L", _int_ref(n), a.ctypes.data, _int_ref(n), w.ctypes.data, *sized, ctypes.pointer(info))
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    query = [np.zeros(1, dtype) for dtype in ((a.dtype, np.float64, np.int64) if is_complex else (a.dtype, np.int64))]
+    call(*((q, -1) for q in query))
+    lengths = [int(q[0].real) for q in query]
+    call(*((np.empty(length, q.dtype), length) for q, length in zip(query, lengths)))
+    return w
+
+
+def _int_ref(value: int):
+    """A pointer to a fresh 64-bit LAPACK integer holding ``value``."""
+    return ctypes.pointer(ctypes.c_int64(value))
+
+
+def _bundled(name: str) -> str:
+    """``name`` as the OpenBLAS bundled with numpy's wheels exports it (64-bit integers)."""
+    return f"scipy_{name}64_"
+
+
+@functools.cache
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """Numpy's core extension as a ``ctypes`` library, through which the OpenBLAS
+    it links resolves; None if it cannot be opened."""
+    try:
+        return ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
 
 
 @functools.cache
@@ -169,17 +237,39 @@ def _openblas_thread_calls():
     reaches: the OpenBLAS bundled with numpy's wheels exports them with a
     ``scipy_`` prefix and a ``64_`` suffix, a system OpenBLAS without.
     """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
+    lib = _numpy_openblas()
+    if lib is None:
         return None
-    for stem in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+    for stem in (_bundled("openblas_{}_num_threads"), "openblas_{}_num_threads"):
         get, put = (getattr(lib, stem.format(verb), None) for verb in ("get", "set"))
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int64)
+# (jobz, uplo, n, a, lda, w), then per workspace (buffer, length), then info
+_EVD_HEAD = [ctypes.c_char_p, ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, ctypes.c_void_p]
+
+
+@functools.cache
+def _lapack_evd():
+    """(dsyevd, zheevd) of the OpenBLAS bundled with numpy, indexed by complexity, or None.
+
+    These are the routines numpy's ``eigvalsh`` calls, found by the name
+    rule of ``_openblas_thread_calls`` on the same library; a system
+    OpenBLAS, whose integer width is unknown, gives None.
+    """
+    lib = _numpy_openblas()  # None resolves no name
+    routines = tuple(getattr(lib, _bundled(name), None) for name in ("dsyevd_", "zheevd_"))
+    if None in routines:
+        return None
+    for routine, workspaces in zip(routines, (2, 3)):
+        routine.argtypes = _EVD_HEAD + [ctypes.c_void_p, _INT_P] * workspaces + [_INT_P]
+        routine.restype = None
+    return routines
 
 
 class _SingleThreadSection:

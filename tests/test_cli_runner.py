@@ -1206,16 +1206,31 @@ def test_main_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_main_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
-    """A LAPACK convergence failure inside a trial is an error line, not a traceback."""
+    """A LAPACK convergence failure inside a trial is an error line, not a traceback:
+    from numpy's eigvalsh on a block of 32 trials at n = 16, and from the routine
+    a lone matrix at n = 512 goes to, here a fake that reports info = 1."""
+    from wignerlab import hermitian_core
 
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    assert main(["simulate", "--config", str(write_config(tmp_path))]) == 3
-    err = capsys.readouterr().err
-    assert err == "error: eigensolver failed: Eigenvalues did not converge\n"
-    assert not (tmp_path / "results" / "manifest.json").exists()
+    calls = []
+
+    def routine_no_convergence(*args):
+        calls.append(args)
+        args[-1][0] = 1  # info
+
+    for size, target, name, fake in (
+        ("16", np.linalg, "eigvalsh", no_convergence),
+        ("512", hermitian_core, "_lapack_evd", lambda: (routine_no_convergence, routine_no_convergence)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fake)
+            assert main(["simulate", "--config", str(write_config(tmp_path, sizes=size))]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: eigensolver failed: Eigenvalues did not converge\n"
+        assert not (tmp_path / "results" / "manifest.json").exists()
+    assert calls
 
 
 def test_run_reduce_builds_rescale_table_once_per_size(tmp_path, monkeypatch):

@@ -6,10 +6,16 @@ drawn by the laws' own samplers (3 s.e. budgets, fixed seeds).
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,16 +582,30 @@ def test_sample_trial_rejects_negative_index():
 # ---------------------------------------------------------------------------
 
 
-# (law, diagonal law, banded profile) by id; the block sampler places every law
+def _uniform(n):
+    return VarianceProfile.uniform(1.0 / n)
+
+
+def _banded(n):
+    return VarianceProfile.banded(max(1, n // 8), 1.0 / n, 0.1 / n)
+
+
+def _diagonal_only(n):
+    return VarianceProfile.banded(0, 1.0)
+
+
+# (law, diagonal law, profile of n) by id; the block sampler places every law
 TRIAL_CASES = {
-    "gaussian_real": (EntryLaw.gaussian_real(), None, False),
-    "gaussian_complex": (EntryLaw.gaussian_complex(), None, False),
-    "rademacher_scaled": (EntryLaw.rademacher(), None, False),
-    "pareto_symmetric": (EntryLaw.pareto_symmetric(2.5, 1.0), None, False),
-    "gaussian_real-zero_diagonal": (EntryLaw.gaussian_real(), EntryLaw.constant_zero(), False),
-    "gaussian_complex-zero_diagonal": (EntryLaw.gaussian_complex(), EntryLaw.constant_zero(), False),
-    "gaussian_real-banded": (EntryLaw.gaussian_real(), None, True),
-    "gaussian_complex-banded": (EntryLaw.gaussian_complex(), None, True),
+    "gaussian_real": (EntryLaw.gaussian_real(), None, _uniform),
+    "gaussian_complex": (EntryLaw.gaussian_complex(), None, _uniform),
+    "rademacher_scaled": (EntryLaw.rademacher(), None, _uniform),
+    "pareto_symmetric": (EntryLaw.pareto_symmetric(2.5, 1.0), None, _uniform),
+    "gaussian_real-zero_diagonal": (EntryLaw.gaussian_real(), EntryLaw.constant_zero(), _uniform),
+    "gaussian_complex-zero_diagonal": (EntryLaw.gaussian_complex(), EntryLaw.constant_zero(), _uniform),
+    "gaussian_real-banded": (EntryLaw.gaussian_real(), None, _banded),
+    "gaussian_complex-banded": (EntryLaw.gaussian_complex(), None, _banded),
+    # a diagonal of +-1: every eigenvalue is tied with about half the others
+    "rademacher-ties": (EntryLaw.rademacher(), EntryLaw.rademacher(), _diagonal_only),
 }
 
 
@@ -594,28 +614,37 @@ def _trial_params():
         # the non-gaussian cases run on two trial threads, the harder schedule
         for case in TRIAL_CASES:
             for threads in (1, 2) if case in ("gaussian_real", "gaussian_complex") else (2,):
-                yield pytest.param(n, case, threads, 23, id=f"{n}-{case}-{threads}")
+                yield pytest.param(n, case, threads, 23, True, True, id=f"{n}-{case}-{threads}")
     # the largest seed has two entropy words where 23 has one
     for n in (1, 3, 100):
         for case in TRIAL_CASES:
-            yield pytest.param(n, case, 2, 2**64 - 1, id=f"{n}-{case}-2-seed_max")
-    yield pytest.param(SMALL_N, "gaussian_real", 2, 2**64 - 1, id=f"{SMALL_N}-gaussian_real-2-seed_max")
+            yield pytest.param(n, case, 2, 2**64 - 1, True, True, id=f"{n}-{case}-2-seed_max")
+    yield pytest.param(SMALL_N, "gaussian_real", 2, 2**64 - 1, True, True, id=f"{SMALL_N}-gaussian_real-2-seed_max")
+    # blocks of one solve in place: a size that is no power of two, the
+    # default BLAS threading on both sides, and numpy's eigvalsh without the routine
+    yield pytest.param(600, "gaussian_complex", 2, 23, True, True, id="600-gaussian_complex-2")
+    for n, case in ((SMALL_N, "gaussian_real"), (600, "gaussian_complex")):
+        yield pytest.param(n, case, 2, 23, False, True, id=f"{n}-{case}-2-default_blas")
+        yield pytest.param(n, case, 2, 23, True, False, id=f"{n}-{case}-2-no_lapack_lookup")
 
 
-@pytest.mark.parametrize("n, case, threads, seed", _trial_params())
-def test_trial_eigenvalues_equal_per_trial_solves(n, case, threads, seed):
+@pytest.mark.parametrize("n, case, threads, seed, one_blas_thread, lapack", _trial_params())
+def test_trial_eigenvalues_equal_per_trial_solves(monkeypatch, n, case, threads, seed, one_blas_thread, lapack):
     """One read-only (trials, n) array whose rows have the bytes of each trial's
-    own eigenvalues_desc call under one BLAS thread.
+    own eigenvalues_desc call under the same BLAS threads: one, or from
+    SMALL_N up also the process's own count.
 
     Two full blocks of ceil(SMALL_N / n) trials and one more trial (blocks of
-    one from SMALL_N up).
+    one from SMALL_N up, which overwrite the sample in LAPACK's routine, or
+    copy it in numpy's eigvalsh when the routine's lookup finds nothing).
     """
-    law, diagonal, banded = TRIAL_CASES[case]
+    law, diagonal, profile = TRIAL_CASES[case]
     block = -(-SMALL_N // n)
     trials = 2 * block + 1
-    profile = VarianceProfile.banded(max(1, n // 8), 1.0 / n, 0.1 / n) if banded else VarianceProfile.uniform(1.0 / n)
-    spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=seed)
-    with single_blas_thread():
+    spec = EnsembleSpec(n, law, profile(n), diagonal_law=diagonal, seed=seed)
+    if not lapack:
+        monkeypatch.setattr(hermitian_core, "_lapack_evd", lambda: None)
+    with single_blas_thread() if one_blas_thread else contextlib.nullcontext():
         got = trial_eigenvalues(spec, trials, threads)
         want = [eigenvalues_desc(sample_trial(spec, t)) for t in range(trials)]
     assert isinstance(got, np.ndarray) and got.shape == (trials, n) and got.dtype == np.float64
@@ -779,6 +808,93 @@ def test_trial_eigenvalues_from_small_n_up_do_not_depend_on_threads(n, law):
     one = trial_eigenvalues(spec, 3, threads=1)
     two = trial_eigenvalues(spec, 3, threads=2)
     assert [a.tobytes() for a in one] == [b.tobytes() for b in two]
+
+
+def _run_python(code: str, **env: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports this wignerlab."""
+    src = str(Path(ensembles.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_lone_solve_holds_one_matrix():
+    """A lone complex n = 1024 trial raises the process's VmHWM by under 1.5 x
+    its matrix: LAPACK overwrites the sample instead of a copy of it.
+
+    Measured: 1.06 complex and 1.13 real at n = 1024, 1.06 and 1.12 at
+    n = 2048.  Numpy's eigvalsh, which solves a copy, read 2.06 and 2.03 at
+    n = 1024 and 2.03 at n = 2048.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            if not any(line.startswith("VmHWM:") for line in fh):
+                pytest.skip("/proc/self/status has no VmHWM")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    ratio = _run_python(
+        """
+        from wignerlab.ensembles import EntryLaw, trial_eigenvalues, wigner_unit_spec
+
+        def status(key):
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key + ":"))
+
+        law = EntryLaw.gaussian_complex()
+        trial_eigenvalues(wigner_unit_spec(64, law, seed=1), 1)  # imports and one-time state
+        before = status("VmRSS")
+        trial_eigenvalues(wigner_unit_spec(1024, law, seed=1), 1)
+        print((status("VmHWM") - before) / (1024 * 1024 * 16))
+        """
+    )
+    assert float(ratio) < 1.5, ratio
+
+
+def test_lone_solves_in_place_run_two_at_once():
+    """Under OPENBLAS_NUM_THREADS=1 two blocks of one solve at once, each in
+    place with its own workspaces: four trials at SMALL_N on two trial threads
+    give the bytes of one, real and complex, and the LAPACK calls overlap, so
+    ``ctypes`` released the GIL while they ran."""
+    _run_python(
+        f"""
+        import threading
+        import time
+
+        from wignerlab import ensembles, hermitian_core
+        from wignerlab.ensembles import EntryLaw, trial_eigenvalues, wigner_unit_spec
+
+        assert ensembles.solve_workers({SMALL_N}, 2) == 2
+        routines = hermitian_core._lapack_evd()
+        assert routines is not None
+        lock, spans = threading.Lock(), []
+
+        def timed(routine):
+            def call(*args):
+                start = time.perf_counter()
+                routine(*args)
+                with lock:
+                    spans.append((start, time.perf_counter()))
+            return call
+
+        hermitian_core._lapack_evd = lambda: tuple(timed(routine) for routine in routines)
+        for law in (EntryLaw.gaussian_real(), EntryLaw.gaussian_complex()):
+            spec = wigner_unit_spec({SMALL_N}, law, seed=7)
+            one = trial_eigenvalues(spec, 4, threads=1)
+            spans.clear()
+            two = trial_eigenvalues(spec, 4, threads=2)
+            assert one.tobytes() == two.tobytes()
+            spans.sort()
+            assert any(start < end for (_, end), (start, _) in zip(spans, spans[1:])), spans
+        """,
+        OPENBLAS_NUM_THREADS="1",
+    )
 
 
 ONE_FILL_LAWS = (

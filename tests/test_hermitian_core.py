@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from _oracles import charpoly_eigenvalues, random_hermitian
 from wignerlab.ensembles import EnsembleSpec, EntryLaw, VarianceProfile, sample_trial
+from wignerlab import hermitian_core
 from wignerlab.hermitian_core import (
     HermitianMatrix,
     eigenvalues_desc,
+    eigenvalues_desc_stacked,
     frobenius_norm,
     numeric_rank,
     principal_minor,
@@ -289,6 +291,47 @@ def test_trusted_path_rejects_non_finite_entries():
     big = HermitianMatrix._trusted(np.array([[1e308, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
         big + big
+
+
+# -- lone matrices solved in place ---------------------------------------------
+
+@pytest.mark.parametrize("complex_entries", (False, True), ids=("real", "complex"))
+def test_lone_stack_has_eigenvalues_desc_bytes(monkeypatch, rng, complex_entries):
+    """A stack of one is solved by LAPACK's routine on its own buffer, which,
+    read as Fortran, holds the values of numpy's copy of the matrix, and gives
+    the bytes of eigenvalues_desc, whose eigvalsh solves that copy, at every
+    n.  A read-only stack goes to eigvalsh and keeps its bytes."""
+    routines, fortran_reads = hermitian_core._lapack_evd(), []
+    if routines is not None:
+
+        def reading(routine):
+            def call(*args):
+                fortran_reads.append(np.array_equal(stack[0].T, m.entries))
+                routine(*args)
+
+            return call
+
+        monkeypatch.setattr(hermitian_core, "_lapack_evd", lambda: tuple(map(reading, routines)))
+    for n in range(1, 65):
+        m = HermitianMatrix(random_hermitian(rng, n, complex_entries=complex_entries))
+        want, entries = eigenvalues_desc(m).tobytes(), m.entries.tobytes()
+        stack = m.entries.copy()[None]
+        got = eigenvalues_desc_stacked(stack)
+        assert got.shape == (1, n) and not got.flags.writeable
+        assert got[0].tobytes() == want, n
+        assert eigenvalues_desc_stacked(m.entries[None])[0].tobytes() == want
+        assert m.entries.tobytes() == entries
+    assert all(fortran_reads) and len(fortran_reads) == (0 if routines is None else 2 * 64)
+
+
+def test_lapack_lookup_resolves_beside_the_bundled_thread_calls():
+    """Where the thread calls resolve under the names of the OpenBLAS bundled
+    with numpy's wheels, so do its dsyevd and zheevd: a numpy that drops them
+    would silently copy every lone matrix again."""
+    calls = hermitian_core._openblas_thread_calls()
+    if calls is None or not calls[0].__name__.startswith("scipy_"):
+        pytest.skip("numpy's BLAS is not the OpenBLAS bundled with its wheels")
+    assert hermitian_core._lapack_evd() is not None
 
 
 # -- spectral inequalities ----------------------------------------------------
