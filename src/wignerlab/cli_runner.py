@@ -82,25 +82,21 @@ _KEPT_SPECTRA = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3
 # bytes per trial of trial_eigenvalues' Philox key table (streams.stream_keys
 # derives it in fixed chunks, so its own temporaries stay near 100 kB)
 _KEY_BYTES = 16
-# a held trial matrix's bytes, in matrices: what tracemalloc sees of the matrix and
-# its sampling, mirror and check temporaries, plus any copy LAPACK solves outside
-# tracemalloc's view.  A block of more than one trial (n < 512) is one eigvalsh call,
-# which copies one of its matrices at a time; a block of one is solved in place, and
-# its trial raises VmHWM by 1.06-1.13 matrices from n = 512 to 2048, real and complex
-# (2.02-2.12 while eigvalsh copied it).  trial_eigenvalues' tracemalloc peak per held
-# matrix is at most 1.78 from n = 8 up (1.18 at n = 64, 1.14 at n = 128, 1.13 from
-# n = 256 up).  A reduce worker's sample, with the cost pass's difference array and
-# masks beside it, peaks at 2.6 matrices (complex; 2.3 real).  One count serves every
-# command and size, and reduce needs 3, so it stays 3 and the preflight accepts
-# exactly the runs it did when every lone solve copied its matrix
-_MATRIX_COPIES = 3
+# a held trial matrix's bytes, in matrices: what tracemalloc sees of the matrix and its
+# sampling, mirror and check temporaries, plus any copy LAPACK solves outside its view.
+# trial_eigenvalues' tracemalloc peak per held matrix is at most 1.79 (n = 8; 1.13
+# from n = 256 up).  A block of B > 1 trials (n < 512) is one eigvalsh call, which
+# copies one matrix at a time, so a fresh process's VmHWM rises by at most 1.60 per
+# held matrix (n = 256 to 511, B = 2); a block of one is solved in place and raises
+# it by 1.06-1.13 matrices from n = 512 to 2048.  A reduce worker's sample, with the
+# cost pass's difference array and masks beside it, peaks at 2.6 (complex; 2.3 real)
+_TRIAL_COPIES, _REDUCE_COPIES = 2, 3
 # the peak of building reduce's per-size rescaling table, in n x n float64 arrays:
-# 7.13-7.22 from n = 64 to 1024 when the diagonal law differs from the entry law (a
-# complex law or a non-default diagonal law), since the truncated profile is then
-# explicit, with its values, its index table and the sort that finds its levels;
-# at most 3.0 from n = 256 up otherwise (4.07 at n = 64, within the worker bytes);
-# rounded up.  Afterwards the table alone, one array, stays for the size's trials
-_TABLE_COPIES = {True: 8, False: 3}
+# the truncated variances, the table and their masks, 2.13-2.17 from n = 64 up for
+# every law and diagonal law (3.07 for banded profiles at n = 64, within the worker
+# bytes); rounded up.  Afterwards the table alone, one array, stays for the size's
+# trials beside the workers' matrices, which already count more
+_TABLE_COPIES = 3
 # bytes each busy worker holds beside its matrices: below n = 8 a block's matrices
 # weigh less than the fixed temporaries around them (deriving the stream keys of
 # 512 trials peaks at 60 kB), so there trial_eigenvalues' tracemalloc peak passes
@@ -389,12 +385,13 @@ def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str
     n, trials = spec.n, config.trials
     itemsize = 16 if spec.law.is_complex else 8
     copies = _KEPT_SPECTRA.get(config.command, 0)
-    block, workers = (trial_block(n), solve_workers(n, config.threads)) if copies else (1, config.threads)
+    trial_path = (trial_block(n), solve_workers(n, config.threads), _TRIAL_COPIES)
+    block, workers, matrix_copies = trial_path if copies else (1, config.threads, _REDUCE_COPIES)
     workers = min(workers, -(-trials // block))
     matrices = min(workers * block, trials)
     kept = trials * (copies * n * 8 + _KEY_BYTES) if copies else 0
     held = (
-        f"{matrices} concurrent {n}x{n} trial matrices of {itemsize}-byte entries ({_MATRIX_COPIES} copies each)"
+        f"{matrices} concurrent {n}x{n} trial matrices of {itemsize}-byte entries ({matrix_copies} copies each)"
         f" and {workers} x {_WORKER_BYTES} bytes of worker temporaries"
     )
     if kept:
@@ -402,11 +399,10 @@ def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str
             f" and {kept} bytes of {trials} trials' kept spectra "
             f"({copies} x {n} x 8 bytes each) and stream keys ({_KEY_BYTES} bytes each)"
         )
-    need = _MATRIX_COPIES * n * n * itemsize * matrices + kept
+    need = matrix_copies * n * n * itemsize * matrices + kept
     if config.command == "reduce":
-        table = _TABLE_COPIES[spec.effective_diagonal_law != spec.law]
-        held += f" beside the {n}x{n} rescaling table, or its build ({table} x {n} x {n} x 8 bytes) if larger"
-        need = max(need + n * n * 8, table * n * n * 8)
+        held += f" beside the {n}x{n} rescaling table, or its build ({_TABLE_COPIES} x {n} x {n} x 8 bytes) if larger"
+        need = max(need + n * n * 8, _TABLE_COPIES * n * n * 8)
     return need + _WORKER_BYTES * workers, held
 
 
@@ -722,18 +718,16 @@ def _cmd_concentration(config: ExperimentConfig, out: Path) -> list[Path]:
 
 
 def _reduce_table(spec: EnsembleSpec, eta: float, c_bound: float) -> tuple[np.ndarray, tuple[float, float]]:
-    """The read-only rescaling table of one size and its (min, max) over the entries
-    with variance to rescale: a zero-variance entry's c rescales nothing.  Only a
-    profile with a zero level pays for the n x n mask, and the truncated profile, the
-    mask and its gather are dropped on return, before any trial runs."""
-    profile = truncated_profile(spec, eta)
-    coeffs = rescale_to_row_bound(profile, spec.n, c_bound)
+    """The read-only rescaling table of one size and its (min, max) over the entries with
+    variance to rescale (all, when none has): a zero-variance entry's c rescales nothing.
+    The variances and the mask, read through ``where=``, are dropped before any trial."""
+    variances = truncated_profile(spec, eta)
+    coeffs = rescale_to_row_bound(variances, c_bound)
     coeffs.setflags(write=False)
-    rescaled = coeffs
-    if (profile.levels == 0.0).any():
-        live = profile.matrix(spec.n) > 0.0
-        rescaled = coeffs[live] if live.any() else coeffs
-    return coeffs, (float(rescaled.min()), float(rescaled.max()))
+    live = variances > 0.0
+    if not live.any():
+        live = True
+    return coeffs, (float(coeffs.min(where=live, initial=np.inf)), float(coeffs.max(where=live, initial=-np.inf)))
 
 
 def _cmd_reduce(config: ExperimentConfig, out: Path) -> list[Path]:

@@ -295,6 +295,19 @@ class EntryLaw:
         return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
 
 
+def _checked_variances(values) -> np.ndarray:
+    """``values`` as a float64 square, symmetric matrix of finite nonnegative variances:
+    the check of explicit profiles and of the reduction stages' variance matrices."""
+    m = np.asarray(values, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("variance matrix must be square")
+    if not ((m >= 0) & (m < math.inf)).all():
+        raise ValueError("variance matrix must be nonnegative and finite")
+    if not np.array_equal(m, m.T):
+        raise ValueError("variance matrix must be symmetric")
+    return m
+
+
 @dataclass(frozen=True)
 class VarianceProfile:
     """Symmetric nonnegative matrix of per-entry variances (or squared scales).
@@ -322,22 +335,15 @@ class VarianceProfile:
         if self.kind not in ("uniform", "banded", "explicit"):
             raise ValueError(f"unknown profile kind: {self.kind!r}")
         if self.kind == "uniform":
-            if self.v < 0:
-                raise ValueError("uniform variance must be nonnegative")
+            if not 0 <= self.v < math.inf:
+                raise ValueError("uniform variance must be nonnegative and finite")
             levels = np.array([self.v])
         elif self.kind == "banded":
-            if self.width < 0 or self.inside < 0 or self.outside < 0:
-                raise ValueError("banded profile values must be nonnegative")
+            if self.width < 0 or not all(0 <= v < math.inf for v in (self.inside, self.outside)):
+                raise ValueError("banded profile values must be nonnegative and finite")
             levels = np.array([self.inside, self.outside])
         else:
-            m = np.asarray(self.values, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("explicit profile must be square")
-            if not np.array_equal(m, m.T):
-                raise ValueError("explicit profile must be symmetric")
-            if np.any(m < 0):
-                raise ValueError("explicit profile must be nonnegative")
-            m = m.copy()
+            m = _checked_variances(self.values).copy()
             m.setflags(write=False)
             object.__setattr__(self, "values", m)
             levels, index = np.unique(m, return_inverse=True)
@@ -356,14 +362,6 @@ class VarianceProfile:
     @classmethod
     def explicit(cls, values: np.ndarray) -> "VarianceProfile":
         return cls("explicit", values=values)
-
-    def _with_levels(self, levels: np.ndarray) -> "VarianceProfile":
-        """The profile of the same kind and shape with level table ``levels``."""
-        if self.kind == "uniform":
-            return VarianceProfile.uniform(levels[0])
-        if self.kind == "banded":
-            return VarianceProfile.banded(self.width, levels[0], levels[1])
-        return VarianceProfile.explicit(levels[self._index])
 
     def check_dimension(self, n: int) -> None:
         if self.kind == "explicit" and self.values.shape[0] != n:
@@ -698,11 +696,11 @@ def condition_sums(
     or off the diagonal makes all three inf (flagged via finite_variance);
     the truncated statistics live in gaussian_row_check.
     """
-    if C <= 0:
-        raise ValueError("row bound C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError("row bound C must be positive and finite")
     eps_list = [float(e) for e in epsilons]
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("epsilons must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ValueError("epsilons must be positive and finite")
     n = spec.n
     if not (spec.law.has_finite_variance and spec.effective_diagonal_law.has_finite_variance):
         lind = tuple((e, math.inf) for e in eps_list)
@@ -727,8 +725,8 @@ def gaussian_row_check(spec: EnsembleSpec, epsilons: Sequence[float]) -> GaussCo
     Diagonal entries follow the diagonal law.
     """
     eps_list = [float(e) for e in epsilons]
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("epsilons must be positive")
+    if not all(0 < e < math.inf for e in eps_list):
+        raise ValueError("epsilons must be positive and finite")
     tail_sums = []
     for eps in eps_list:
         per_row = _entry_row_sums(spec, lambda law, v: law.tail_prob(eps / math.sqrt(v)))

@@ -6,7 +6,9 @@ row variance sums below a bound C, unit off-diagonal variances), and each
 records the exact Frobenius cost (1/n)||before - after||_F^2 so the
 distance to the original spectrum stays accountable.
 
-The truncation and rescaling costs have one rule, ``_reduction_costs``,
+The rescale and replacement stages read an n x n variance matrix, such as
+``truncated_profile``'s, checked as an explicit profile is checked.  The
+truncation and rescaling costs have one rule, ``_reduction_costs``,
 which reads them off the sampled entries without building the truncated
 or rescaled matrix: ``pipeline`` takes its trace from it, and the
 ``reduce`` command calls it on each sample alone.  ``truncate`` shares
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermitian_core import HermitianMatrix
-from .ensembles import EnsembleSpec, EntryLaw, VarianceProfile, _level_terms, condition_sums
+from .ensembles import EnsembleSpec, EntryLaw, _checked_variances, _level_terms, condition_sums
 
 __all__ = [
     "ReductionTrace",
@@ -60,8 +62,8 @@ class ReductionTrace:
 def _truncation(a: np.ndarray, eta: float) -> tuple[np.ndarray, int, float]:
     """The mask |a| > eta of the entries truncation removes, their count, and
     the sum of their squared moduli."""
-    if eta <= 0:
-        raise ValueError("truncation level eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("truncation level eta must be positive and finite")
     mask = np.abs(a) > eta
     return mask, int(mask.sum()), float(np.sum(np.abs(a[mask]) ** 2))
 
@@ -116,8 +118,8 @@ def centralize(w: HermitianMatrix, conditional_means) -> HermitianMatrix:
     return HermitianMatrix._trusted(w.entries - conditional_means.entries)
 
 
-def rescale_to_row_bound(profile: VarianceProfile, n: int, C: float) -> np.ndarray:
-    """Symmetric coefficients c in [0, 1] with sum_j c_ij^2 sigma^2_ij <= C per row.
+def rescale_to_row_bound(variances: np.ndarray, C: float) -> np.ndarray:
+    """Symmetric coefficients c in [0, 1] with sum_j c_ij^2 sigma^2_ij <= C per row of ``variances``.
 
     Greedy row sweep: row k keeps the coefficients already fixed by earlier
     rows and lowers its free coefficients (j >= k) by one uniform multiplier
@@ -127,11 +129,11 @@ def rescale_to_row_bound(profile: VarianceProfile, n: int, C: float) -> np.ndarr
     rows' sums.  Either way the total variance removed obeys
     sum_ij (1 - c_ij^2) sigma^2_ij <= 2 sum_i (sum_j sigma^2_ij - C)_+.
     """
-    if C <= 0:
-        raise ValueError("row bound C must be positive")
-    sig = profile.matrix(n)
-    c = np.ones((n, n))
-    for k in range(n):
+    if not 0 < C < math.inf:
+        raise ValueError("row bound C must be positive and finite")
+    sig = _checked_variances(variances)
+    c = np.ones_like(sig)
+    for k in range(len(c)):
         weighted = c[k] ** 2 * sig[k]
         total = float(weighted.sum())
         if total <= C:
@@ -161,8 +163,10 @@ class ReplacePlan:
     zero_diagonal_count: int
 
 
-def unit_variance_plan(profile: VarianceProfile, n: int) -> ReplacePlan:
-    sig = profile.matrix(n)
+def unit_variance_plan(variances: np.ndarray) -> ReplacePlan:
+    """The ``ReplacePlan`` of the n x n matrix ``variances`` of sigma^2_ij."""
+    sig = _checked_variances(variances)
+    n = sig.shape[0]
     off = ~np.eye(n, dtype=bool)
     replace = off & (sig <= 1.0 / (2.0 * n))
     scale = np.zeros_like(sig)
@@ -176,19 +180,21 @@ def unit_variance_plan(profile: VarianceProfile, n: int) -> ReplacePlan:
 
 def unit_variance_replace(
     w: HermitianMatrix,
-    profile: VarianceProfile,
+    variances: np.ndarray,
     rng: np.random.Generator,
 ) -> HermitianMatrix:
     """Force every off-diagonal entry variance to exactly 1/n at the law level.
 
-    Off-diagonal entries whose profile variance is at most 1/(2n) are
+    Off-diagonal entries whose variance in ``variances`` is at most 1/(2n) are
     replaced by fresh symmetric signs +-1/sqrt(n); every other entry with
     positive variance is multiplied by 1/sqrt(n sigma^2).  Zero-variance
     diagonal entries stay 0.  The expected squared change on the replaced
     set E is at most (3/(2n)) |E| since Var(w) + 1/n <= 3/(2n) there.
     """
     n = w.n
-    plan = unit_variance_plan(profile, n)
+    plan = unit_variance_plan(variances)
+    if plan.scale.shape != (n, n):
+        raise ValueError("variance matrix dimension does not match the matrix")
     out = w.entries * plan.scale
     iu, ju = np.where(np.triu(plan.replace_mask, 1))
     if iu.size:
@@ -198,24 +204,22 @@ def unit_variance_replace(
     return HermitianMatrix._trusted(out)
 
 
-def truncated_profile(spec: EnsembleSpec, eta: float) -> VarianceProfile:
-    """Variance profile of the truncated (and centralized) entries.
+def truncated_profile(spec: EnsembleSpec, eta: float) -> np.ndarray:
+    """The n x n variances of the truncated (and centralized) entries.
 
     Var[w 1(|w| <= eta)] = sigma^2 E[X^2; |X| <= eta/sigma] for symmetric
-    laws; finite even when the raw variance is infinite.  Diagonal entries
-    follow the effective diagonal law; when it differs from ``spec.law``
-    the result is an explicit profile.
+    laws; finite even when the raw variance is infinite.  One gather of the
+    entry law's term per profile level, with a separate diagonal law's terms
+    on the diagonal, as ``_entry_row_sums`` swaps them into the row sums.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     off, diag = _level_terms(spec, lambda law, v: v * law.m2_below(eta / math.sqrt(v)))
-    profile = spec.profile._with_levels(off)
-    if diag is None:
-        return profile
-    m = profile.matrix(spec.n)
-    r = np.arange(spec.n)
-    m[r, r] = diag[spec.profile._level_of(r, r)]
-    return VarianceProfile.explicit(m)
+    r, level_of = np.arange(spec.n), spec.profile._level_of
+    m = off[level_of(r[:, None], r[None, :])]
+    if diag is not None:
+        m[r, r] = diag[level_of(r, r)]
+    return m
 
 
 def pipeline(
@@ -230,10 +234,10 @@ def pipeline(
     Every entry law is symmetric, so the conditional means E[w; |w| <= eta]
     vanish: the centralize stage changes nothing, and its Frobenius cost and
     ``centering_norm_sq`` are exact zeros.  Rescaling uses the truncated
-    variance profile, since those are the variances the row bound applies
-    to after the first two stages.  The coefficients depend only on
+    variances, since those are the variances the row bound applies to
+    after the first two stages.  The coefficients depend only on
     (spec, eta, C); a caller running many trials passes
-    ``rescale_to_row_bound(truncated_profile(spec, eta), n, C)`` once as
+    ``rescale_to_row_bound(truncated_profile(spec, eta), C)`` once as
     ``coeffs`` instead of having it rebuilt per trial.
 
     The trace comes from ``_reduction_costs``, the rule the ``reduce``
@@ -241,12 +245,11 @@ def pipeline(
     truncated entries zeroed, built without the truncated matrix and
     checked by ``HermitianMatrix._trusted``.
     """
-    spec.profile.check_dimension(w.n)
     if w.n != spec.n:
         raise ValueError("matrix dimension does not match spec")
     n, a = w.n, w.entries
     if coeffs is None:
-        coeffs = rescale_to_row_bound(truncated_profile(spec, eta), n, C)
+        coeffs = rescale_to_row_bound(truncated_profile(spec, eta), C)
     elif coeffs.shape != (n, n):
         raise ValueError("rescale coefficients dimension mismatch")
     removed, delta_truncate, delta_rescale = _reduction_costs(a, eta, coeffs)

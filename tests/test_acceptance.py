@@ -295,8 +295,7 @@ def test_criterion_09_reductions_contract():
         n = int(rng.integers(2, 65))
         sig = rng.uniform(0.0, 3.0 / n, size=(n, n))
         sig = np.triu(sig) + np.triu(sig, 1).T
-        profile = VarianceProfile.explicit(sig)
-        coeffs = rescale_to_row_bound(profile, n, C)
+        coeffs = rescale_to_row_bound(sig, C)
         rows = np.sum(coeffs**2 * sig, axis=1)
         assert np.all(rows <= C + 1e-12)
         removed = float(np.sum((1.0 - coeffs**2) * sig))
@@ -306,7 +305,7 @@ def test_criterion_09_reductions_contract():
     n = 32
     sig = rng.uniform(0.0, 4.0 / n, size=(n, n))
     sig = np.triu(sig) + np.triu(sig, 1).T
-    plan = unit_variance_plan(VarianceProfile.explicit(sig), n)
+    plan = unit_variance_plan(sig)
     off = ~np.eye(n, dtype=bool)
     assert np.array_equal(plan.replace_mask, (sig <= 1.0 / (2 * n)) & off)
     kept = off & ~plan.replace_mask

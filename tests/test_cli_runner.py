@@ -337,13 +337,14 @@ def test_validate_unknown_command_short_circuits():
 
 
 def test_validate_memory_preflight(tmp_path, monkeypatch):
-    """Each worker busy at once counts its fixed temporaries and three copies of
+    """Each worker busy at once counts its fixed temporaries and two copies of
     n^2 entries of 8 bytes (16 complex) for each trial matrix it holds,
     min(solve_workers(n, threads) x ceil(512 / n), trials) of them, plus every
-    trial's kept spectrum (n x 8 bytes) and stream key (16 bytes)."""
+    trial's kept spectrum (n x 8 bytes) and stream key (16 bytes).  A reduce
+    worker counts three copies of its one matrix, beside the size's table."""
     worker = cli_runner._WORKER_BYTES
     # two trials are one block of one worker at n = 64 (and at n = 32)
-    need = 3 * 64 * 64 * 8 * 2 + worker + 2 * (64 * 8 + 16)
+    need = 2 * 64 * 64 * 8 * 2 + worker + 2 * (64 * 8 + 16)
     config = make_config("simulate", str(tmp_path), sizes="32, 64", trials="2", threads="3")
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: need)
     assert validate(config) == []
@@ -352,7 +353,7 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     assert diag.startswith("sizes: n=64 needs")
     assert validate(replace(config, command="conditions")) == []  # no matrix is sampled
     # complex matrices are twice the bytes; moments counts three copies of the spectra
-    complex_need = 3 * 64 * 64 * 16 * 2 + worker + 2 * (3 * 64 * 8 + 16)
+    complex_need = 2 * 64 * 64 * 16 * 2 + worker + 2 * (3 * 64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: complex_need - 1)
     complex_law = make_config(
         "moments", str(tmp_path), sizes="64", trials="2", threads="3",
@@ -366,7 +367,7 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     # each worker of trial_eigenvalues holds a block of ceil(512 / n) matrices;
     # a reduce worker holds one, beside the size's rescaling table
     blocks = make_config("simulate", str(tmp_path), sizes="64", trials="100", threads="3")
-    block_need = 3 * 64 * 64 * 8 * 24 + 3 * worker + 100 * (64 * 8 + 16)
+    block_need = 2 * 64 * 64 * 8 * 24 + 3 * worker + 100 * (64 * 8 + 16)
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: block_need - 1)
     assert validate(blocks)[0].startswith("sizes: n=64 needs")
     assert "24 concurrent 64x64 trial matrices" in validate(blocks)[0]
@@ -378,15 +379,15 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     assert "3 concurrent 64x64 trial matrices" in validate(replace(blocks, command="reduce"))[0]
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: reduce_need)
     assert validate(replace(blocks, command="reduce")) == []
-    # building the table of a spec whose diagonal law differs from its entry law
-    # peaks above one worker's matrices and the table: eight n x n arrays
+    # a spec whose diagonal law differs from its entry law counts as any other:
+    # one worker's matrix and the table, above the table's build of three arrays
     zero_diagonal = make_config(
         "reduce", str(tmp_path), sizes="64", trials="1",
         **{"ensemble.preset": None, "ensemble.law": "gaussian_real", "ensemble.diagonal_law": "constant_zero"},
     )
-    build_need = 8 * 64 * 64 * 8 + worker
+    build_need = 3 * 64 * 64 * 8 + 64 * 64 * 8 + worker
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: build_need - 1)
-    assert "or its build (8 x 64 x 64 x 8 bytes)" in validate(zero_diagonal)[0]
+    assert "or its build (3 x 64 x 64 x 8 bytes)" in validate(zero_diagonal)[0]
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: build_need)
     assert validate(zero_diagonal) == []
     # from n = 512 up a block holds one trial and solves on the process's BLAS
@@ -395,12 +396,29 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     kept = 4 * (1024 * 8 + 16)
     for blas, matrices in ((2, 1), (1, 2), (None, 2)):
         monkeypatch.setattr(ensembles, "blas_runtime_threads", lambda blas=blas: blas)
-        large_need = 3 * 1024 * 1024 * 8 * matrices + matrices * worker + kept
+        large_need = 2 * 1024 * 1024 * 8 * matrices + matrices * worker + kept
         monkeypatch.setattr(cli_runner, "_physical_memory", lambda: large_need - 1)
         [diag] = validate(large)
         assert f"{matrices} concurrent 1024x1024 trial matrices" in diag, blas
         monkeypatch.setattr(cli_runner, "_physical_memory", lambda: large_need)
         assert validate(large) == [], blas
+
+
+def test_validate_memory_preflight_accepts_a_lone_solve_that_fits(tmp_path, monkeypatch):
+    """On 7.83 GiB a lone complex trial at n = 14000 (2.92 GiB a matrix) fits in its
+    two counted copies, one at n = 17000 (4.31 GiB) does not, and a reduce worker's
+    three copies at n = 14000 do not either."""
+    monkeypatch.setattr(cli_runner, "_physical_memory", lambda: int(7.83 * 2**30))
+    config = make_config(
+        "simulate", str(tmp_path), sizes="14000", trials="1", **{"ensemble.law": "gaussian_complex"}
+    )
+    assert validate(config) == []
+    [diag] = validate(replace(config, sizes=(17000,)))
+    assert diag.startswith("sizes: n=17000 needs")
+    assert "(2 copies each)" in diag
+    [diag] = validate(replace(config, command="reduce"))
+    assert diag.startswith("sizes: n=14000 needs")
+    assert "(3 copies each)" in diag
 
 
 def test_trial_eigenvalues_peak_memory_within_the_preflight_at_n_1():
@@ -465,8 +483,7 @@ def test_command_peak_memory_within_the_counted_copies(tmp_path, command, n, tri
     counted copies alone.  simulate's rows are written as they come, and at
     n = 256 each worker holds a block of two trial matrices.  reduce holds its
     rescaling table beside each worker's sample and cost pass, after the
-    table's build, which peaks higher when the truncated profile is explicit
-    (complex law, constant_zero diagonal)."""
+    table's build, counted once for every law and diagonal law."""
     config = make_config(
         command, str(tmp_path), sizes=str(n), trials=str(trials), threads=str(threads), **overrides
     )
@@ -937,10 +954,10 @@ def test_run_reduce_coefficient_range_skips_zero_variance_entries(tmp_path):
     run(config)
     _, rows = read_csv(tmp_path / "reduce.csv")
     spec = config.ensemble.build(64, config.seed)
-    profile = truncated_profile(spec, 0.25)
-    coeffs = rescale_to_row_bound(profile, 64, 0.7)
-    live = coeffs[profile.matrix(64) > 0]
-    assert coeffs[63, 63] == 1.0 and profile.matrix(64)[63, 63] == 0.0
+    variances = truncated_profile(spec, 0.25)
+    coeffs = rescale_to_row_bound(variances, 0.7)
+    live = coeffs[variances > 0]
+    assert coeffs[63, 63] == 1.0 and variances[63, 63] == 0.0
     assert (float(rows[0][8]), float(rows[0][9])) == (float(live.min()), float(live.max()))
     assert float(rows[0][9]) == pytest.approx(0.98126, abs=1e-5)
 
@@ -964,11 +981,64 @@ def test_run_reduce_rows_equal_the_stage_chain(tmp_path, case, sizes, threads):
         spec = config.ensemble.build(n, config.seed)
         assert eta == (auto_eta(spec) if config.eta is None else config.eta)
         if n not in tables:
-            tables[n] = rescale_to_row_bound(truncated_profile(spec, eta), n, config.c_bound)
+            tables[n] = rescale_to_row_bound(truncated_profile(spec, eta), config.c_bound)
         want = chained_reduction_costs(sample_trial(spec, trial).entries, eta, tables[n])
         assert (int(row[3]), float(row[5]), float(row[7])) == want, row
         assert float(row[4]) == float(row[6]) == 0.0
     assert all(int(row[3]) > 0 and float(row[7]) > 0.0 for row in rows)
+
+
+# reduce.csv at n = 64, 128 and c = 0.7, three trials, for specs whose diagonal law
+# differs from the entry law; the checksums were recorded while the truncated
+# variances went through an explicit profile, before they became one gather
+REDUCE_PINS = {
+    "gaussian_complex": (
+        {"ensemble.law": "gaussian_complex", "reduce.eta": "0.25"},
+        "a3a9dac462a5004a59b0cdcaeec500adb8a2529f8d33870b8435d5efacc0181b",
+    ),
+    "constant_zero_diagonal": (
+        {"ensemble.law": "gaussian_real", "ensemble.diagonal_law": "constant_zero", "reduce.eta": "0.25"},
+        "8e61301c5f2310574797d954e9e37d5065d6335ab19ef4c69392792603a2052c",
+    ),
+    "rademacher_diagonal_banded": (
+        {
+            "ensemble.law": "gaussian_real", "ensemble.diagonal_law": "rademacher", "ensemble.profile": "banded",
+            "ensemble.band_width": "8", "ensemble.band_inside": "0.05", "ensemble.band_outside": "1e-3",
+            "reduce.eta": "auto",
+        },
+        "413b1d1830ecb67722fa2ddd6f044066f72e1490ac7c758e5e79cd6dad88711d",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REDUCE_PINS)
+def test_run_reduce_csv_pins_for_a_separate_diagonal_law(tmp_path, case):
+    overrides, digest = REDUCE_PINS[case]
+    config = ExperimentConfig.from_mapping(
+        {"command": "reduce", "sizes": "64, 128", "trials": "3", "seed": "42", "out": str(tmp_path),
+         "reduce.c": "0.7", **overrides}
+    )
+    run(config)
+    assert hashlib.sha256((tmp_path / "reduce.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", (256, 512))
+@pytest.mark.parametrize("case", ("gaussian_complex", "constant_zero_diagonal"))
+def test_reduce_table_peak_memory(case, n):
+    """Building a size's table holds the truncated variances, the table and a mask,
+    for a separate diagonal law too: within 2.5 n x n float64 arrays, measured 2.13.
+    An explicit truncated profile, copied, checked and sorted into its levels, peaked
+    at 7.13."""
+    config = make_config("reduce", "unused", sizes=str(n), **REDUCE_SPECS[case])
+    spec = config.ensemble.build(n, config.seed)
+    cli_runner._reduce_table(spec, config.eta, config.c_bound)  # one-time state
+    tracemalloc.start()
+    try:
+        cli_runner._reduce_table(spec, config.eta, config.c_bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
 
 
 def test_run_reduce_builds_only_the_samples(tmp_path, monkeypatch):
@@ -1240,9 +1310,9 @@ def test_run_reduce_builds_rescale_table_once_per_size(tmp_path, monkeypatch):
     calls = []
     original = reductions.rescale_to_row_bound
 
-    def counting(profile, n, C):
-        calls.append(n)
-        return original(profile, n, C)
+    def counting(variances, C):
+        calls.append(len(variances))
+        return original(variances, C)
 
     monkeypatch.setattr(cli_runner, "rescale_to_row_bound", counting)
     monkeypatch.setattr(reductions, "rescale_to_row_bound", counting)

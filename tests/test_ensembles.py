@@ -379,7 +379,7 @@ def _entrywise_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
 
 @PROFILE_CASES
 def test_profile_views_agree_with_matrix(profile):
-    """The row level counts and _with_levels re-derive from matrix()."""
+    """The row level counts re-derive from matrix()."""
     n = 3 if profile.kind == "explicit" else 6
     m = profile.matrix(n)
     assert np.array_equal(m, m.T)
@@ -387,9 +387,6 @@ def test_profile_views_agree_with_matrix(profile):
     assert counts.sum() == n * n
     for k, level in enumerate(profile.levels):
         assert np.array_equal(np.where(ids == k, counts, 0).sum(axis=1), np.count_nonzero(m == level, axis=1))
-    relevelled = profile._with_levels(2.0 * profile.levels + 1.0)
-    assert relevelled.kind == profile.kind
-    assert np.array_equal(relevelled.matrix(n), 2.0 * m + 1.0)
 
 
 @ENTRY_LAW_CASES

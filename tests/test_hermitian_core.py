@@ -250,7 +250,7 @@ TRUSTED_PRODUCERS = {
     "truncate": lambda spec, w, other: truncate(w, 0.5)[0],
     "centralize": lambda spec, w, other: centralize(w, other),
     "unit_variance_replace": lambda spec, w, other: unit_variance_replace(
-        w, spec.profile, np.random.default_rng(9)
+        w, spec.profile.matrix(spec.n), np.random.default_rng(9)
     ),
     # C well below the truncated row sums, so the rescale stage does work
     "pipeline": lambda spec, w, other: pipeline(w, spec, 0.5, 0.25)[0],

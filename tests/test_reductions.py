@@ -16,6 +16,7 @@ from wignerlab.ensembles import (
     EntryLaw,
     VarianceProfile,
     condition_sums,
+    gaussian_row_check,
     heavy_tail_spec,
     sample_trial,
     wigner_unit_spec,
@@ -117,19 +118,19 @@ def test_centralize_validation():
 
 
 def test_rescale_noop_when_rows_already_bounded():
-    coeffs = rescale_to_row_bound(VarianceProfile.uniform(1.0 / 8), 8, 1.0)
+    coeffs = rescale_to_row_bound(np.full((8, 8), 1.0 / 8), 1.0)
     assert np.array_equal(coeffs, np.ones((8, 8)))
 
 
 def test_rescale_single_entry():
     # one cell of variance 4C: c^2 * 4C = C forces c = 1/2
-    coeffs = rescale_to_row_bound(VarianceProfile.uniform(4.0), 1, 1.0)
+    coeffs = rescale_to_row_bound(np.full((1, 1), 4.0), 1.0)
     assert coeffs[0, 0] == pytest.approx(0.5)
 
 
 def test_rescale_two_by_two_hand_case():
     """Uniform variance 1 at n=2, C=1: every coefficient becomes 1/sqrt(2)."""
-    coeffs = rescale_to_row_bound(VarianceProfile.uniform(1.0), 2, 1.0)
+    coeffs = rescale_to_row_bound(np.ones((2, 2)), 1.0)
     assert np.allclose(coeffs, 1.0 / math.sqrt(2.0))
     rows = (coeffs**2 * 1.0).sum(axis=1)
     assert np.allclose(rows, 1.0)
@@ -138,7 +139,7 @@ def test_rescale_two_by_two_hand_case():
 def test_rescale_fixed_part_fallback():
     """A late row whose already-mirrored part alone exceeds C lowers wholesale."""
     sig = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0], [3.0, 3.0, 0.0]])
-    coeffs = rescale_to_row_bound(VarianceProfile.explicit(sig), 3, 1.0)
+    coeffs = rescale_to_row_bound(sig, 1.0)
     rows = (coeffs**2 * sig).sum(axis=1)
     assert np.all(rows <= 1.0 + 1e-12)
     assert rows[2] == pytest.approx(1.0)
@@ -149,7 +150,31 @@ def test_rescale_fixed_part_fallback():
 
 def test_rescale_validation():
     with pytest.raises(ValueError, match="C must be positive"):
-        rescale_to_row_bound(VarianceProfile.uniform(1.0), 2, 0.0)
+        rescale_to_row_bound(np.ones((2, 2)), 0.0)
+
+
+BAD_VARIANCES = {
+    "non-square": (np.ones((2, 3)), "must be square"),
+    "asymmetric": (np.array([[1.0, 2.0], [3.0, 1.0]]), "must be symmetric"),
+    "negative": (np.array([[1.0, -2.0], [-2.0, 1.0]]), "must be nonnegative"),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), "finite"),
+}
+VARIANCE_STAGES = {
+    "rescale_to_row_bound": lambda sig: rescale_to_row_bound(sig, 1.0),
+    "unit_variance_plan": unit_variance_plan,
+    "unit_variance_replace": lambda sig: unit_variance_replace(
+        HermitianMatrix(np.eye(2)), sig, np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_VARIANCES)
+@pytest.mark.parametrize("stage", VARIANCE_STAGES)
+def test_variance_stages_check_their_matrix(stage, bad):
+    """The stages that read a variance matrix check it as an explicit profile is checked."""
+    sig, message = BAD_VARIANCES[bad]
+    with pytest.raises(ValueError, match=message):
+        VARIANCE_STAGES[stage](sig)
 
 
 def test_rescale_random_profiles_obey_bounds(rng):
@@ -170,7 +195,7 @@ def test_rescale_random_profiles_obey_bounds(rng):
             profile = VarianceProfile.explicit((a + a.T) / 2.0)
         C = float(rng.uniform(0.2, 2.0))
         sig = profile.matrix(n)
-        coeffs = rescale_to_row_bound(profile, n, C)
+        coeffs = rescale_to_row_bound(sig, C)
         assert np.array_equal(coeffs, coeffs.T)
         assert np.all(coeffs >= 0.0) and np.all(coeffs <= 1.0 + 1e-12)
         rows = (coeffs**2 * sig).sum(axis=1)
@@ -187,7 +212,7 @@ def test_rescale_random_profiles_obey_bounds(rng):
 
 def test_replace_plan_unit_profile_is_identity():
     n = 16
-    plan = unit_variance_plan(VarianceProfile.uniform(1.0 / n), n)
+    plan = unit_variance_plan(np.full((n, n), 1.0 / n))
     assert not plan.replace_mask.any()
     assert np.allclose(plan.scale, 1.0)
     assert plan.zero_diagonal_count == 0
@@ -197,19 +222,19 @@ def test_replace_unit_profile_leaves_matrix_unchanged(rng):
     n = 16
     spec = wigner_unit_spec(n, seed=3)
     w = sample_trial(spec, 0)
-    out = unit_variance_replace(w, spec.profile, rng)
+    out = unit_variance_replace(w, spec.profile.matrix(n), rng)
     assert np.array_equal(out.entries, w.entries)
 
 
 def test_replace_zero_variance_entries(rng):
     """All-zero profile: off-diagonal becomes fresh signs, diagonal stays 0."""
     n = 8
-    profile = VarianceProfile.uniform(0.0)
+    sig = np.zeros((n, n))
     w = HermitianMatrix(np.zeros((n, n)))
-    plan = unit_variance_plan(profile, n)
+    plan = unit_variance_plan(sig)
     assert plan.zero_diagonal_count == n
     assert plan.replace_mask.sum() == n * n - n
-    out = unit_variance_replace(w, profile, rng).entries
+    out = unit_variance_replace(w, sig, rng).entries
     off = ~np.eye(n, dtype=bool)
     assert np.all(np.abs(out[off]) == pytest.approx(1.0 / math.sqrt(n)))
     assert np.all(np.diag(out) == 0.0)
@@ -222,7 +247,7 @@ def test_replace_rescales_oversized_variance(rng):
     profile = VarianceProfile.uniform(4.0 / n)
     spec = EnsembleSpec(n, EntryLaw.gaussian_real(), profile, seed=11)
     w = sample_trial(spec, 0)
-    out = unit_variance_replace(w, profile, rng)
+    out = unit_variance_replace(w, profile.matrix(n), rng)
     assert np.allclose(out.entries, w.entries / 2.0)
 
 
@@ -239,9 +264,8 @@ def test_replace_scale_restores_unit_variance_exactly():
             [3.0, 1.0, 0.5, 1.0, 0.0, 2.0],
         ]
     ) / n
-    profile = VarianceProfile.explicit(base)
-    plan = unit_variance_plan(profile, n)
-    sig = profile.matrix(n)
+    plan = unit_variance_plan(base)
+    sig = base
     kept = (sig > 1.0 / (2.0 * n)) & ~np.eye(n, dtype=bool)
     assert np.allclose((plan.scale**2 * sig)[kept], 1.0 / n)
     # replaced cells are exactly the small-variance off-diagonal ones
@@ -254,16 +278,15 @@ def test_replace_expected_change_is_bounded(rng):
     n = 16
     sig = np.full((n, n), 1.0 / (4.0 * n))  # below the 1/(2n) cutoff
     np.fill_diagonal(sig, 1.0 / n)
-    profile = VarianceProfile.explicit(sig)
-    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), profile, seed=29)
-    plan = unit_variance_plan(profile, n)
+    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), VarianceProfile.explicit(sig), seed=29)
+    plan = unit_variance_plan(sig)
     e_size = int(plan.replace_mask.sum())
     assert e_size == n * n - n
     trials = 400
     changes = np.empty(trials)
     for r in range(trials):
         w = sample_trial(spec, r)
-        out = unit_variance_replace(w, profile, rng)
+        out = unit_variance_replace(w, sig, rng)
         diff = (out.entries - w.entries)[plan.replace_mask]
         changes[r] = float(np.sum(np.abs(diff) ** 2))
     expect = e_size * (1.0 / (4.0 * n) + 1.0 / n)  # Var(old) + Var(new), independent
@@ -275,9 +298,8 @@ def test_replace_expected_change_is_bounded(rng):
 def test_replace_preserves_hermitian_structure(rng):
     n = 10
     sig = np.full((n, n), 1.0 / (8.0 * n))
-    profile = VarianceProfile.explicit(sig)
-    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), profile, seed=1)
-    out = unit_variance_replace(sample_trial(spec, 0), profile, rng)
+    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), VarianceProfile.explicit(sig), seed=1)
+    out = unit_variance_replace(sample_trial(spec, 0), sig, rng)
     assert np.array_equal(out.entries, out.entries.conj().T)
 
 
@@ -289,28 +311,30 @@ def test_replace_preserves_hermitian_structure(rng):
 def test_truncated_profile_gaussian_uniform():
     n, eta = 64, 0.15
     spec = wigner_unit_spec(n)
-    prof = truncated_profile(spec, eta)
-    assert prof.kind == "uniform"
+    m = truncated_profile(spec, eta)
     law = EntryLaw.gaussian_real()
-    assert prof.v == pytest.approx((1.0 / n) * law.m2_below(eta * math.sqrt(n)), rel=1e-12)
+    assert m.shape == (n, n) and np.all(m == m[0, 0])
+    assert m[0, 0] == pytest.approx((1.0 / n) * law.m2_below(eta * math.sqrt(n)), rel=1e-12)
 
 
 def test_truncated_profile_heavy_tail_rows_are_unit():
     """Truncation at 1 turns the infinite-variance profile into rows of sum 1."""
     for n in (64, 2048):
         spec = heavy_tail_spec(n)
-        prof = truncated_profile(spec, 1.0)
-        assert np.allclose(prof.matrix(n).sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(truncated_profile(spec, 1.0).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_truncated_profile_preserves_kind():
-    spec_b = EnsembleSpec(8, EntryLaw.gaussian_real(), VarianceProfile.banded(1, 0.5, 0.1))
-    assert truncated_profile(spec_b, 0.5).kind == "banded"
-    spec_e = EnsembleSpec(3, EntryLaw.gaussian_real(), VarianceProfile.explicit(np.eye(3)))
+    """Each entry keeps its profile level: a banded profile's two levels stay a band."""
+    law = EntryLaw.gaussian_real()
+    profile_b = VarianceProfile.banded(1, 0.5, 0.1)
+    m_b = truncated_profile(EnsembleSpec(8, law, profile_b), 0.5)
+    levels = [v * law.m2_below(0.5 / math.sqrt(v)) for v in (0.5, 0.1)]
+    assert np.array_equal(m_b, VarianceProfile.banded(1, *levels).matrix(8))
+    spec_e = EnsembleSpec(3, law, VarianceProfile.explicit(np.eye(3)))
     out = truncated_profile(spec_e, 0.5)
-    assert out.kind == "explicit"
-    assert out.values[1, 1] == pytest.approx(EntryLaw.gaussian_real().m2_below(0.5), rel=1e-12)
-    assert out.values[0, 1] == 0.0
+    assert out[1, 1] == pytest.approx(law.m2_below(0.5), rel=1e-12)
+    assert out[0, 1] == 0.0
 
 
 def test_truncated_profile_puts_the_diagonal_law_on_the_diagonal():
@@ -318,17 +342,17 @@ def test_truncated_profile_puts_the_diagonal_law_on_the_diagonal():
     n, eta = 64, 0.25
     law = EntryLaw.gaussian_real()
     spec = EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n), diagonal_law=EntryLaw.constant_zero())
-    m = truncated_profile(spec, eta).matrix(n)
+    m = truncated_profile(spec, eta)
     off = (1.0 / n) * law.m2_below(eta * math.sqrt(n))
     assert np.all(np.diag(m) == 0.0)
     assert np.all(m[~np.eye(n, dtype=bool)] == off)
     assert m.sum(axis=1) == pytest.approx(np.full(n, 0.72700), abs=5e-6)
     # on its default diagonal law the same spec's rows keep a diagonal term
     default = truncated_profile(EnsembleSpec(n, law, VarianceProfile.uniform(1.0 / n)), eta)
-    assert default.matrix(n).sum(axis=1) == pytest.approx(np.full(n, 0.73854), abs=5e-6)
+    assert default.sum(axis=1) == pytest.approx(np.full(n, 0.73854), abs=5e-6)
     # a complex law's real gaussian diagonal truncates by the real law's moment
     spec_c = EnsembleSpec(n, EntryLaw.gaussian_complex(), VarianceProfile.uniform(1.0 / n))
-    m_c = truncated_profile(spec_c, eta).matrix(n)
+    m_c = truncated_profile(spec_c, eta)
     assert np.all(np.diag(m_c) == off)
     assert m_c[0, 1] == (1.0 / n) * EntryLaw.gaussian_complex().m2_below(eta * math.sqrt(n))
 
@@ -338,11 +362,40 @@ def test_truncated_profile_validation():
         truncated_profile(wigner_unit_spec(4), 0.0)
 
 
+_SPEC4 = wigner_unit_spec(4)
+NON_FINITE_INPUTS = {
+    "uniform_level": lambda x: VarianceProfile.uniform(x),
+    "banded_inside": lambda x: VarianceProfile.banded(2, x, 0.1),
+    "banded_outside": lambda x: VarianceProfile.banded(2, 0.1, x),
+    "explicit_entry": lambda x: VarianceProfile.explicit(np.array([[1.0, x], [x, 1.0]])),
+    "condition_sums_C": lambda x: condition_sums(_SPEC4, C=x, epsilons=(0.5,)),
+    "condition_sums_eps": lambda x: condition_sums(_SPEC4, C=1.0, epsilons=(0.5, x)),
+    "gaussian_row_check_eps": lambda x: gaussian_row_check(_SPEC4, (x,)),
+    "truncate_eta": lambda x: truncate(HermitianMatrix(np.eye(4)), x),
+    "truncated_profile_eta": lambda x: truncated_profile(_SPEC4, x),
+    "rescale_C": lambda x: rescale_to_row_bound(np.eye(4), x),
+    "pipeline_C": lambda x: pipeline(sample_trial(_SPEC4, 0), _SPEC4, 0.5, x),
+}
+
+
+@pytest.mark.parametrize("value", (math.nan, math.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize("case", NON_FINITE_INPUTS)
+def test_non_finite_inputs_are_rejected(case, value):
+    """Profile levels, row bounds C, epsilons and truncation levels eta must be finite.
+
+    A NaN passes every ``x <= 0`` guard: a NaN profile read var_row_sum 4.0
+    and Lindeberg 0.0 at n = 4, ``truncate(w, nan)`` removed nothing and
+    ``rescale_to_row_bound`` at C = nan returned an all-NaN table.
+    """
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_INPUTS[case](value)
+
+
 def test_truncated_entry_variance_matches_profile():
     """Pooled variance of truncated off-diagonal entries hits the closed form."""
     n, eta = 64, 0.15
     spec = wigner_unit_spec(n, seed=31)
-    target = truncated_profile(spec, eta).v
+    target = truncated_profile(spec, eta)[0, 1]
     iu = np.triu_indices(n, k=1)
     squares = []
     for r in range(10):
@@ -370,7 +423,7 @@ def test_pipeline_validation():
 def test_pipeline_given_table_matches_its_own():
     """A table built once per size gives the bytes pipeline builds per trial."""
     spec = heavy_tail_spec(64, seed=53)
-    table = rescale_to_row_bound(truncated_profile(spec, 1.0), 64, 1.0)
+    table = rescale_to_row_bound(truncated_profile(spec, 1.0), 1.0)
     for trial in range(3):
         w = sample_trial(spec, trial)
         own, own_trace = pipeline(w, spec, eta=1.0, C=1.0)
@@ -476,7 +529,7 @@ def test_pipeline_peak_memory_is_three_matrices():
     )
     eta = auto_eta(spec)
     # C below the truncated row sums, so the rescale stage does work
-    table = rescale_to_row_bound(truncated_profile(spec, eta), n, 0.25)
+    table = rescale_to_row_bound(truncated_profile(spec, eta), 0.25)
     w = sample_trial(spec, 0)
     tracemalloc.start()
     try:
@@ -513,7 +566,7 @@ def test_pipeline_trace_is_the_cost_rule(case):
     matrix has the bytes of c times the truncated matrix."""
     spec, eta, C = COST_CASES[case]
     eta = auto_eta(spec) if eta is None else eta
-    coeffs = rescale_to_row_bound(truncated_profile(spec, eta), spec.n, C)
+    coeffs = rescale_to_row_bound(truncated_profile(spec, eta), C)
     for trial in range(3):
         w = sample_trial(spec, trial)
         out, trace = pipeline(w, spec, eta, C, coeffs)
@@ -547,7 +600,7 @@ def test_pipeline_stage_costs_recompose():
     w = sample_trial(spec, 0)
     out, trace = pipeline(w, spec, eta=0.1, C=0.5)
     w1, _ = truncate(w, 0.1)
-    coeffs = rescale_to_row_bound(truncated_profile(spec, 0.1), 32, 0.5)
+    coeffs = rescale_to_row_bound(truncated_profile(spec, 0.1), 0.5)
     assert np.array_equal(trace.rescale_coeffs, coeffs)
     d_trunc = float(np.sum(np.abs(w.entries - w1.entries) ** 2)) / 32
     d_scale = float(np.sum(np.abs(w1.entries - coeffs * w1.entries) ** 2)) / 32
