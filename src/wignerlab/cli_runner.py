@@ -83,20 +83,16 @@ _KEPT_SPECTRA = {"simulate": 1, "moments": 3, "stieltjes": 6, "concentration": 3
 # derives it in fixed chunks, so its own temporaries stay near 100 kB)
 _KEY_BYTES = 16
 # a held trial matrix's bytes, in matrices: what tracemalloc sees of the matrix and its
-# sampling, mirror and check temporaries, plus any copy LAPACK solves outside its view.
+# sampling and check temporaries, plus any copy LAPACK solves outside its view.
 # trial_eigenvalues' tracemalloc peak per held matrix is at most 1.79 (n = 8; 1.13
 # from n = 256 up).  A block of B > 1 trials (n < 512) is one eigvalsh call, which
 # copies one matrix at a time, so a fresh process's VmHWM rises by at most 1.60 per
 # held matrix (n = 256 to 511, B = 2); a block of one is solved in place and raises
 # it by 1.06-1.13 matrices from n = 512 to 2048.  A reduce worker's sample, with the
-# cost pass's difference array and masks beside it, peaks at 2.6 (complex; 2.3 real)
+# cost pass's difference array and masks beside it, peaks at 2.6 (complex; 2.3 real).
+# reduce's per-size rescaling table counts one n x n float64 array beside them: its
+# build peaks at 2.13-2.17 such arrays, below one worker's three copies and the table
 _TRIAL_COPIES, _REDUCE_COPIES = 2, 3
-# the peak of building reduce's per-size rescaling table, in n x n float64 arrays:
-# the truncated variances, the table and their masks, 2.13-2.17 from n = 64 up for
-# every law and diagonal law (3.07 for banded profiles at n = 64, within the worker
-# bytes); rounded up.  Afterwards the table alone, one array, stays for the size's
-# trials beside the workers' matrices, which already count more
-_TABLE_COPIES = 3
 # bytes each busy worker holds beside its matrices: below n = 8 a block's matrices
 # weigh less than the fixed temporaries around them (deriving the stream keys of
 # 512 trials peaks at 60 kB), so there trial_eigenvalues' tracemalloc peak passes
@@ -380,8 +376,7 @@ def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str
     busy at once, each with its fixed temporaries and its trial matrices (a
     ``trial_eigenvalues`` worker's block of ``trial_block(n)``, with ``solve_workers`` of
     them, or a ``reduce`` worker's one), then the spectra and stream keys kept for every
-    trial, or for ``reduce`` the larger of its table's build and the table beside the
-    workers' matrices."""
+    trial, or for ``reduce`` its table beside the workers' matrices."""
     n, trials = spec.n, config.trials
     itemsize = 16 if spec.law.is_complex else 8
     copies = _KEPT_SPECTRA.get(config.command, 0)
@@ -401,8 +396,8 @@ def _memory_need(config: ExperimentConfig, spec: EnsembleSpec) -> tuple[int, str
         )
     need = matrix_copies * n * n * itemsize * matrices + kept
     if config.command == "reduce":
-        held += f" beside the {n}x{n} rescaling table, or its build ({_TABLE_COPIES} x {n} x {n} x 8 bytes) if larger"
-        need = max(need + n * n * 8, _TABLE_COPIES * n * n * 8)
+        held += f" beside the {n}x{n} rescaling table"
+        need += n * n * 8
     return need + _WORKER_BYTES * workers, held
 
 

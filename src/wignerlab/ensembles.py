@@ -57,9 +57,6 @@ SMALL_N = 512
 _MIRROR_BAND_BYTES = 512
 # strictly lower triangle of the widest band's diagonal block (64 float64 columns)
 _BELOW_DIAGONAL = np.tri(_MIRROR_BAND_BYTES // 8, k=-1, dtype=bool)
-# bytes of the conjugate temporary behind one diagonal-block copy of the mirror,
-# unless a single matrix's block is larger (at most 32 kB, a real band's block)
-_MIRROR_TEMP_BYTES = 4096
 # elements per ufunc buffer inside the mirror, two buffers per call: at most 2 kB,
 # where numpy's default of 8,192 allocates 128 kB (real) or 256 kB (complex) for
 # every conjugate it cannot run as one flat loop
@@ -457,16 +454,17 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     Pareto sign fills pass through one temporary of n(n+1)/2 values (8 bytes
     each).
 
-    The matrix is a stack of one from ``_sample_stack``, the sampler that
-    ``trial_eigenvalues`` runs on each block of trials: the packed rows move
-    to their places bottom-up, one slice write each, and the diagonal goes
-    in after them.
+    The upper triangle and diagonal are a stack of one from ``_sample_stack``,
+    the sampler that ``trial_eigenvalues`` runs on each block of trials: the
+    packed rows move to their places bottom-up, one slice write each, and
+    the diagonal goes in after them.  ``_mirror_lower`` then fills the lower
+    triangle, which only a ``HermitianMatrix`` needs.
     """
-    return HermitianMatrix._trusted(_sample_stack(spec, (rng,))[0])
+    return HermitianMatrix._trusted(_mirror_lower(_sample_stack(spec, (rng,))[0]))
 
 
 def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """A fresh (len(rngs), n, n) stack of exact conjugate mirrors, slot s drawn from ``rngs[s]``.
+    """A fresh (len(rngs), n, n) stack of upper triangles, slot s drawn from ``rngs[s]``.
 
     Each slot's draws are ``sample``'s: its fills come from its own
     generator, packed at the front of the slot's buffer (its float view when
@@ -478,9 +476,11 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     no later than the spot where its upper part lands, and a row writes
     only right of its own diagonal, so no row that is still packed is
     overwritten.  Leading diagonal draws are gathered before the rows
-    overwrite them, and the diagonal goes in after the rows.
-    ``_mirror_lower`` then writes the lower triangles a band of columns at a
-    time.  Entries are not checked here: the caller wraps a slot with
+    overwrite them, and the diagonal goes in after the rows.  Last, the
+    fill's leftovers below the diagonal are zeroed, so the stack's checks
+    (finite entries, any imaginary part) see the matrices alone; no solve
+    reads that triangle, and ``sample`` mirrors over it.  Entries are not
+    checked here: the caller wraps a mirrored slot with
     ``HermitianMatrix._trusted`` or hands the stack to
     ``eigenvalues_desc_stacked``.
     """
@@ -490,10 +490,11 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     lead = int(dlaw == diagonal_law_for(law))  # 1 if each row's diagonal draw leads it
     base = w.reshape(count, -1).view(np.float64)
     diag = None if lead else np.empty((count, n))
+    fill = lead * n + width * (n * (n - 1) // 2)  # base draws per slot
     for s, rng in enumerate(rngs):
         if not lead:
             dlaw._fill(rng, n, diag[s])
-        law._fill(rng, lead * n + width * (n * (n - 1) // 2), base[s])
+        law._fill(rng, fill, base[s])
     r = np.arange(n)
     starts = lead * r + width * (r * (2 * n - r - 1) // 2)  # row i's first packed draw
     if lead:
@@ -505,44 +506,38 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
         draws = base[:, start : start + width * (n - i - 1)]
         np.multiply(law._entries(draws), sd_rows(i)[1:], out=w[:, i, i + 1 :])
     w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
-    _mirror_lower(w)
+    for i in range(1, -(-fill // (width * n))):  # the rows the fill reached
+        w[:, i, :i] = 0
     return w
 
 
-def _mirror_lower(w: np.ndarray) -> None:
-    """Overwrite each matrix's strictly lower triangle with the conjugate of its upper one.
+def _mirror_lower(w: np.ndarray) -> np.ndarray:
+    """Write the conjugate of the (n, n) matrix ``w``'s upper triangle over its lower one; return ``w``.
 
-    ``w`` is an (..., n, n) stack.  Band [a, b) of ``_MIRROR_BAND_BYTES``
-    worth of columns takes rows b.. from the conjugate transpose of rows
-    a..b-1 right of column b, one matrix at a time: within one matrix numpy
-    proves the two regions disjoint and writes in place, where across the
-    stack it would copy the source first.  A real band is a plain copy; a
-    complex band's conjugate runs through ufunc buffers of
+    Band [a, b) of ``_MIRROR_BAND_BYTES`` worth of columns takes rows b..
+    from the conjugate transpose of rows a..b-1 right of column b; numpy
+    proves the two regions disjoint and writes in place.  A real band is a
+    plain copy; a complex band's conjugate runs through ufunc buffers of
     ``_MIRROR_BUFFER`` elements.  The band's own diagonal block then takes
-    its lower part from a conjugate-transposed copy, a group of matrices at
-    a time, so the copy stays within ``_MIRROR_TEMP_BYTES`` or one matrix's
-    block: at n <= 64 the block is the whole matrix, and one copy across
-    the stack would copy it all.
+    its lower part from a conjugate-transposed copy of the block, at most
+    32 kB (a real band's).
     """
-    n, band, conjugate = w.shape[-1], _MIRROR_BAND_BYTES // w.itemsize, np.iscomplexobj(w)
-    mats = w.reshape(-1, n, n)
+    n, band, conjugate = len(w), _MIRROR_BAND_BYTES // w.itemsize, np.iscomplexobj(w)
     with np.errstate():
         np.setbufsize(_MIRROR_BUFFER)
         for a in range(0, n, band):
             b = min(a + band, n)
-            for m in mats if b < n else ():
-                if conjugate:
-                    np.conjugate(m[a:b, b:].T, out=m[b:, a:b])
-                else:
-                    np.copyto(m[b:, a:b], m[a:b, b:].T)
-            group = max(1, _MIRROR_TEMP_BYTES // ((b - a) ** 2 * w.itemsize))
-            for s in range(0, len(mats), group):
-                block = mats[s : s + group, a:b, a:b]
-                upper = block.swapaxes(-1, -2).copy()  # a copy, then a flat conjugate: no ufunc buffer
-                if conjugate:
-                    np.conjugate(upper, out=upper)
-                np.copyto(block, upper, where=_BELOW_DIAGONAL[: b - a, : b - a])
-                del upper  # before the next group's copy
+            if conjugate:
+                np.conjugate(w[a:b, b:].T, out=w[b:, a:b])
+            else:
+                np.copyto(w[b:, a:b], w[a:b, b:].T)
+            block = w[a:b, a:b]
+            upper = block.T.copy()  # a copy, then a flat conjugate: no ufunc buffer
+            if conjugate:
+                np.conjugate(upper, out=upper)
+            np.copyto(block, upper, where=_BELOW_DIAGONAL[: b - a, : b - a])
+            del upper  # before the next band's copy
+    return w
 
 
 def sample_trial(spec: EnsembleSpec, trial: int) -> HermitianMatrix:
@@ -579,11 +574,12 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     rows.  A block is sampled straight into one (B, n, n) stack by
     ``_sample_stack``: trial t draws from its own stream, that of
     ``derive_rng(spec.seed, DOMAIN_SAMPLE, t)``, into its own slot, and the
-    placement (one slice write per row across every slot), mirror and checks
-    run once for the block.  The keys come from one ``stream_keys`` pass per
-    call, replayed by each block through one reused generator
-    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The stack is then
-    solved with the GIL released (``eigenvalues_desc_stacked``): a block of
+    placement (one slice write per row across every slot) and checks run
+    once for the block; the stack holds upper triangles, the triangle LAPACK
+    reads, so no trial is mirrored.  The keys come from one ``stream_keys``
+    pass per call, replayed by each block through one reused generator
+    (``KeyedStreams``), so no trial builds a ``SeedSequence``.  The stack is
+    then solved with the GIL released (``eigenvalues_desc_stacked``): a block of
     more than one trial by one ``eigvalsh`` call on copies of its matrices, a
     block of one by LAPACK's routine on the sample itself, which it
     overwrites.  Each row has the bytes of

@@ -17,15 +17,15 @@ skips the asymmetry pass, the averaging and the copy, but still rejects
 non-finite entries, stores float64 or complex128, demotes complex storage
 with no imaginary part to real, and makes the array read-only.  The block
 sampler behind ``ensembles.trial_eigenvalues`` (``ensembles._sample_stack``)
-produces a fresh (B, n, n) stack of such mirrors, B = 1 from n = 512 up,
+produces a fresh (B, n, n) stack of upper triangles, B = 1 from n = 512 up,
 and hands it straight to ``eigenvalues_desc_stacked``, which applies the
-same checks to the whole stack through one shared helper; no
-``HermitianMatrix`` is built for any trial of the eigenvalue path.  A stack
-of more than one matrix is one ``eigvalsh`` call, which solves a copy of
-each matrix.  A lone matrix is handed to the LAPACK routine ``eigvalsh``
-calls, found through ``ctypes`` in the OpenBLAS bundled with numpy, and is
-overwritten in place: its solve holds one matrix, not two, and gives the
-same bytes.
+same checks to the whole stack through one shared helper and reads only the
+upper triangles; no ``HermitianMatrix`` is built for any trial of the
+eigenvalue path.  A stack of more than one matrix is one ``eigvalsh`` call,
+which solves a copy of each matrix.  A lone matrix is handed to the LAPACK
+routine ``eigvalsh`` calls, found through ``ctypes`` in the OpenBLAS bundled
+with numpy, and is overwritten in place: its solve holds one matrix, not
+two, and gives the same bytes.
 """
 from __future__ import annotations
 
@@ -153,44 +153,46 @@ def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
 
 
 def eigenvalues_desc_stacked(stack: np.ndarray) -> np.ndarray:
-    """Rows of ``eigenvalues_desc`` of each matrix in a fresh (B, n, n) stack.
+    """Rows of ``eigenvalues_desc`` of the matrices whose upper triangles fill a fresh (B, n, n) stack.
 
-    For in-package producers only, as ``HermitianMatrix._trusted``: each
-    matrix must be an exact conjugate mirror with a real diagonal, no one
+    For in-package producers only, as ``HermitianMatrix._trusted``: no one
     else may hold the stack, and it gets ``_trusted``'s checks (finite
-    entries, real storage when no entry has an imaginary part).  A stack of
-    more than one matrix is one ``eigvalsh`` call: LAPACK solves it one
-    matrix at a time, each on numpy's copy of it, with the routine and
+    entries, real storage when no entry has an imaginary part).  Nothing
+    below the diagonals is read.  ``eigvalsh`` of a full matrix has LAPACK
+    (``?syevd`` or ``?heevd``, uplo 'L') read the lower triangle of a
+    Fortran-order copy, the conjugate transpose of the upper triangle.  So a
+    complex stack is conjugated once (into a copy unless it is writable and
+    C-order), and both routes hand LAPACK each matrix's transpose.  A stack
+    of more than one matrix is one ``eigvalsh`` call on the swapped axes:
+    LAPACK solves one matrix at a time on numpy's copy, with the routine and
     workspace of a single call, and numpy releases the GIL for the whole
-    stack once B times n reaches 512.  A lone matrix in a writable C-order
-    stack goes straight to that routine, which overwrites it
-    (``_eigvalsh_in_place``), so no copy of it is made; without the routine
-    it is an ``eigvalsh`` call too.  Either way each spectrum has the bytes
-    of ``eigenvalues_desc`` on that matrix.
+    stack once B times n reaches 512.  A lone matrix of a writable C-order
+    stack goes straight to that routine, which reads it as Fortran and
+    overwrites it (``_eigvalsh_in_place``); without the routine it is an
+    ``eigvalsh`` call too.  Each spectrum has the bytes of
+    ``eigenvalues_desc`` on the full matrix.
     """
     stack = _checked_fresh(stack)
+    if np.iscomplexobj(stack):
+        stack = np.conjugate(stack, out=stack if stack.flags.carray else None)
     if len(stack) == 1 and stack.flags.carray and _lapack_evd() is not None:
         ascending = _eigvalsh_in_place(stack[0])[None]
     else:
-        ascending = np.linalg.eigvalsh(stack)
+        ascending = np.linalg.eigvalsh(stack.swapaxes(-1, -2))
     return _readonly(ascending[:, ::-1].copy())
 
 
 def _eigvalsh_in_place(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)`` from the LAPACK routine it calls, run on ``a``'s own buffer.
+    """``np.linalg.eigvalsh(a.T)`` from the LAPACK routine it calls, run on ``a``'s own buffer.
 
-    ``a`` is a fresh C-order (n, n) exact conjugate mirror, which the
-    routine overwrites.  Numpy gives ``?syevd`` or ``?heevd`` (jobz 'N',
-    uplo 'L') a Fortran-order copy of the matrix; read as Fortran, ``a`` is
-    its own transpose, the conjugate of the matrix, so a complex ``a`` is
-    conjugated in place first and LAPACK reads the values of numpy's copy.
-    The workspaces come from the same size query as numpy's and belong to
-    this call; ``ctypes`` releases the GIL while the routine runs.
+    ``a`` is a fresh C-order (n, n) array, which the routine (numpy's
+    ``?syevd`` or ``?heevd``, jobz 'N', uplo 'L') reads as Fortran, that is
+    as ``a.T``, and overwrites.  The workspaces come from the same size
+    query as numpy's and belong to this call; ``ctypes`` releases the GIL
+    while the routine runs.
     """
     is_complex = np.iscomplexobj(a)
     routine = _lapack_evd()[is_complex]
-    if is_complex:
-        np.conjugate(a, out=a)
     n = a.shape[0]
     w = np.empty(n)
 

@@ -1,17 +1,16 @@
 """Deterministic random-stream derivation and the trial fan-out.
 
-Every stochastic routine takes an explicit numpy ``Generator``.  Streams for
-distinct purposes are derived from a single master seed through
-``SeedSequence`` spawn keys feeding a counter-based Philox generator, so
+Every stochastic routine takes an explicit numpy ``Generator``.  Stream
+(domain, t) of a master seed is a counter-based Philox generator with the
+key ``SeedSequence(master_seed, spawn_key=(domain, t))`` would give it, so
 trials can be dispatched to any number of threads by ``parallel_map`` and
 the result of trial r never depends on scheduling order.
 
-A Philox stream is fixed by its 128-bit key and a zero counter, so trial
-loops need no ``SeedSequence`` per trial.  ``stream_keys`` computes the keys
-of a run of trial indices in vectorised passes, bit for bit the keys
-``derive_rng`` would seed, and ``KeyedStreams`` replays them through one
-generator whose state is reset to each key in turn.  ``derive_rng`` stays
-the one-stream API and the reference the keyed path is tested against.
+A Philox stream is fixed by its 128-bit key and a zero counter, so no stream
+builds a ``SeedSequence``: ``stream_keys`` computes the keys of a run of
+trial indices in vectorised passes, and ``KeyedStreams`` replays them
+through one generator whose state is reset to each key in turn.  The
+one-stream API, ``derive_rng``, is a run of one.
 """
 from __future__ import annotations
 
@@ -41,12 +40,10 @@ _MASK32 = 0xFFFFFFFF
 _KEY_CHUNK = 1024
 
 
-def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Generator for the stream addressed by ``path`` under ``master_seed``."""
-    if master_seed < 0:
-        raise ValueError("master seed must be a nonnegative integer")
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+def derive_rng(master_seed: int, domain: int, index: int) -> np.random.Generator:
+    """A fresh generator for stream (domain, index) under ``master_seed``: item 0 of
+    the ``KeyedStreams`` of ``stream_keys(master_seed, domain, index, index + 1)``."""
+    return KeyedStreams(stream_keys(master_seed, domain, index, index + 1))[0]
 
 
 def _word_count(value: int) -> int:
@@ -75,9 +72,9 @@ def stream_keys(master_seed: int, domain: int, first: int, stop: int) -> np.ndar
     """Philox keys of streams (domain, t) for t = first..stop-1, as a (stop - first, 2) uint64 array.
 
     Row t - first equals ``SeedSequence(master_seed, spawn_key=(domain,
-    t)).generate_state(2, np.uint64)``, the key of ``derive_rng(master_seed,
-    domain, t)``.  The seed words, padded to the pool of 4, and the domain
-    word mix the same way for every trial, so numpy mixes them once.  Only
+    t)).generate_state(2, np.uint64)``, the Philox key numpy would seed from
+    that ``SeedSequence``.  The seed words, padded to the pool of 4, and the
+    domain word mix the same way for every trial, so numpy mixes them once.  Only
     the trial word's four mixes (eight for t >= 2**32, which has two words)
     and the four output hashes run per trial, on arrays of ``_KEY_CHUNK``
     trials at a time, so the pass holds little beyond its 16-byte rows.
@@ -125,9 +122,10 @@ class KeyedStreams(Sequence):
     """The streams of ``keys`` (rows of ``stream_keys``) through one reused generator.
 
     Item i resets the generator's Philox state to key i with a zero counter
-    and an empty buffer, the state ``derive_rng`` starts from, and returns
-    it.  An item therefore draws its stream only until the next item is
-    taken: use each one before taking the next, and one instance per thread.
+    and an empty buffer, the state a fresh Philox seeded with that key
+    starts from, and returns it.  An item therefore draws its stream only
+    until the next item is taken: use each one before taking the next, and
+    one instance per thread.
     """
 
     def __init__(self, keys: np.ndarray) -> None:
@@ -155,7 +153,9 @@ class KeyedStreams(Sequence):
 def parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
     """Order-preserving map; results do not depend on the thread count.
 
-    Worker w maps items w, w + threads, ...: one future per worker, not per item (1.6 kB each)."""
+    Worker w maps items w, w + threads, ...: one future (1.6 kB) per worker, and no more
+    workers than items."""
+    threads = min(threads, len(items))
     if threads <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -11,8 +11,9 @@ sampled tail contributions instead of closed-form truncated moments, the
 Harer-Zagier recursion instead of walk classes, raw per-row generator
 calls instead of the one-fill sampler, rational Poisson-kernel sums
 instead of blocked float ones, one relabeling at a time instead of
-gathered class sums, and the truncated and rescaled matrices built whole
-instead of one fused cost pass.
+gathered class sums, the truncated and rescaled matrices built whole
+instead of one fused cost pass, and a ``SeedSequence`` per stream instead
+of Philox keys derived in vectorised passes.
 Agreement between unrelated routes is what the suite certifies.
 """
 from __future__ import annotations
@@ -242,6 +243,11 @@ def harer_zagier(n: int, k: int) -> Fraction:
     for j in range(1, k):
         b.append(((4 * j + 2) * n * b[j] + j * (4 * j * j - 1) * b[j - 1]) / (j + 2))
     return b[k]
+
+
+def seed_sequence_rng(master_seed: int, domain: int, index: int) -> np.random.Generator:
+    """Stream (domain, index) as numpy seeds it: Philox from ``SeedSequence(master_seed, spawn_key=(domain, index))``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(domain, index))))
 
 
 def _row_draws(law: EntryLaw, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -387,7 +387,7 @@ def test_validate_memory_preflight(tmp_path, monkeypatch):
     )
     build_need = 3 * 64 * 64 * 8 + 64 * 64 * 8 + worker
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: build_need - 1)
-    assert "or its build (3 x 64 x 64 x 8 bytes)" in validate(zero_diagonal)[0]
+    assert "beside the 64x64 rescaling table" in validate(zero_diagonal)[0]
     monkeypatch.setattr(cli_runner, "_physical_memory", lambda: build_need)
     assert validate(zero_diagonal) == []
     # from n = 512 up a block holds one trial and solves on the process's BLAS

@@ -40,9 +40,9 @@ from wignerlab.ensembles import (
     wigner_unit_spec,
 )
 from wignerlab.hermitian_core import _openblas_thread_calls, eigenvalues_desc, single_blas_thread
-from wignerlab.streams import DOMAIN_SAMPLE, KeyedStreams, derive_rng, stream_keys
+from wignerlab.streams import DOMAIN_SAMPLE, KeyedStreams, stream_keys
 
-from _oracles import monte_carlo_lindeberg_term, per_row_sample
+from _oracles import monte_carlo_lindeberg_term, per_row_sample, seed_sequence_rng
 
 N_MC = 1_000_000
 
@@ -948,9 +948,29 @@ def test_sample_matches_per_row_reference_layout(law, diagonal):
             spec = EnsembleSpec(n, law, profile, diagonal_law=diagonal, seed=31)
             for trial in (0, 5):
                 got = sample_trial(spec, trial).entries
-                want = per_row_sample(n, law, profile, diagonal, derive_rng(31, DOMAIN_SAMPLE, trial))
+                want = per_row_sample(n, law, profile, diagonal, seed_sequence_rng(31, DOMAIN_SAMPLE, trial))
                 assert got.dtype == want.dtype, (n, profile.kind, trial)
                 assert got.tobytes() == want.tobytes(), (n, profile.kind, trial)
+
+
+@pytest.mark.parametrize("diagonal", (None, EntryLaw.rademacher()), ids=_diagonal_id)
+@pytest.mark.parametrize(
+    "law",
+    (EntryLaw.gaussian_real(), EntryLaw.gaussian_complex(), EntryLaw.pareto_symmetric(1.5, 0.5)),
+    ids=lambda law: law.kind,
+)
+def test_sample_stack_holds_upper_triangles_of_sample(law, diagonal):
+    """A block's stack holds each slot's upper triangle and diagonal, byte for
+    byte those of ``sample`` from the slot's stream, over a strictly lower
+    triangle of zeros: no trial of the eigenvalue path is mirrored."""
+    for n in (1, 2, 17, 3 * MIRROR_BAND + 9):
+        spec = EnsembleSpec(n, law, _layout_profiles(n)[1], diagonal_law=diagonal, seed=31)
+        stack = ensembles._sample_stack(spec, KeyedStreams(stream_keys(31, DOMAIN_SAMPLE, 0, 3)))
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        assert stack.shape == (3, n, n) and not stack[:, ~upper].any(), n
+        for t in range(3):
+            want = sample_trial(spec, t).entries.astype(stack.dtype)  # n = 1 demotes a complex sample
+            assert stack[t][upper].tobytes() == want[upper].tobytes(), (n, t)
 
 
 class _CountingGenerator:
@@ -1067,23 +1087,20 @@ def test_trial_block_peak_memory_per_held_matrix(law, n):
 
 
 @pytest.mark.parametrize(
-    "shape, dtype",
-    [((8, 64, 64), np.complex128), ((4, 128, 128), np.float64), ((1, 1024, 1024), np.float64), ((1, 512, 512), np.complex128)],
-    ids=("complex-8x64", "real-4x128", "real-1x1024", "complex-1x512"),
+    "n, dtype", [(1024, np.float64), (512, np.complex128)], ids=("real-1x1024", "complex-1x512")
 )
-def test_mirror_peak_memory_is_bounded(shape, dtype):
-    """``_mirror_lower``'s own peak is one band's diagonal-block temporary
-    (``_MIRROR_TEMP_BYTES``, or one matrix's block when larger) and at most
-    ``_MIRROR_TEMP_BYTES`` more, at any stack and size.
+def test_mirror_peak_memory_is_bounded(n, dtype):
+    """``_mirror_lower``'s own peak is one band's diagonal-block copy and at
+    most 4,096 bytes of ufunc buffers more.
 
-    Measured: 17,560 B complex (8, 64, 64), 33,944 B real (4, 128, 128),
-    34,040 B real n = 1024.  Conjugating a band across the whole stack in
-    one call peaked at 263,400, 132,328 and 132,520 B: numpy copied the
-    source of a stack first, and buffered 8,192 elements per operand.
+    Measured: 33,796 B real n = 1024 and 17,412 B complex n = 512.
+    Conjugating a band across a stack in one call peaked at 132,520 B real
+    n = 1024: numpy copied the source of a stack first, and buffered 8,192
+    elements per operand.
     """
     import tracemalloc
 
-    w = np.zeros(shape, dtype)
+    w = np.zeros((n, n), dtype)
     ensembles._mirror_lower(w)  # the first call in a process also allocates one-time state
     tracemalloc.start()
     try:
@@ -1092,8 +1109,8 @@ def test_mirror_peak_memory_is_bounded(shape, dtype):
     finally:
         tracemalloc.stop()
     band = _MIRROR_BAND_BYTES // w.itemsize
-    block = min(band, shape[-1]) ** 2 * w.itemsize
-    assert peak <= max(ensembles._MIRROR_TEMP_BYTES, block) + ensembles._MIRROR_TEMP_BYTES, peak
+    block = min(band, n) ** 2 * w.itemsize
+    assert peak <= block + 4096, peak
 
 
 # ---------------------------------------------------------------------------

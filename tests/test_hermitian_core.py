@@ -1,4 +1,5 @@
 """Hermitian substrate: construction, spectra, norms, minors."""
+import ctypes
 import math
 
 import numpy as np
@@ -297,17 +298,21 @@ def test_trusted_path_rejects_non_finite_entries():
 
 @pytest.mark.parametrize("complex_entries", (False, True), ids=("real", "complex"))
 def test_lone_stack_has_eigenvalues_desc_bytes(monkeypatch, rng, complex_entries):
-    """A stack of one is solved by LAPACK's routine on its own buffer, which,
-    read as Fortran, holds the values of numpy's copy of the matrix, and gives
-    the bytes of eigenvalues_desc, whose eigvalsh solves that copy, at every
-    n.  A read-only stack goes to eigvalsh and keeps its bytes."""
-    routines, fortran_reads = hermitian_core._lapack_evd(), []
+    """A stack of one is solved by LAPACK's routine on its own buffer, whose
+    lower triangle read as Fortran (uplo 'L'), the triangle LAPACK reads, holds
+    that of numpy's copy of the matrix, and gives the bytes of
+    eigenvalues_desc, whose eigvalsh solves that copy, at every n.  A
+    read-only stack is never overwritten: a real one goes to eigvalsh, a
+    complex one is conjugated into a copy that the routine solves."""
+    routines, fortran_reads, solves = hermitian_core._lapack_evd(), [], 0
     if routines is not None:
 
         def reading(routine):
-            def call(*args):
-                fortran_reads.append(np.array_equal(stack[0].T, m.entries))
-                routine(*args)
+            def call(jobz, uplo, size, a, *rest):
+                raw = (ctypes.c_char * m.entries.nbytes).from_address(a)
+                fortran = np.frombuffer(raw, m.entries.dtype).reshape(m.n, m.n, order="F")
+                fortran_reads.append(uplo == b"L" and np.array_equal(np.tril(fortran), np.tril(m.entries)))
+                routine(jobz, uplo, size, a, *rest)
 
             return call
 
@@ -315,13 +320,40 @@ def test_lone_stack_has_eigenvalues_desc_bytes(monkeypatch, rng, complex_entries
     for n in range(1, 65):
         m = HermitianMatrix(random_hermitian(rng, n, complex_entries=complex_entries))
         want, entries = eigenvalues_desc(m).tobytes(), m.entries.tobytes()
-        stack = m.entries.copy()[None]
-        got = eigenvalues_desc_stacked(stack)
+        got = eigenvalues_desc_stacked(m.entries.copy()[None])
         assert got.shape == (1, n) and not got.flags.writeable
         assert got[0].tobytes() == want, n
         assert eigenvalues_desc_stacked(m.entries[None])[0].tobytes() == want
         assert m.entries.tobytes() == entries
-    assert all(fortran_reads) and len(fortran_reads) == (0 if routines is None else 2 * 64)
+        solves += 2 if m.is_complex else 1
+    assert all(fortran_reads) and len(fortran_reads) == (0 if routines is None else 2 * solves)
+
+
+@pytest.mark.parametrize("lapack", (True, False), ids=("lapack", "no-lapack"))
+@pytest.mark.parametrize("complex_entries", (False, True), ids=("real", "complex"))
+@pytest.mark.parametrize("count, n", [(3, 1), (4, 5), (8, 64), (2, 300), (1, 600), (1, 3)])
+def test_stack_is_read_from_its_upper_triangle(monkeypatch, rng, count, n, complex_entries, lapack):
+    """Whatever finite values lie below the diagonals, each row has the bytes of
+    eigenvalues_desc of the Hermitian matrix of that matrix's upper triangle and
+    diagonal, on either solve route, with LAPACK's routine or without it.  A
+    read-only stack and a strided view give the same rows and are left as they
+    were."""
+    if not lapack:
+        monkeypatch.setattr(hermitian_core, "_lapack_evd", lambda: None)
+    mats = [HermitianMatrix(random_hermitian(rng, n, complex_entries=complex_entries)) for _ in range(count)]
+    want = [eigenvalues_desc(m).tobytes() for m in mats]
+    stack = np.stack([m.entries for m in mats])
+    below = np.tri(n, k=-1, dtype=bool)
+    noise = 1e3 * rng.standard_normal((count, n, n, 2)).view(np.complex128)[..., 0]
+    stack[:, below] = (noise if stack.dtype == np.complex128 else noise.real)[:, below]
+    frozen = stack.copy()
+    frozen.setflags(write=False)
+    strided = np.empty((count, n, 2 * n), stack.dtype)[..., ::2]
+    strided[...] = stack
+    kept = frozen.tobytes(), strided.tobytes()
+    for s in (stack, frozen, strided):
+        assert [row.tobytes() for row in eigenvalues_desc_stacked(s)] == want
+    assert (frozen.tobytes(), strided.tobytes()) == kept
 
 
 def test_lapack_lookup_resolves_beside_the_bundled_thread_calls():

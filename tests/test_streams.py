@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import seed_sequence_rng
 from wignerlab.streams import (
     _KEY_CHUNK,
     DOMAIN_BERNOULLI,
@@ -15,6 +17,7 @@ from wignerlab.streams import (
     DOMAIN_SAMPLE,
     KeyedStreams,
     derive_rng,
+    parallel_map,
     stream_keys,
 )
 
@@ -41,12 +44,6 @@ def test_trials_and_seeds_address_distinct_streams():
         for trial in range(4)
     }
     assert len(set(streams.values())) == len(streams)
-
-
-def test_path_depth_matters():
-    shallow = derive_rng(9, 0).standard_normal(8)
-    deep = derive_rng(9, 0, 0).standard_normal(8)
-    assert not np.array_equal(shallow, deep)
 
 
 def test_negative_master_seed_rejected():
@@ -144,14 +141,39 @@ FILL_DRAWS = {
 @pytest.mark.parametrize("kind", FILL_DRAWS)
 @pytest.mark.parametrize("seed", (0, 2**64 - 1))
 def test_keyed_streams_draw_derive_rng_bytes(kind, seed):
-    """Each item of one reused generator draws what a fresh derive_rng draws, even
-    after the previous item left a half-used buffer and a spare 32-bit word."""
+    """Each item of one reused generator, and each derive_rng stream, draws what
+    numpy's Philox seeded through a SeedSequence draws, even after the previous
+    item left a half-used buffer and a spare 32-bit word."""
     draw = FILL_DRAWS[kind]
     streams = KeyedStreams(stream_keys(seed, DOMAIN_SAMPLE, 7, 12))
     assert len(streams) == 5
     for t, rng in enumerate(streams, start=7):
-        assert draw(rng).tobytes() == draw(derive_rng(seed, DOMAIN_SAMPLE, t)).tobytes(), t
+        want = draw(seed_sequence_rng(seed, DOMAIN_SAMPLE, t)).tobytes()
+        assert draw(rng).tobytes() == want, t
+        assert draw(derive_rng(seed, DOMAIN_SAMPLE, t)).tobytes() == want, t
         rng.integers(0, 2**16, 3, dtype=np.uint32)  # leaves buffer_pos and has_uint32 set
         rng.random(3)
     assert streams[2] is streams[0]
-    assert draw(streams[2]).tobytes() == draw(derive_rng(seed, DOMAIN_SAMPLE, 9)).tobytes()
+    assert draw(streams[2]).tobytes() == draw(seed_sequence_rng(seed, DOMAIN_SAMPLE, 9)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# parallel_map: the trial fan-out
+# ---------------------------------------------------------------------------
+
+
+def test_parallel_map_starts_no_more_workers_than_items(monkeypatch):
+    """Three items on 64 requested threads start a pool of three workers, one
+    item starts none, and the results keep item order."""
+    pools = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr("wignerlab.streams.ThreadPoolExecutor", Recorder)
+    assert parallel_map(lambda x: x * x, [3, 1, 2], 64) == [9, 1, 4]
+    assert pools == [3]
+    assert parallel_map(lambda x: -x, [5], 8) == [-5]
+    assert pools == [3]
