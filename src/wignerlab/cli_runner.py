@@ -88,8 +88,11 @@ _KEY_BYTES = 16
 # from n = 256 up).  A block of B > 1 trials (n < 512) is one eigvalsh call, which
 # copies one matrix at a time, so a fresh process's VmHWM rises by at most 1.60 per
 # held matrix (n = 256 to 511, B = 2); a block of one is solved in place and raises
-# it by 1.06-1.13 matrices from n = 512 to 2048.  A reduce worker's sample, with the
-# cost pass's difference array and masks beside it, peaks at 2.6 (complex; 2.3 real).
+# it by 1.06-1.17 matrices from n = 600 to 2048.  A fresh process's first complex
+# solve from n = 512 up (zheevd_2stage) also touches about 1.8 MB of one-time BLAS
+# state: 1.61 matrices at n = 512, 1.08 after a first such solve.  A reduce
+# worker's sample, with the cost pass's difference array and masks beside it,
+# peaks at 2.6 (complex; 2.3 real).
 # reduce's per-size rescaling table counts one n x n float64 array beside them: its
 # build peaks at 2.13-2.17 such arrays, below one worker's three copies and the table
 _TRIAL_COPIES, _REDUCE_COPIES = 2, 3
@@ -504,8 +507,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _open_new(path: Path, mode: str, **kwargs):
+    """``open(path, mode)`` on a new file: a file already at ``path`` is unlinked first.
+
+    Truncating a file whose pages from a previous run are still being
+    written back can wait on the disk, so a rerun into the same ``--out``
+    writes new files beside the old ones' unlinked pages instead.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, mode, **kwargs)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_new(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -595,7 +609,7 @@ def _walk_lines(k: int, t: int, first_id: int, rows: np.ndarray, codes: np.ndarr
 
 def _cmd_walks(config: ExperimentConfig, out: Path) -> list[Path]:
     path = out / "walks.csv"
-    with open(path, "wb") as fh:
+    with _open_new(path, "wb") as fh:
         fh.write(b"k,t,class_id,sequence,classification\n")
         for k in config.k_list:
             class_id = 0
@@ -803,7 +817,8 @@ def run(config: ExperimentConfig) -> RunManifest:
         stream_layout=STREAM_LAYOUT,
         machine=_machine_state(config.threads),
     )
-    (out / "manifest.json").write_text(manifest.to_json() + "\n")
+    with _open_new(out / "manifest.json", "w") as fh:
+        fh.write(manifest.to_json() + "\n")
     return manifest
 
 

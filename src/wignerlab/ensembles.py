@@ -19,7 +19,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermitian_core import HermitianMatrix, blas_runtime_threads, eigenvalues_desc_stacked, single_blas_thread
+from .hermitian_core import (
+    SMALL_N,
+    HermitianMatrix,
+    blas_runtime_threads,
+    eigenvalues_desc_stacked,
+    single_blas_thread,
+)
 from .streams import DOMAIN_SAMPLE, KeyedStreams, derive_rng, parallel_map, stream_keys
 
 __all__ = [
@@ -49,9 +55,6 @@ LAW_KINDS = (
     "pareto_symmetric",
     "constant_zero",
 )
-# trial_eigenvalues solves blocks of ceil(SMALL_N / n) trials at a time, so
-# below this size a block holds more than one trial
-SMALL_N = 512
 # bytes of a row per band of the lower-triangle mirror in sample: 64 real or
 # 32 complex columns, the fastest band widths measured at n = 1024, 2048, 4096
 _MIRROR_BAND_BYTES = 512
@@ -61,6 +64,11 @@ _BELOW_DIAGONAL = np.tri(_MIRROR_BAND_BYTES // 8, k=-1, dtype=bool)
 # where numpy's default of 8,192 allocates 128 kB (real) or 256 kB (complex) for
 # every conjugate it cannot run as one flat loop
 _MIRROR_BUFFER = 64
+# rows per band of the symmetry check of variance matrices: each band meets a
+# contiguous copy of the matching columns (n x 32 float64s).  On a 2-vCPU VM,
+# comparing the matrix with its strided transpose whole took 4.2 ms at
+# n = 1024, 92 ms at 2048 and 0.9 s at 4096; in bands 0.5, 2.7 and 11 ms
+_SYMMETRY_BAND = 32
 
 
 def _phi(t: float) -> float:
@@ -300,9 +308,20 @@ def _checked_variances(values) -> np.ndarray:
         raise ValueError("variance matrix must be square")
     if not ((m >= 0) & (m < math.inf)).all():
         raise ValueError("variance matrix must be nonnegative and finite")
-    if not np.array_equal(m, m.T):
+    if not _is_symmetric(m):
         raise ValueError("variance matrix must be symmetric")
     return m
+
+
+def _is_symmetric(m: np.ndarray) -> bool:
+    """``np.array_equal(m, m.T)`` for a finite square ``m``, one band of rows at a time.
+
+    Rows a..b-1 right of column a meet the transpose of a copy of columns
+    a..b-1 below row a; together the bands cover every entry above the
+    diagonal and its mirror.
+    """
+    band = _SYMMETRY_BAND
+    return all((m[a : a + band, a:] == m[a:, a : a + band].copy().T).all() for a in range(0, len(m), band))
 
 
 @dataclass(frozen=True)
@@ -454,16 +473,16 @@ def sample(spec: EnsembleSpec, rng: np.random.Generator) -> HermitianMatrix:
     Pareto sign fills pass through one temporary of n(n+1)/2 values (8 bytes
     each).
 
-    The upper triangle and diagonal are a stack of one from ``_sample_stack``,
-    the sampler that ``trial_eigenvalues`` runs on each block of trials: the
-    packed rows move to their places bottom-up, one slice write each, and
-    the diagonal goes in after them.  ``_mirror_lower`` then fills the lower
-    triangle, which only a ``HermitianMatrix`` needs.
+    The matrix is a stack of one from ``_sample_stack``, the sampler that
+    ``trial_eigenvalues`` runs on each block of trials: the packed rows move
+    to their places bottom-up, one slice write each, and the diagonal goes
+    in after them.  ``_mirror_lower`` then fills the lower triangle, which
+    only a ``HermitianMatrix`` needs, over the fill's leftovers.
     """
-    return HermitianMatrix._trusted(_mirror_lower(_sample_stack(spec, (rng,))[0]))
+    return HermitianMatrix._trusted(_sample_stack(spec, (rng,), mirror=True)[0])
 
 
-def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator], mirror: bool = False) -> np.ndarray:
     """A fresh (len(rngs), n, n) stack of upper triangles, slot s drawn from ``rngs[s]``.
 
     Each slot's draws are ``sample``'s: its fills come from its own
@@ -479,8 +498,9 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
     overwrite them, and the diagonal goes in after the rows.  Last, the
     fill's leftovers below the diagonal are zeroed, so the stack's checks
     (finite entries, any imaginary part) see the matrices alone; no solve
-    reads that triangle, and ``sample`` mirrors over it.  Entries are not
-    checked here: the caller wraps a mirrored slot with
+    reads that triangle.  With ``mirror``, ``_mirror_lower`` writes each
+    slot's conjugate mirror over them instead, for ``sample``.  Entries are
+    not checked here: the caller wraps a mirrored slot with
     ``HermitianMatrix._trusted`` or hands the stack to
     ``eigenvalues_desc_stacked``.
     """
@@ -506,8 +526,12 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator]) -> np
         draws = base[:, start : start + width * (n - i - 1)]
         np.multiply(law._entries(draws), sd_rows(i)[1:], out=w[:, i, i + 1 :])
     w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
-    for i in range(1, -(-fill // (width * n))):  # the rows the fill reached
-        w[:, i, :i] = 0
+    if mirror:
+        for matrix in w:
+            _mirror_lower(matrix)
+    else:
+        for i in range(1, -(-fill // (width * n))):  # the rows the fill reached
+            w[:, i, :i] = 0
     return w
 
 
@@ -582,8 +606,9 @@ def trial_eigenvalues(spec: EnsembleSpec, trials: int, threads: int = 1) -> np.n
     then solved with the GIL released (``eigenvalues_desc_stacked``): a block of
     more than one trial by one ``eigvalsh`` call on copies of its matrices, a
     block of one by LAPACK's routine on the sample itself, which it
-    overwrites.  Each row has the bytes of
-    ``eigenvalues_desc(sample_trial(spec, t))`` under the same BLAS threads.
+    overwrites (``zheevd_2stage`` for a complex trial).  Each row has the
+    bytes of ``eigenvalues_desc(sample_trial(spec, t))``, which solves on the
+    same route, under the same BLAS threads.
     Block boundaries depend only on n and the trial index, so the result
     does not depend on `threads`.  A block of more than one trial (n below
     ``SMALL_N``) solves with OpenBLAS on one thread (``single_blas_thread``),

@@ -17,15 +17,24 @@ skips the asymmetry pass, the averaging and the copy, but still rejects
 non-finite entries, stores float64 or complex128, demotes complex storage
 with no imaginary part to real, and makes the array read-only.  The block
 sampler behind ``ensembles.trial_eigenvalues`` (``ensembles._sample_stack``)
-produces a fresh (B, n, n) stack of upper triangles, B = 1 from n = 512 up,
-and hands it straight to ``eigenvalues_desc_stacked``, which applies the
+produces a fresh (B, n, n) stack of upper triangles, B = 1 from ``SMALL_N``
+up, and hands it straight to ``eigenvalues_desc_stacked``, which applies the
 same checks to the whole stack through one shared helper and reads only the
 upper triangles; no ``HermitianMatrix`` is built for any trial of the
-eigenvalue path.  A stack of more than one matrix is one ``eigvalsh`` call,
-which solves a copy of each matrix.  A lone matrix is handed to the LAPACK
-routine ``eigvalsh`` calls, found through ``ctypes`` in the OpenBLAS bundled
-with numpy, and is overwritten in place: its solve holds one matrix, not
-two, and gives the same bytes.
+eigenvalue path.
+
+One solve rule serves the library: ``eigenvalues_desc`` is
+``eigenvalues_desc_stacked`` on a fresh copy of its matrix as a stack of
+one.  A stack of more than one matrix is one ``eigvalsh`` call, which
+solves a copy of each matrix with ``dsyevd`` or ``zheevd``.  A lone matrix
+is handed to a LAPACK routine found through ``ctypes`` in the OpenBLAS
+bundled with numpy, and is overwritten in place, so its solve holds one
+matrix, not two.  The routine follows the dtype and n: ``dsyevd`` for a real
+matrix and ``zheevd`` for a complex one below ``SMALL_N``, the routines
+``eigvalsh`` calls, with its bytes; ``zheevd_2stage`` for a complex matrix
+from ``SMALL_N`` up, whose reduction to tridiagonal form passes through a
+band matrix and runs mostly as level-3 BLAS.  Without the routines, every
+matrix goes to ``eigvalsh``.
 """
 from __future__ import annotations
 
@@ -51,6 +60,10 @@ __all__ = [
 
 # max-norm asymmetry beyond which input is rejected instead of symmetrized
 SYMMETRY_TOL = 1e-12
+# ensembles.trial_eigenvalues solves blocks of ceil(SMALL_N / n) trials, so
+# from this size up a block is one lone matrix; from here up, too, a complex
+# matrix solves through zheevd_2stage
+SMALL_N = 512
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -148,12 +161,17 @@ class HermitianMatrix:
 
 
 def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
-    """All eigenvalues of ``a``, repeated by multiplicity, descending."""
-    return _readonly(np.linalg.eigvalsh(a.entries)[::-1].copy())
+    """All eigenvalues of ``a``, repeated by multiplicity, descending.
+
+    The row of ``eigenvalues_desc_stacked`` on a fresh copy of ``a.entries``
+    as a stack of one, so ``a`` solves on the route, and with the routine,
+    of a trial of its size and dtype.
+    """
+    return eigenvalues_desc_stacked(a.entries[None].copy())[0]
 
 
 def eigenvalues_desc_stacked(stack: np.ndarray) -> np.ndarray:
-    """Rows of ``eigenvalues_desc`` of the matrices whose upper triangles fill a fresh (B, n, n) stack.
+    """Rows of descending eigenvalues of the matrices whose upper triangles fill a fresh (B, n, n) stack.
 
     For in-package producers only, as ``HermitianMatrix._trusted``: no one
     else may hold the stack, and it gets ``_trusted``'s checks (finite
@@ -167,10 +185,12 @@ def eigenvalues_desc_stacked(stack: np.ndarray) -> np.ndarray:
     LAPACK solves one matrix at a time on numpy's copy, with the routine and
     workspace of a single call, and numpy releases the GIL for the whole
     stack once B times n reaches 512.  A lone matrix of a writable C-order
-    stack goes straight to that routine, which reads it as Fortran and
-    overwrites it (``_eigvalsh_in_place``); without the routine it is an
-    ``eigvalsh`` call too.  Each spectrum has the bytes of
-    ``eigenvalues_desc`` on the full matrix.
+    stack goes straight to the routine ``_eigvalsh_in_place`` picks from its
+    dtype and n, which reads it as Fortran and overwrites it; without the
+    routines it is an ``eigvalsh`` call too.  Below ``SMALL_N``, and for a
+    real matrix at every n, each spectrum has the bytes of ``eigvalsh`` on
+    the full matrix; a complex lone matrix from ``SMALL_N`` up solves through
+    ``zheevd_2stage``, whose bytes differ from ``zheevd``'s by rounding.
     """
     stack = _checked_fresh(stack)
     if np.iscomplexobj(stack):
@@ -183,21 +203,24 @@ def eigenvalues_desc_stacked(stack: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh_in_place(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a.T)`` from the LAPACK routine it calls, run on ``a``'s own buffer.
+    """Ascending eigenvalues of ``a.T`` from a LAPACK routine run on ``a``'s own buffer.
 
-    ``a`` is a fresh C-order (n, n) array, which the routine (numpy's
-    ``?syevd`` or ``?heevd``, jobz 'N', uplo 'L') reads as Fortran, that is
-    as ``a.T``, and overwrites.  The workspaces come from the same size
-    query as numpy's and belong to this call; ``ctypes`` releases the GIL
-    while the routine runs.
+    ``a`` is a fresh C-order (n, n) array, which the routine (jobz 'N', uplo
+    'L') reads as Fortran, that is as ``a.T``, and overwrites.  The routine
+    is numpy's ``dsyevd`` for a real ``a`` and, below ``SMALL_N``, its
+    ``zheevd`` for a complex one, giving the bytes of
+    ``np.linalg.eigvalsh(a.T)``; a complex ``a`` from ``SMALL_N`` up goes to
+    ``zheevd_2stage``, which takes ``zheevd``'s arguments.  The workspaces
+    come from the routine's own size query and belong to this call;
+    ``ctypes`` releases the GIL while the routine runs.
     """
     is_complex = np.iscomplexobj(a)
-    routine = _lapack_evd()[is_complex]
     n = a.shape[0]
+    routine = _lapack_evd()[(2 if n >= SMALL_N else 1) if is_complex else 0]
     w = np.empty(n)
 
     def call(*workspaces: tuple[np.ndarray, int]) -> None:
-        """The routine with a (buffer, length) each for work, rwork (``?heevd`` only) and iwork."""
+        """The routine with a (buffer, length) each for work, rwork (complex only) and iwork."""
         info = ctypes.c_int64()
         sized = (x for buf, length in workspaces for x in (buf.ctypes.data, _int_ref(length)))
         routine(b"N", b"L", _int_ref(n), a.ctypes.data, _int_ref(n), w.ctypes.data, *sized, ctypes.pointer(info))
@@ -258,17 +281,20 @@ _EVD_HEAD = [ctypes.c_char_p, ctypes.c_char_p, _INT_P, ctypes.c_void_p, _INT_P, 
 
 @functools.cache
 def _lapack_evd():
-    """(dsyevd, zheevd) of the OpenBLAS bundled with numpy, indexed by complexity, or None.
+    """(dsyevd, zheevd, zheevd_2stage) of the OpenBLAS bundled with numpy, or None.
 
-    These are the routines numpy's ``eigvalsh`` calls, found by the name
-    rule of ``_openblas_thread_calls`` on the same library; a system
-    OpenBLAS, whose integer width is unknown, gives None.
+    The first two are the routines numpy's ``eigvalsh`` calls; the third
+    takes ``zheevd``'s arguments.  They are found by the name rule of
+    ``_openblas_thread_calls`` on the same library, all three or none, so
+    that without one of them every matrix solves through ``eigvalsh``; a
+    system OpenBLAS, whose integer width is unknown, gives None.
     """
     lib = _numpy_openblas()  # None resolves no name
-    routines = tuple(getattr(lib, _bundled(name), None) for name in ("dsyevd_", "zheevd_"))
+    names = ("dsyevd_", "zheevd_", "zheevd_2stage_")
+    routines = tuple(getattr(lib, _bundled(name), None) for name in names)
     if None in routines:
         return None
-    for routine, workspaces in zip(routines, (2, 3)):
+    for routine, workspaces in zip(routines, (2, 3, 3)):
         routine.argtypes = _EVD_HEAD + [ctypes.c_void_p, _INT_P] * workspaces + [_INT_P]
         routine.restype = None
     return routines
@@ -335,8 +361,7 @@ def numeric_rank(a: HermitianMatrix, tol: float | None = None) -> int:
     """
     if tol is None:
         tol = 1e-9 * a.n * float(np.max(np.abs(a.entries)))
-    ev = np.linalg.eigvalsh(a.entries)
-    return int(np.count_nonzero(np.abs(ev) > tol))
+    return int(np.count_nonzero(np.abs(eigenvalues_desc(a)) > tol))
 
 
 def principal_minor(a: HermitianMatrix, keep: Iterable[int] | Sequence[int]) -> HermitianMatrix:

@@ -403,6 +403,21 @@ def test_gaussian_row_check_matches_entrywise_row_sums(profile, law, diagonal_la
     assert gauss.truncated_variance_sum == pytest.approx(worst, rel=1e-14)
 
 
+@pytest.mark.parametrize("n", (1, 2, 31, 32, 33, 70))
+def test_symmetry_check_sees_every_entry_pair(n):
+    """The banded symmetry check of variance matrices accepts a symmetric matrix
+    and rejects one changed at any single off-diagonal entry, within a band,
+    across bands and in a short last band alike."""
+    a = np.random.default_rng(n).random((n, n))
+    m = a + a.T
+    assert ensembles._checked_variances(m) is not None
+    for i, j in zip(*np.nonzero(~np.eye(n, dtype=bool))):
+        bad = m.copy()
+        bad[i, j] += 1.0
+        with pytest.raises(ValueError, match="variance matrix must be symmetric"):
+            ensembles._checked_variances(bad)
+
+
 @ENTRY_LAW_CASES
 def test_condition_sums_matches_entrywise_row_sums(profile, law, diagonal_law):
     """The three hypothesis sums equal sums over the entries of matrix(), the diagonal under its own law."""
@@ -826,7 +841,8 @@ def test_lone_solve_holds_one_matrix():
     """A lone complex n = 1024 trial raises the process's VmHWM by under 1.5 x
     its matrix: LAPACK overwrites the sample instead of a copy of it.
 
-    Measured: 1.06 complex and 1.13 real at n = 1024, 1.06 and 1.12 at
+    Measured: 1.17 complex (zheevd_2stage, whose workspace is 1.15 MB; 1.13
+    on one BLAS thread) and 1.13 real at n = 1024, 1.06 and 1.12 at
     n = 2048.  Numpy's eigvalsh, which solves a copy, read 2.06 and 2.03 at
     n = 1024 and 2.03 at n = 2048.
     """

@@ -300,8 +300,9 @@ def test_trusted_path_rejects_non_finite_entries():
 def test_lone_stack_has_eigenvalues_desc_bytes(monkeypatch, rng, complex_entries):
     """A stack of one is solved by LAPACK's routine on its own buffer, whose
     lower triangle read as Fortran (uplo 'L'), the triangle LAPACK reads, holds
-    that of numpy's copy of the matrix, and gives the bytes of
-    eigenvalues_desc, whose eigvalsh solves that copy, at every n.  A
+    that of numpy's copy of the matrix, and gives the bytes of numpy's
+    eigvalsh, which solves that copy, at every n below SMALL_N.  So does
+    eigenvalues_desc, which solves a copy of its matrix as a stack of one.  A
     read-only stack is never overwritten: a real one goes to eigvalsh, a
     complex one is conjugated into a copy that the routine solves."""
     routines, fortran_reads, solves = hermitian_core._lapack_evd(), [], 0
@@ -319,13 +320,14 @@ def test_lone_stack_has_eigenvalues_desc_bytes(monkeypatch, rng, complex_entries
         monkeypatch.setattr(hermitian_core, "_lapack_evd", lambda: tuple(map(reading, routines)))
     for n in range(1, 65):
         m = HermitianMatrix(random_hermitian(rng, n, complex_entries=complex_entries))
-        want, entries = eigenvalues_desc(m).tobytes(), m.entries.tobytes()
+        want, entries = np.linalg.eigvalsh(m.entries)[::-1].tobytes(), m.entries.tobytes()
+        assert eigenvalues_desc(m).tobytes() == want
         got = eigenvalues_desc_stacked(m.entries.copy()[None])
         assert got.shape == (1, n) and not got.flags.writeable
         assert got[0].tobytes() == want, n
         assert eigenvalues_desc_stacked(m.entries[None])[0].tobytes() == want
         assert m.entries.tobytes() == entries
-        solves += 2 if m.is_complex else 1
+        solves += 3 if m.is_complex else 2
     assert all(fortran_reads) and len(fortran_reads) == (0 if routines is None else 2 * solves)
 
 
@@ -358,12 +360,73 @@ def test_stack_is_read_from_its_upper_triangle(monkeypatch, rng, count, n, compl
 
 def test_lapack_lookup_resolves_beside_the_bundled_thread_calls():
     """Where the thread calls resolve under the names of the OpenBLAS bundled
-    with numpy's wheels, so do its dsyevd and zheevd: a numpy that drops them
-    would silently copy every lone matrix again."""
+    with numpy's wheels, so do its dsyevd, zheevd and zheevd_2stage: a numpy
+    that drops them would silently copy every lone matrix again, and solve
+    complex ones from SMALL_N up through the one-stage reduction."""
     calls = hermitian_core._openblas_thread_calls()
     if calls is None or not calls[0].__name__.startswith("scipy_"):
         pytest.skip("numpy's BLAS is not the OpenBLAS bundled with its wheels")
-    assert hermitian_core._lapack_evd() is not None
+    lib = hermitian_core._numpy_openblas()
+    for name in ("dsyevd_", "zheevd_", "zheevd_2stage_"):
+        assert getattr(lib, hermitian_core._bundled(name), None) is not None, name
+    routines = hermitian_core._lapack_evd()
+    assert routines is not None
+    assert [r.__name__ for r in routines] == ["scipy_dsyevd_64_", "scipy_zheevd_64_", "scipy_zheevd_2stage_64_"]
+
+
+@pytest.mark.parametrize(
+    "n, complex_entries, routine",
+    [
+        (hermitian_core.SMALL_N - 1, True, "zheevd"),
+        (hermitian_core.SMALL_N, True, "zheevd_2stage"),
+        (600, True, "zheevd_2stage"),
+        (2048, False, "dsyevd"),
+    ],
+    ids=lambda v: str(v) if not isinstance(v, bool) else ("complex" if v else "real"),
+)
+def test_lone_routine_follows_dtype_and_n(monkeypatch, rng, n, complex_entries, routine):
+    """A lone matrix solves through zheevd_2stage when it is complex and n is at
+    least SMALL_N, else through the routine numpy's eigvalsh calls; the size
+    query and the solve both go to that routine, for eigenvalues_desc and a
+    stack of one alike."""
+    routines, used = hermitian_core._lapack_evd(), []
+    if routines is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS bundled with its wheels")
+
+    def named(routine):
+        def call(*args):
+            used.append(routine.__name__.removeprefix("scipy_").removesuffix("_64_"))
+            routine(*args)
+
+        return call
+
+    monkeypatch.setattr(hermitian_core, "_lapack_evd", lambda: tuple(map(named, routines)))
+    m = HermitianMatrix(random_hermitian(rng, n, complex_entries=complex_entries))
+    eigenvalues_desc(m)
+    eigenvalues_desc_stacked(m.entries[None].copy())
+    assert used == [routine] * 4
+
+
+@pytest.mark.parametrize("n", (512, 600, 1024))
+def test_two_stage_spectra_agree_with_eigvalsh(rng, n):
+    """A complex lone matrix from SMALL_N up (zheevd_2stage) gives the spectrum of
+    numpy's eigvalsh (zheevd) within 64 n eps max|lambda|, descending."""
+    m = HermitianMatrix(random_hermitian(rng, n, complex_entries=True))
+    want = np.linalg.eigvalsh(m.entries)[::-1]
+    got = eigenvalues_desc(m)
+    assert np.all(np.diff(got) <= 0)
+    bound = 64 * n * np.finfo(np.float64).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_without_the_lookup_both_routes_are_eigvalsh(monkeypatch, rng):
+    """With no routines found, a complex n = 600 matrix, alone or in a stack of
+    one, solves through numpy's eigvalsh, with its bytes."""
+    m = HermitianMatrix(random_hermitian(rng, 600, complex_entries=True))
+    want = np.linalg.eigvalsh(m.entries)[::-1].tobytes()
+    monkeypatch.setattr(hermitian_core, "_lapack_evd", lambda: None)
+    assert eigenvalues_desc(m).tobytes() == want
+    assert eigenvalues_desc_stacked(m.entries[None].copy())[0].tobytes() == want
 
 
 # -- spectral inequalities ----------------------------------------------------
