@@ -507,19 +507,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _open_new(path: Path, mode: str, **kwargs):
-    """``open(path, mode)`` on a new file: a file already at ``path`` is unlinked first.
-
-    Truncating a file whose pages from a previous run are still being
-    written back can wait on the disk, so a rerun into the same ``--out``
-    writes new files beside the old ones' unlinked pages instead.
-    """
-    path.unlink(missing_ok=True)
-    return open(path, mode, **kwargs)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with _open_new(path, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -609,7 +598,7 @@ def _walk_lines(k: int, t: int, first_id: int, rows: np.ndarray, codes: np.ndarr
 
 def _cmd_walks(config: ExperimentConfig, out: Path) -> list[Path]:
     path = out / "walks.csv"
-    with _open_new(path, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(b"k,t,class_id,sequence,classification\n")
         for k in config.k_list:
             class_id = 0
@@ -817,8 +806,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         stream_layout=STREAM_LAYOUT,
         machine=_machine_state(config.threads),
     )
-    with _open_new(out / "manifest.json", "w") as fh:
-        fh.write(manifest.to_json() + "\n")
+    (out / "manifest.json").write_text(manifest.to_json() + "\n")
     return manifest
 
 

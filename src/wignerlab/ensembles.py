@@ -498,9 +498,9 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator], mirro
     overwrite them, and the diagonal goes in after the rows.  Last, the
     fill's leftovers below the diagonal are zeroed, so the stack's checks
     (finite entries, any imaginary part) see the matrices alone; no solve
-    reads that triangle.  With ``mirror``, ``_mirror_lower`` writes each
-    slot's conjugate mirror over them instead, for ``sample``.  Entries are
-    not checked here: the caller wraps a mirrored slot with
+    reads that triangle.  With ``mirror``, for ``sample``'s stack of one,
+    ``_mirror_lower`` writes the slot's conjugate mirror over them instead.
+    Entries are not checked here: the caller wraps a mirrored slot with
     ``HermitianMatrix._trusted`` or hands the stack to
     ``eigenvalues_desc_stacked``.
     """
@@ -527,8 +527,8 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator], mirro
         np.multiply(law._entries(draws), sd_rows(i)[1:], out=w[:, i, i + 1 :])
     w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
     if mirror:
-        for matrix in w:
-            _mirror_lower(matrix)
+        (matrix,) = w  # sample's stack of one
+        _mirror_lower(matrix)
     else:
         for i in range(1, -(-fill // (width * n))):  # the rows the fill reached
             w[:, i, :i] = 0

@@ -165,8 +165,12 @@ def eigenvalues_desc(a: HermitianMatrix) -> np.ndarray:
 
     The row of ``eigenvalues_desc_stacked`` on a fresh copy of ``a.entries``
     as a stack of one, so ``a`` solves on the route, and with the routine,
-    of a trial of its size and dtype.
+    of a trial of its size and dtype.  Without the routines that route is
+    ``eigvalsh``, which copies the matrix itself, so ``a.entries`` goes to
+    it directly, with the same bytes.
     """
+    if _lapack_evd() is None:
+        return _readonly(np.linalg.eigvalsh(a.entries)[::-1].copy())
     return eigenvalues_desc_stacked(a.entries[None].copy())[0]
 
 

@@ -630,41 +630,6 @@ def test_run_walks_census_double_tree_counts(tmp_path):
         assert sum(1 for row in rows if row[0] == k) == expected
 
 
-@pytest.mark.parametrize(
-    "command, overrides",
-    [("simulate", {}), ("walks", {"moments.k": "2,4"}), ("stieltjes", {"stieltjes.grid": "-2, 2, 0.5"})],
-    ids=("simulate", "walks", "stieltjes"),
-)
-def test_rerun_writes_new_files(tmp_path, command, overrides):
-    """A rerun into the same out directory writes every file anew instead of
-    truncating the old one: a reader holding a first-run file keeps its bytes,
-    the path names a new inode, and the new files hold the same bytes (the
-    manifest the same record but for its wall time)."""
-    config = make_config(command, str(tmp_path), **overrides)
-    run(config)
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert "manifest.json" in names and len(names) >= 2
-    old = {name: (tmp_path / name).read_bytes() for name in names}
-    handles = {name: open(tmp_path / name, "rb") for name in names}  # keep the first run's inodes alive
-    try:
-        run(config)
-        assert sorted(p.name for p in tmp_path.iterdir()) == names
-        for name, fh in handles.items():
-            assert os.fstat(fh.fileno()).st_ino != (tmp_path / name).stat().st_ino, name
-            assert fh.read() == old[name], name
-    finally:
-        for fh in handles.values():
-            fh.close()
-    for name in names:
-        new = (tmp_path / name).read_bytes()
-        if name == "manifest.json":
-            first, second = json.loads(old[name]), json.loads(new)
-            first.pop("wall_time_s"), second.pop("wall_time_s")
-            assert first == second
-        else:
-            assert new == old[name], name
-
-
 def test_run_walks_census_k1_to_10_checksum(tmp_path):
     """The k = 1..10 census, the benchmark's range plus the one-step edge case, pinned byte for byte."""
     k_list = ",".join(str(k) for k in range(1, 11))
