@@ -64,11 +64,6 @@ _BELOW_DIAGONAL = np.tri(_MIRROR_BAND_BYTES // 8, k=-1, dtype=bool)
 # where numpy's default of 8,192 allocates 128 kB (real) or 256 kB (complex) for
 # every conjugate it cannot run as one flat loop
 _MIRROR_BUFFER = 64
-# rows per band of the symmetry check of variance matrices: each band meets a
-# contiguous copy of the matching columns (n x 32 float64s).  On a 2-vCPU VM,
-# comparing the matrix with its strided transpose whole took 4.2 ms at
-# n = 1024, 92 ms at 2048 and 0.9 s at 4096; in bands 0.5, 2.7 and 11 ms
-_SYMMETRY_BAND = 32
 
 
 def _phi(t: float) -> float:
@@ -300,41 +295,17 @@ class EntryLaw:
         return self._entries(self._fill(rng, 2 * size if self.is_complex else size))
 
 
-def _checked_variances(values) -> np.ndarray:
-    """``values`` as a float64 square, symmetric matrix of finite nonnegative variances:
-    the check of explicit profiles and of the reduction stages' variance matrices."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("variance matrix must be square")
-    if not ((m >= 0) & (m < math.inf)).all():
-        raise ValueError("variance matrix must be nonnegative and finite")
-    if not _is_symmetric(m):
-        raise ValueError("variance matrix must be symmetric")
-    return m
-
-
-def _is_symmetric(m: np.ndarray) -> bool:
-    """``np.array_equal(m, m.T)`` for a finite square ``m``, one band of rows at a time.
-
-    Rows a..b-1 right of column a meet the transpose of a copy of columns
-    a..b-1 below row a; together the bands cover every entry above the
-    diagonal and its mirror.
-    """
-    band = _SYMMETRY_BAND
-    return all((m[a : a + band, a:] == m[a:, a : a + band].copy().T).all() for a in range(0, len(m), band))
-
-
 @dataclass(frozen=True)
 class VarianceProfile:
-    """Symmetric nonnegative matrix of per-entry variances (or squared scales).
+    """Symmetric nonnegative Toeplitz matrix of per-entry variances (or squared scales).
 
-    Kinds: uniform (one value), banded (inside/outside a |i-j| <= width
-    band), explicit (full matrix, validated symmetric).
+    Kinds: uniform (one value) and banded (inside/outside a |i-j| <= width
+    band).  Entry (i, j) depends only on the offset |i - j|, and offset 0,
+    the diagonal, is always at level 0.
 
     Every view is derived from one structure: a short table of ``levels``
     plus two per-kind rules, the level of entry (i, j) and each row's level
-    counts.  Uniform and banded profiles answer both rules in O(n); only
-    explicit profiles pay O(n^2).
+    counts, both O(n).
     """
 
     kind: str
@@ -342,14 +313,9 @@ class VarianceProfile:
     width: int = 0
     inside: float = 0.0
     outside: float = 0.0
-    values: np.ndarray | None = field(default=None, repr=False)
-    # the level table, and for explicit profiles each entry's index into it
     levels: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "banded", "explicit"):
-            raise ValueError(f"unknown profile kind: {self.kind!r}")
         if self.kind == "uniform":
             if not 0 <= self.v < math.inf:
                 raise ValueError("uniform variance must be nonnegative and finite")
@@ -359,11 +325,7 @@ class VarianceProfile:
                 raise ValueError("banded profile values must be nonnegative and finite")
             levels = np.array([self.inside, self.outside])
         else:
-            m = _checked_variances(self.values).copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "values", m)
-            levels, index = np.unique(m, return_inverse=True)
-            object.__setattr__(self, "_index", index.reshape(m.shape))
+            raise ValueError(f"unknown profile kind: {self.kind!r}")
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
 
@@ -375,51 +337,25 @@ class VarianceProfile:
     def banded(cls, width: int, inside: float, outside: float = 0.0) -> "VarianceProfile":
         return cls("banded", width=int(width), inside=float(inside), outside=float(outside))
 
-    @classmethod
-    def explicit(cls, values: np.ndarray) -> "VarianceProfile":
-        return cls("explicit", values=values)
-
-    def check_dimension(self, n: int) -> None:
-        if self.kind == "explicit" and self.values.shape[0] != n:
-            raise ValueError("explicit profile dimension does not match n")
-
     # -- the two per-kind rules ----------------------------------------------
     def _level_of(self, i, j) -> np.ndarray:
         """Index into ``levels`` of entry (i, j); i and j broadcast."""
         if self.kind == "uniform":
             return np.zeros(np.broadcast(i, j).shape, dtype=np.intp)
-        if self.kind == "banded":
-            return (np.abs(i - j) > self.width).astype(np.intp)
-        return self._index[i, j]
+        return (np.abs(i - j) > self.width).astype(np.intp)
 
     def _row_counts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(ids, counts), both (n, K): row i has counts[i, k] entries at level ids[i, k]."""
         if self.kind == "uniform":
             return np.zeros((n, 1), dtype=np.intp), np.full((n, 1), n)
-        if self.kind == "banded":
-            i = np.arange(n)
-            inside = np.minimum(i, self.width) + np.minimum(n - 1 - i, self.width) + 1
-            return np.broadcast_to(np.arange(2), (n, 2)), np.column_stack([inside, n - inside])
-        r = np.arange(n)
-        return self._level_of(r[:, None], r[None, :]), np.ones((n, n), dtype=np.int64)
+        i = np.arange(n)
+        inside = np.minimum(i, self.width) + np.minimum(n - 1 - i, self.width) + 1
+        return np.broadcast_to(np.arange(2), (n, 2)), np.column_stack([inside, n - inside])
 
     # -- derived views -------------------------------------------------------
     def matrix(self, n: int) -> np.ndarray:
-        self.check_dimension(n)
         r = np.arange(n)
         return self.levels[self._level_of(r[:, None], r[None, :])]
-
-    def _row_tails(self, values: np.ndarray, n: int):
-        """i -> ``values[level of (i, j)]`` for j = i..n-1, one entry of ``values`` per level.
-
-        Uniform and banded levels depend only on j - i, so every row's tail
-        is a prefix view of one table; explicit profiles gather row i.
-        """
-        self.check_dimension(n)
-        if self.kind == "explicit":
-            return lambda i: values[self._index[i, i:]]
-        by_offset = values[self._level_of(0, np.arange(n))]
-        return lambda i: by_offset[: n - i]
 
 
 def diagonal_law_for(law: EntryLaw, diagonal_law: EntryLaw | None = None) -> EntryLaw:
@@ -443,7 +379,6 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        self.profile.check_dimension(self.n)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in uint64")
         if self.diagonal_law is not None and self.diagonal_law.is_complex:
@@ -519,13 +454,12 @@ def _sample_stack(spec: EnsembleSpec, rngs: Sequence[np.random.Generator], mirro
     starts = lead * r + width * (r * (2 * n - r - 1) // 2)  # row i's first packed draw
     if lead:
         diag = base[:, starts]  # a copy: the rows placed below overwrite the fill
-    sd = np.sqrt(prof.levels)
-    sd_rows = prof._row_tails(sd, n)
+    sd = np.sqrt(prof.levels)[prof._level_of(0, r)]  # standard deviation by offset j - i
     for i in range(n - 2, -1, -1):
         start = starts[i] + lead
         draws = base[:, start : start + width * (n - i - 1)]
-        np.multiply(law._entries(draws), sd_rows(i)[1:], out=w[:, i, i + 1 :])
-    w.reshape(count, -1)[:, :: n + 1] = diag * sd[prof._level_of(r, r)]
+        np.multiply(law._entries(draws), sd[1 : n - i], out=w[:, i, i + 1 :])
+    w.reshape(count, -1)[:, :: n + 1] = diag * sd[0]
     if mirror:
         (matrix,) = w  # sample's stack of one
         _mirror_lower(matrix)
@@ -688,15 +622,13 @@ def _level_terms(spec: EnsembleSpec, term) -> tuple[np.ndarray, np.ndarray | Non
 
 
 def _entry_row_sums(spec: EnsembleSpec, term) -> np.ndarray:
-    """Per row i, sum_j term(law of w_ij, sigma^2_ij): level counts times level terms, O(n)
-    for uniform and banded profiles, then the diagonal law's term swapped in on the diagonal."""
+    """Per row i, sum_j term(law of w_ij, sigma^2_ij): level counts times level terms, O(n),
+    then the diagonal law's term swapped in on the diagonal, which is at level 0."""
     off, diag = _level_terms(spec, term)
     ids, counts = spec.profile._row_counts(spec.n)
     rows = (counts * off[ids]).sum(axis=1)
     if diag is not None:
-        r = np.arange(spec.n)
-        level = spec.profile._level_of(r, r)
-        rows += diag[level] - off[level]
+        rows += diag[0] - off[0]
     return rows
 
 

@@ -316,7 +316,6 @@ def walk_sum_moment(
         raise ValueError("need n >= 1 and k >= 1")
     if not law.has_moments_to(k):
         raise ValueError("oracle requires finite moments")
-    profile.check_dimension(n)
     r = np.arange(n)
     level_of = profile._level_of(r[:, None], r[None, :])
     dlaw = diagonal_law_for(law, diagonal_law)

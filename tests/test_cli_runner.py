@@ -38,7 +38,7 @@ from _oracles import chained_reduction_costs
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # reduce specs as config keys: the benchmark's banded Pareto spec, a complex law
-# (its real diagonal law makes the truncated profile explicit) and a constant_zero
+# (its real diagonal law has its own truncated terms) and a constant_zero
 # diagonal; each c lies below some truncated row sums, so the rescale stage does work
 REDUCE_SPECS = {
     "banded_pareto": {

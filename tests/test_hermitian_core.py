@@ -228,7 +228,6 @@ def test_minor_out_of_range_rejected():
 # -- trusted construction -----------------------------------------------------
 
 TRUST_N = 12
-_explicit = np.random.default_rng(5).uniform(0.0, 2.0 / TRUST_N, (TRUST_N, TRUST_N))
 TRUST_SPECS = {
     "rademacher": (EntryLaw.rademacher(), VarianceProfile.uniform(1 / TRUST_N), None),
     "gaussian_real": (EntryLaw.gaussian_real(), VarianceProfile.uniform(1 / TRUST_N), None),
@@ -242,8 +241,8 @@ TRUST_SPECS = {
     "banded_complex": (
         EntryLaw.gaussian_complex(), VarianceProfile.banded(2, 1 / TRUST_N, 1e-3), None,
     ),
-    "explicit_pareto": (
-        EntryLaw.pareto_symmetric(3.0, 1.0), VarianceProfile.explicit(_explicit + _explicit.T), None,
+    "banded_pareto": (
+        EntryLaw.pareto_symmetric(3.0, 1.0), VarianceProfile.banded(3, 2 / TRUST_N, 0.5 / TRUST_N), None,
     ),
 }
 

@@ -23,6 +23,7 @@ from wignerlab.ensembles import (
 )
 from wignerlab.hermitian_core import HermitianMatrix
 from wignerlab.reductions import (
+    _checked_variances,
     _reduction_costs,
     auto_eta,
     centralize,
@@ -171,30 +172,45 @@ VARIANCE_STAGES = {
 @pytest.mark.parametrize("bad", BAD_VARIANCES)
 @pytest.mark.parametrize("stage", VARIANCE_STAGES)
 def test_variance_stages_check_their_matrix(stage, bad):
-    """The stages that read a variance matrix check it as an explicit profile is checked."""
+    """The stages that read a variance matrix check it square, finite, nonnegative and symmetric."""
     sig, message = BAD_VARIANCES[bad]
     with pytest.raises(ValueError, match=message):
         VARIANCE_STAGES[stage](sig)
 
 
+@pytest.mark.parametrize("n", (1, 2, 31, 32, 33, 70))
+def test_symmetry_check_sees_every_entry_pair(n):
+    """The banded symmetry check of variance matrices accepts a symmetric matrix
+    and rejects one changed at any single off-diagonal entry, within a band,
+    across bands and in a short last band alike."""
+    a = np.random.default_rng(n).random((n, n))
+    m = a + a.T
+    assert _checked_variances(m) is not None
+    for i, j in zip(*np.nonzero(~np.eye(n, dtype=bool))):
+        bad = m.copy()
+        bad[i, j] += 1.0
+        with pytest.raises(ValueError, match="variance matrix must be symmetric"):
+            _checked_variances(bad)
+
+
 def test_rescale_random_profiles_obey_bounds(rng):
-    """Row bound, symmetry, [0,1] range, and the removed-variance bound."""
+    """Row bound, symmetry, [0,1] range, and the removed-variance bound, on profiles
+    and on random symmetric matrices that no profile gives."""
     for _ in range(100):
         n = int(rng.integers(2, 12))
         kind = rng.integers(0, 3)
         if kind == 0:
-            profile = VarianceProfile.uniform(float(rng.uniform(0.0, 3.0)))
+            sig = VarianceProfile.uniform(float(rng.uniform(0.0, 3.0))).matrix(n)
         elif kind == 1:
-            profile = VarianceProfile.banded(
+            sig = VarianceProfile.banded(
                 int(rng.integers(0, n)),
                 float(rng.uniform(0.0, 3.0)),
                 float(rng.uniform(0.0, 1.0)),
-            )
+            ).matrix(n)
         else:
             a = rng.uniform(0.0, 3.0, (n, n))
-            profile = VarianceProfile.explicit((a + a.T) / 2.0)
+            sig = (a + a.T) / 2.0
         C = float(rng.uniform(0.2, 2.0))
-        sig = profile.matrix(n)
         coeffs = rescale_to_row_bound(sig, C)
         assert np.array_equal(coeffs, coeffs.T)
         assert np.all(coeffs >= 0.0) and np.all(coeffs <= 1.0 + 1e-12)
@@ -278,7 +294,8 @@ def test_replace_expected_change_is_bounded(rng):
     n = 16
     sig = np.full((n, n), 1.0 / (4.0 * n))  # below the 1/(2n) cutoff
     np.fill_diagonal(sig, 1.0 / n)
-    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), VarianceProfile.explicit(sig), seed=29)
+    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), VarianceProfile.banded(0, 1.0 / n, 1.0 / (4.0 * n)), seed=29)
+    assert np.array_equal(spec.profile.matrix(n), sig)
     plan = unit_variance_plan(sig)
     e_size = int(plan.replace_mask.sum())
     assert e_size == n * n - n
@@ -298,7 +315,8 @@ def test_replace_expected_change_is_bounded(rng):
 def test_replace_preserves_hermitian_structure(rng):
     n = 10
     sig = np.full((n, n), 1.0 / (8.0 * n))
-    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), VarianceProfile.explicit(sig), seed=1)
+    spec = EnsembleSpec(n, EntryLaw.gaussian_real(), VarianceProfile.uniform(1.0 / (8.0 * n)), seed=1)
+    assert np.array_equal(spec.profile.matrix(n), sig)
     out = unit_variance_replace(sample_trial(spec, 0), sig, rng)
     assert np.array_equal(out.entries, out.entries.conj().T)
 
@@ -331,7 +349,7 @@ def test_truncated_profile_preserves_kind():
     m_b = truncated_profile(EnsembleSpec(8, law, profile_b), 0.5)
     levels = [v * law.m2_below(0.5 / math.sqrt(v)) for v in (0.5, 0.1)]
     assert np.array_equal(m_b, VarianceProfile.banded(1, *levels).matrix(8))
-    spec_e = EnsembleSpec(3, law, VarianceProfile.explicit(np.eye(3)))
+    spec_e = EnsembleSpec(3, law, VarianceProfile.banded(0, 1.0))
     out = truncated_profile(spec_e, 0.5)
     assert out[1, 1] == pytest.approx(law.m2_below(0.5), rel=1e-12)
     assert out[0, 1] == 0.0
@@ -367,7 +385,7 @@ NON_FINITE_INPUTS = {
     "uniform_level": lambda x: VarianceProfile.uniform(x),
     "banded_inside": lambda x: VarianceProfile.banded(2, x, 0.1),
     "banded_outside": lambda x: VarianceProfile.banded(2, 0.1, x),
-    "explicit_entry": lambda x: VarianceProfile.explicit(np.array([[1.0, x], [x, 1.0]])),
+    "variance_matrix_entry": lambda x: rescale_to_row_bound(np.array([[1.0, x], [x, 1.0]]), 1.0),
     "condition_sums_C": lambda x: condition_sums(_SPEC4, C=x, epsilons=(0.5,)),
     "condition_sums_eps": lambda x: condition_sums(_SPEC4, C=1.0, epsilons=(0.5, x)),
     "gaussian_row_check_eps": lambda x: gaussian_row_check(_SPEC4, (x,)),
@@ -416,21 +434,6 @@ def test_pipeline_validation():
     w = HermitianMatrix(np.eye(3))
     with pytest.raises(ValueError, match="does not match spec"):
         pipeline(w, spec, eta=1.0, C=1.0)
-    with pytest.raises(ValueError, match="coefficients dimension mismatch"):
-        pipeline(sample_trial(spec, 0), spec, eta=1.0, C=1.0, coeffs=np.ones((3, 3)))
-
-
-def test_pipeline_given_table_matches_its_own():
-    """A table built once per size gives the bytes pipeline builds per trial."""
-    spec = heavy_tail_spec(64, seed=53)
-    table = rescale_to_row_bound(truncated_profile(spec, 1.0), 1.0)
-    for trial in range(3):
-        w = sample_trial(spec, trial)
-        own, own_trace = pipeline(w, spec, eta=1.0, C=1.0)
-        given, given_trace = pipeline(w, spec, eta=1.0, C=1.0, coeffs=table)
-        assert given.entries.tobytes() == own.entries.tobytes()
-        assert given_trace.frobenius_delta_sq_per_stage == own_trace.frobenius_delta_sq_per_stage
-        assert given_trace.rescale_coeffs is table
 
 
 def test_pipeline_no_work_when_level_is_generous():
@@ -517,10 +520,11 @@ def test_pipeline_builds_one_matrix_per_working_stage(monkeypatch):
 
 
 def test_pipeline_peak_memory_is_three_matrices():
-    """Within three matrices, and now near two: the cost pass holds one difference
-    array beside the truncation mask, squared in place, and then the rescaled
-    matrix is built alone.  Measured 2.13 x a matrix at n = 512; building the
-    truncated matrix, the rescaled one and their difference measured 3.00."""
+    """Within three matrices beside the coefficient table, and now near two: the cost
+    pass holds one difference array beside the truncation mask, squared in place,
+    and then the rescaled matrix is built alone.  Measured 2.13 x a matrix at
+    n = 512 beside the table; building the truncated matrix, the rescaled one and
+    their difference measured 3.00."""
     import tracemalloc
 
     n = 512
@@ -528,21 +532,21 @@ def test_pipeline_peak_memory_is_three_matrices():
         n, EntryLaw.pareto_symmetric(2.5, 1.0), VarianceProfile.banded(64, 1.0 / n, 5e-4), seed=29
     )
     eta = auto_eta(spec)
-    # C below the truncated row sums, so the rescale stage does work
-    table = rescale_to_row_bound(truncated_profile(spec, eta), 0.25)
     w = sample_trial(spec, 0)
     tracemalloc.start()
     try:
-        _, trace = pipeline(w, spec, eta=eta, C=0.25, coeffs=table)
+        # C below the truncated row sums, so the rescale stage does work
+        _, trace = pipeline(w, spec, eta=eta, C=0.25)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert trace.frobenius_delta_sq_per_stage[2] > 0.0
+    peak -= trace.rescale_coeffs.nbytes  # the table pipeline builds and returns
     assert peak <= 2.5 * n * n * 8, peak / (n * n * 8)
 
 
 # (spec, eta, C): the benchmark's banded Pareto spec, a complex law, whose real
-# diagonal law makes the truncated profile explicit, and a constant_zero diagonal;
+# diagonal law has its own truncated terms, and a constant_zero diagonal;
 # each C lies below some truncated row sums, so the rescale stage does work
 COST_CASES = {
     "banded_pareto": (
@@ -569,7 +573,8 @@ def test_pipeline_trace_is_the_cost_rule(case):
     coeffs = rescale_to_row_bound(truncated_profile(spec, eta), C)
     for trial in range(3):
         w = sample_trial(spec, trial)
-        out, trace = pipeline(w, spec, eta, C, coeffs)
+        out, trace = pipeline(w, spec, eta, C)
+        assert trace.rescale_coeffs.tobytes() == coeffs.tobytes()
         removed, delta_truncate, delta_rescale = _reduction_costs(w.entries, eta, coeffs)
         assert trace.truncated_count == removed
         assert trace.frobenius_delta_sq_per_stage == (delta_truncate, 0.0, delta_rescale)
@@ -590,8 +595,6 @@ def test_cost_rule_rejects_non_finite_coefficients(bad):
         coeffs[i, j] = coeffs[j, i] = bad
         with pytest.raises(ValueError, match="finite"):
             _reduction_costs(w.entries, 0.1, coeffs)
-        with pytest.raises(ValueError, match="finite"):
-            pipeline(w, spec, 0.1, 0.5, coeffs)
 
 
 def test_pipeline_stage_costs_recompose():

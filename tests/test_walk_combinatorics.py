@@ -355,9 +355,9 @@ def test_walk_sum_moment_matches_exhaustive_signs():
         )
 
 
-def _symmetric_profile(rng, n: int) -> VarianceProfile:
-    a = rng.uniform(0.05, 0.5, (n, n))
-    return VarianceProfile.explicit((a + a.T) / 2.0)
+def _random_banded_profile(rng, n: int) -> VarianceProfile:
+    """A band of random width 0..n-1 with random inside and outside levels."""
+    return VarianceProfile.banded(int(rng.integers(0, n)), *rng.uniform(0.05, 0.5, 2))
 
 
 def test_walk_sum_moment_matches_index_tuple_brute_force(rng):
@@ -365,10 +365,10 @@ def test_walk_sum_moment_matches_index_tuple_brute_force(rng):
     zero = EntryLaw.constant_zero()
     cases = (
         (EntryLaw.rademacher(), VarianceProfile.banded(1, 0.25, 0.05), 4, 8, None),
-        (EntryLaw.gaussian_complex(), _symmetric_profile(rng, 4), 4, 6, None),
+        (EntryLaw.gaussian_complex(), _random_banded_profile(rng, 4), 4, 6, None),
         (EntryLaw.gaussian_complex(), VarianceProfile.banded(1, 0.3, 0.1), 3, 8, zero),
-        (EntryLaw.gaussian_real(), _symmetric_profile(rng, 4), 4, 6, zero),
-        (EntryLaw.pareto_symmetric(9.0, 1.0), _symmetric_profile(rng, 3), 3, 8, None),
+        (EntryLaw.gaussian_real(), _random_banded_profile(rng, 4), 4, 6, zero),
+        (EntryLaw.pareto_symmetric(9.0, 1.0), _random_banded_profile(rng, 3), 3, 8, None),
         (EntryLaw.uniform_bounded(), VarianceProfile.banded(2, 0.2, 0.02), 4, 6, None),
     )
     for law, prof, n, k, diag in cases:
@@ -379,7 +379,7 @@ def test_walk_sum_moment_matches_index_tuple_brute_force(rng):
 
 def test_walk_sum_moment_equals_permutation_loop_bit_for_bit(rng):
     """The gathered class sums equal the per-relabeling loop exactly, at every n and k
-    the oracle allows, on uniform and banded profiles; then on explicit profiles,
+    the oracle allows, on uniform and banded profiles; then on random bands,
     a constant_zero diagonal and a Pareto law up to n = 4."""
     laws = (
         EntryLaw.rademacher(),
@@ -395,7 +395,7 @@ def test_walk_sum_moment_equals_permutation_loop_bit_for_bit(rng):
                     assert walk_sum_moment(law, prof, n, k) == want, (n, prof.kind, law.kind, k)
     zero = EntryLaw.constant_zero()
     for n in (2, 3, 4):
-        prof = _symmetric_profile(rng, n)
+        prof = _random_banded_profile(rng, n)
         for law, diag in ((EntryLaw.gaussian_complex(), None), (EntryLaw.rademacher(), zero),
                           (EntryLaw.pareto_symmetric(9.0, 1.0), None)):
             for k in (4, 6, 8):
