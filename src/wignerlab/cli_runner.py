@@ -557,43 +557,58 @@ def _cmd_moments(config: ExperimentConfig, out: Path) -> list[Path]:
     return written
 
 
-def _ascii_digits(values: np.ndarray, width: int) -> np.ndarray:
-    """Decimal digits of non-negative ints as ASCII codes, one row each, right-aligned.
-
-    Leading columns the value does not reach hold 0, a byte no CSV line
-    contains, so dropping every 0 byte leaves the plain decimal text.
-    """
-    power = 10 ** np.arange(width - 1, -1, -1)
-    v = np.asarray(values, dtype=np.int64)[:, None]
-    return np.where((v >= power) | (power == 1), 48 + v // power % 10, 0).astype(np.uint8)
-
-
+# every name is 11 bytes, so a line's width does not depend on its class
 _CLASS_NAMES = np.array([c.value for c in WalkClass], dtype="S")
 
 
 def _walk_lines(k: int, t: int, first_id: int, rows: np.ndarray, codes: np.ndarray) -> bytes:
-    """The walks.csv lines of one census block, built as one byte matrix.
+    """The walks.csv lines of one census block as fixed-width byte rows.
 
-    Each line is laid out in fixed-width columns padded with 0 bytes, which
-    are dropped at the end; the text equals ``_fmt`` of each cell.
+    While t < 10 every label is one digit, so a line's width changes only
+    with its class id's digit count, that is at the powers of ten.  The block
+    is split there into runs of equal-width rows.  Each run is a uint8 matrix
+    in one buffer: a template line copied into every row, then the id digits,
+    labels and class names written column by column.  The buffer is written
+    with one ``tobytes()``.  From t = 10 on, each label takes two columns and
+    a one-digit label is led by a 0 byte, a byte no CSV line contains; those
+    are dropped at the end.  The text equals ``_fmt`` of each cell.
     """
     count, width = rows.shape
+    label_width = len(str(t))
+    names = _CLASS_NAMES[codes].view(np.uint8).reshape(count, _CLASS_NAMES.itemsize)
 
-    def text(s: str) -> np.ndarray:
-        return np.broadcast_to(np.frombuffer(s.encode(), dtype=np.uint8), (count, len(s)))
+    def template(digits: int) -> bytes:
+        """A line with every id digit, label digit and name byte still to write."""
+        sequence = "-".join(["0" * label_width] * width)
+        return f"{k},{t},{'0' * digits},{sequence},{'_' * names.shape[1]}\n".encode()
 
-    labels = _ascii_digits(rows.ravel(), len(str(t))).reshape(count, width, -1)
-    sequence = np.concatenate((labels, text("-" * width)[:, :, None]), axis=2).reshape(count, -1)
-    line = np.hstack((
-        text(f"{k},{t},"),
-        _ascii_digits(np.arange(first_id, first_id + count), len(str(first_id + count))),
-        text(","),
-        sequence[:, :-1],
-        text(","),
-        _CLASS_NAMES[codes].view(np.uint8).reshape(count, -1),
-        text("\n"),
-    ))
-    return line[line != 0].tobytes()
+    runs, lo = [], first_id  # (lo, hi, template): the ids lo..hi-1 share a digit count
+    while lo < first_id + count:
+        hi = min(first_id + count, 10 ** len(str(lo)))
+        runs.append((lo, hi, np.frombuffer(template(len(str(lo))), dtype=np.uint8)))
+        lo = hi
+    buf = np.empty(sum((hi - lo) * len(row) for lo, hi, row in runs), dtype=np.uint8)
+    at, head = 0, len(f"{k},{t},")
+    for lo, hi, row in runs:
+        digits = len(str(lo))
+        line = buf[at : at + (hi - lo) * len(row)].reshape(hi - lo, -1)
+        at += line.size
+        line[:] = row
+        ids = np.arange(lo, hi, dtype=np.min_scalar_type(hi))
+        for c in range(head + digits - 1, head - 1, -1):  # last digit first
+            ids, digit = np.divmod(ids, 10)
+            line[:, c] += digit
+        labels, s = rows[lo - first_id : hi - first_id].view(np.uint8), head + digits + 1
+        step = label_width + 1  # a label and its dash
+        stop = s + step * width - 1
+        if label_width == 1:
+            line[:, s:stop:2] += labels
+        else:  # a label with fewer digits is led by 0 bytes
+            for c in range(label_width):
+                power = 10 ** (label_width - 1 - c)
+                line[:, s + c : stop : step] = np.where(labels >= power, labels // power % 10 + 48, 0)
+        line[:, -1 - names.shape[1] : -1] = names[lo - first_id : hi - first_id]
+    return (buf[buf != 0] if label_width > 1 else buf).tobytes()
 
 
 def _cmd_walks(config: ExperimentConfig, out: Path) -> list[Path]:

@@ -142,21 +142,34 @@ def _rgs_block(k: int, t: int) -> np.ndarray:
     lo..min(m+1, t) in order, where lo = m + 1 when only a new label still
     leaves enough steps to reach t labels and lo = 1 otherwise, and none when
     not even that does.  Each prefix's children follow it in label order, so
-    the block stays in lex order.
+    the block stays in lex order.  A step keeps only its labels and each
+    prefix's child count, since a prefix's children are adjacent.  The rows
+    are filled once at the end, last step first: each column repeats one
+    step's labels by the number of block rows below each, and summing those
+    numbers over each prefix's children gives the next column's.
     """
-    rows = np.ones((1, 1), dtype=np.int8)
+    labels, counts = [], []
     top = np.ones(1, dtype=np.int8)
     for s in range(1, k):
         left = k - 1 - s  # free steps after this one
-        lo = np.where(top + left >= t, 1, top + 1)
-        count = np.where(top + 1 + left >= t, np.minimum(top + 1, t) - lo + 1, 0)
-        parent = np.repeat(np.arange(len(rows)), count)
-        first = np.cumsum(count) - count  # where each prefix's children start
-        label = (lo[parent] + np.arange(len(parent)) - first[parent]).astype(np.int8)
-        rows = np.column_stack((rows[parent], label))
-        top = np.maximum(top[parent], label)
-    rows = rows[top == t]
-    return np.column_stack((rows, np.ones(len(rows), dtype=np.int8)))
+        lo = np.where(top + left >= t, 1, top + 1).astype(np.int8)
+        count = np.where(top + 1 + left >= t, np.minimum(top + 1, t) - lo + 1, 0).astype(np.int8)
+        first = np.cumsum(count, dtype=np.int32) - count  # where each prefix's children start
+        label = np.repeat(lo - first, count)
+        label += np.arange(len(label), dtype=np.int32)
+        label = label.astype(np.int8)
+        top = np.maximum(np.repeat(top, count), label)
+        labels.append(label)
+        counts.append(count)
+    below = (top == t).astype(np.int32)  # block rows below each walk of the last step
+    rows = np.ones((int(below.sum()), k + 1), dtype=np.int8)
+    for s in range(k - 1, 0, -1):
+        rows[:, s] = np.repeat(labels.pop(), below)
+        count = counts.pop()
+        total = np.concatenate(([0], np.cumsum(below, dtype=np.int32)))
+        end = np.cumsum(count, dtype=np.int32)
+        below = total[end] - total[end - count]
+    return rows
 
 
 def _classify_block(rows: np.ndarray, t: int) -> np.ndarray:
